@@ -19,7 +19,7 @@ import sys
 import time
 from typing import Optional
 
-from . import divisors, gonality, graphs, scrambles, suite
+from . import __version__, divisors, gonality, graphs, scrambles, suite
 
 
 # ----------------------------------------------------------------------
@@ -153,17 +153,20 @@ def _cache_dir(args) -> Optional[str]:
     return getattr(args, "cache_dir", None) or os.environ.get("ROOKGON_CACHE")
 
 
-def _with_cache(args, key_obj: dict, compute) -> str:
+def _with_cache(args, key_obj: dict, compute, storable=None) -> str:
     """Content-addressed cache of finished report texts.
 
-    The key digests the semantic request only — thread counts, output
-    paths, and the cache location itself stay out, so any of those may
-    change and still hit.  Timed runs bypass the cache entirely.
+    The key digests the semantic request and the package version, so a
+    report computed by another release is never served.  Thread counts,
+    output paths, and the cache location itself stay out, so any of
+    those may change and still hit.  Timed runs bypass the cache
+    entirely; ``storable(text)`` may veto storing a computed report.
     """
     cache = _cache_dir(args)
     if not cache or getattr(args, "timings", False):
         return compute()
-    digest = hashlib.sha256(canonical_json(key_obj).encode("utf-8")).hexdigest()
+    keyed = {"request": key_obj, "version": __version__}
+    digest = hashlib.sha256(canonical_json(keyed).encode("utf-8")).hexdigest()
     path = os.path.join(cache, digest + ".json")
     if os.path.exists(path):
         try:
@@ -175,6 +178,8 @@ def _with_cache(args, key_obj: dict, compute) -> str:
             print(f"warning: corrupt cache entry {path}; recomputing",
                   file=sys.stderr)
     text = compute()
+    if storable is not None and not storable(text):
+        return text
     try:
         os.makedirs(cache, exist_ok=True)
         tmp = path + ".tmp"
@@ -409,7 +414,12 @@ def cmd_verify(args) -> int:
                                  budget_secs=args.budget_secs)
         return canonical_json(report)
 
-    text = _with_cache(args, key, compute)
+    def storable(text: str) -> bool:
+        # budgeted skips depend on the machine, and a failing report may
+        # come from a bug that a fix should not have to outlive
+        return args.budget_secs is None and not json.loads(text)["counts"]["fail"]
+
+    text = _with_cache(args, key, compute, storable)
     _write_output(args, text)
     counts = json.loads(text)["counts"]
     return 1 if counts["fail"] else 0

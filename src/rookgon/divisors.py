@@ -10,10 +10,9 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from .graphs import MultiGraph, _check_subset
 from .symmetry import (
-    GroupTooLarge,
     SymmetryGroup,
-    _iter_canonical_explicit,
     iter_degree_vectors,
+    iter_stabilizer_min_vectors,
 )
 
 
@@ -237,12 +236,26 @@ def equivalent(g: MultiGraph, d1: Sequence[int], d2: Sequence[int]) -> bool:
 # rank
 # ======================================================================
 
+def _genus(g: MultiGraph) -> int:
+    val = g._cache.get("genus")
+    if val is None:
+        val = g._cache["genus"] = g.genus()
+    return val
+
+
 def rank(g: MultiGraph, d: Sequence[int]) -> int:
     """Baker–Norine rank: -1 when unwinnable, else the largest r such
-    that d survives the removal of every effective divisor of degree r."""
+    that d survives the removal of every effective divisor of degree r.
+
+    Above degree 2g - 2, Riemann–Roch (Baker–Norine 2007) gives the rank
+    as deg(d) - g without any search."""
     chips = _check_divisor(g, d)
-    if sum(chips) < 0:
+    deg = sum(chips)
+    if deg < 0:
         return -1
+    genus = _genus(g)
+    if deg > 2 * genus - 2:
+        return deg - genus
     memo = g._cache.setdefault("rank", {})
     rd = _reduced_tuple(g, chips)
     return _rank_reduced(g, rd, memo)
@@ -275,8 +288,12 @@ def rank_at_least(g: MultiGraph, d: Sequence[int], k: int) -> bool:
     chips = _check_divisor(g, d)
     if k <= -1:
         return True
-    if sum(chips) < k:
+    deg = sum(chips)
+    if deg < k:
         return False
+    genus = _genus(g)
+    if deg > 2 * genus - 2:
+        return deg - genus >= k  # Riemann–Roch, as in rank()
     memo = g._cache.setdefault("rank_ge", {})
     rd = _reduced_tuple(g, chips)
     return _rank_ge(g, rd, k, memo)
@@ -313,7 +330,9 @@ def verify_rank_at_least(g: MultiGraph, d: Sequence[int], k: int,
     Returns (ok, counterexample-or-None).  A symmetry group restricts the
     enumeration to orbit representatives under the stabilizer of d, which
     is sound because stabilizing permutations preserve winnability.
-    Generators must be automorphisms of g.
+    Generators must be automorphisms of g.  Rook groups never list their
+    elements; a group without dims raises ``GroupTooLarge`` past the
+    explicit closure cap.
     """
     chips = _check_divisor(g, d)
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
@@ -322,20 +341,12 @@ def verify_rank_at_least(g: MultiGraph, d: Sequence[int], k: int,
         if is_winnable(g, chips):
             return True, None
         return False, [0] * g.n
-    reps = None
-    if sym is not None:
+    if sym is None:
+        reps = iter_degree_vectors(k, g.n)
+    else:
         if sym.n != g.n:
             raise ValueError("group degree does not match the graph")
-        try:
-            els = sym.elements()
-        except GroupTooLarge:
-            els = None
-        if els is not None:
-            stab = [p for p in els
-                    if all(chips[p[i]] == chips[i] for i in range(g.n))]
-            reps = _iter_canonical_explicit(k, g.n, stab)
-    if reps is None:
-        reps = iter_degree_vectors(k, g.n)
+        reps = iter_stabilizer_min_vectors(k, chips, sym)
     for e in reps:
         rem = [a - b for a, b in zip(chips, e)]
         if not is_winnable(g, rem):

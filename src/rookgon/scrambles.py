@@ -21,28 +21,50 @@ from .graphs import MultiGraph, connected_subsets, cut_weight, rook_graph
 class Scramble:
     """Eggs over a host graph, stored sorted and deduplicated.
 
-    ``uniform_size`` / ``with_squares`` are fast-path hints set by the
-    constructors in this module; they promise the egg list is exactly
-    every connected subset of that size (plus every 2x2 square).  Leave
-    them unset for hand-built egg lists.
+    ``uniform_size`` / ``with_squares`` are read-only fast-path hints.
+    Only the family constructors in this module set them, because they
+    build the egg list themselves: every connected subset of that size
+    (plus every 2x2 square).  A scramble built directly or loaded from
+    JSON never carries them, so an unchecked hint cannot steer the grid
+    DP to a wrong hitting number.
     """
 
-    __slots__ = ("host", "eggs", "uniform_size", "with_squares", "_validated")
+    __slots__ = ("host", "eggs", "_uniform_size", "_with_squares", "_validated")
 
-    def __init__(self, host: MultiGraph, eggs: Iterable[Iterable[int]],
-                 uniform_size: Optional[int] = None, with_squares: bool = False):
+    def __init__(self, host: MultiGraph, eggs: Iterable[Iterable[int]]):
         normed = set()
         for egg in eggs:
-            t = tuple(sorted(set(egg)))
-            for v in t:
+            if isinstance(egg, (str, bytes)):
+                raise ValueError(f"egg {egg!r} is not a list of vertices")
+            try:
+                verts = list(egg)
+            except TypeError:
+                raise ValueError(f"egg {egg!r} is not a list of vertices") from None
+            for v in verts:
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < host.n:
                     raise ValueError(f"egg vertex {v!r} out of range")
-            normed.add(t)
+            normed.add(tuple(sorted(set(verts))))
         self.host = host
         self.eggs = tuple(sorted(normed))
-        self.uniform_size = uniform_size
-        self.with_squares = with_squares
+        self._uniform_size = None
+        self._with_squares = False
         self._validated = False
+
+    @property
+    def uniform_size(self) -> Optional[int]:
+        return self._uniform_size
+
+    @property
+    def with_squares(self) -> bool:
+        return self._with_squares
+
+
+def _family(host: MultiGraph, eggs, uniform_size: int,
+            with_squares: bool = False) -> Scramble:
+    s = Scramble(host, eggs)
+    s._uniform_size = uniform_size
+    s._with_squares = with_squares
+    return s
 
 
 def validate_scramble(s: Scramble) -> list:
@@ -83,13 +105,13 @@ def hitting_number(s: Scramble):
     if not s.eggs:
         return 0, (), tuple(range(n))
     avoid = None
-    if (s.uniform_size is not None and host.dims is not None
+    if (s._uniform_size is not None and host.dims is not None
             and len(host.dims) == 2):
-        maxcomp = s.uniform_size - 1
-        if not s.with_squares or maxcomp <= 4:
+        maxcomp = s._uniform_size - 1
+        if not s._with_squares or maxcomp <= 4:
             avoid = _max_avoidance_grid(
                 host.dims[0], host.dims[1], maxcomp,
-                s.with_squares and maxcomp == 4,
+                s._with_squares and maxcomp == 4,
             )
     if avoid is None:
         avoid = _max_avoidance_branch_bound(s)
@@ -446,12 +468,12 @@ def star_scramble(n: int, m: int) -> Scramble:
     if not (2 <= n <= m):
         raise ValueError("star scramble needs 2 <= n <= m")
     host = rook_graph([n, m])
-    return Scramble(host, connected_subsets(host, n - 1), uniform_size=n - 1)
+    return _family(host, connected_subsets(host, n - 1), n - 1)
 
 
 def uniform_scramble(g: MultiGraph, k: int) -> Scramble:
     """All connected k-subsets of an arbitrary host."""
-    return Scramble(g, connected_subsets(g, k), uniform_size=k)
+    return _family(g, connected_subsets(g, k), k)
 
 
 def square_augmented_scramble(dims: Sequence[int] = (6, 6)) -> Scramble:
@@ -474,7 +496,7 @@ def square_augmented_scramble(dims: Sequence[int] = (6, 6)) -> Scramble:
                 for c2 in range(c1 + 1, m):
                     eggs.append((r1 * m + c1, r1 * m + c2,
                                  r2 * m + c1, r2 * m + c2))
-    return Scramble(host, eggs, uniform_size=n - 1, with_squares=True)
+    return _family(host, eggs, n - 1, with_squares=True)
 
 
 # ======================================================================
@@ -659,6 +681,6 @@ def scramble_from_json(data: dict) -> Scramble:
         hostg = graphs.graph_from_json(host)
     else:
         raise ValueError("host must be a graph object or a dims list")
-    if not isinstance(eggs, list):
+    if not isinstance(eggs, list) or not all(isinstance(e, list) for e in eggs):
         raise ValueError("eggs must be a list of vertex lists")
     return Scramble(hostg, eggs)

@@ -1,15 +1,20 @@
 """Vertex-permutation symmetry for product graphs.
 
-Provides automorphism generators for rook graphs, explicit group closure
-(bounded), exact canonical forms for chip vectors, and a stream of
-lexicographically minimal orbit representatives used to prune searches.
+A chip vector on a rook graph is a tensor with one axis per factor (the
+last axis varies fastest in the vertex numbering).  Its automorphism
+group reorders axes of equal size and relabels the values along each
+axis independently.  One engine uses that product structure for every
+rook-group question: the exact canonical form of a vector, the stream of
+lexicographically minimal orbit representatives, and the same stream
+under the stabilizer of a divisor.  Groups given only by generators fall
+back to an explicit (bounded) closure.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 class GroupTooLarge(RuntimeError):
@@ -23,8 +28,8 @@ class SymmetryGroup:
     """A permutation group on vertices, given by generators.
 
     ``dims`` is set for rook-graph groups; it unlocks the closed-form
-    order and a backtracking canonical form that avoids enumerating the
-    whole group.
+    order and the product-structured engine, which never enumerates the
+    group.  Groups without ``dims`` are handled through ``elements()``.
     """
 
     def __init__(self, generators: Iterable[Sequence[int]], n: int,
@@ -39,6 +44,7 @@ class SymmetryGroup:
         self.n = n
         self.dims = tuple(dims) if dims is not None else None
         self._elements = None
+        self._shape = None
 
     def elements(self, limit: int = _EXPLICIT_LIMIT) -> tuple:
         """Every group element as a vertex permutation (BFS closure)."""
@@ -71,6 +77,21 @@ class SymmetryGroup:
             return total
         return len(self.elements())
 
+    def _tensor_shape(self) -> "_Shape":
+        if self._shape is None:
+            self._shape = _Shape(self.dims)
+        return self._shape
+
+
+def _strides(dims: Sequence[int]) -> list:
+    strides = []
+    acc = 1
+    for d in reversed(dims):
+        strides.append(acc)
+        acc *= d
+    strides.reverse()
+    return strides
+
 
 def rook_symmetry(dims: Sequence[int]) -> SymmetryGroup:
     """Automorphism generators of a rook graph.
@@ -82,12 +103,7 @@ def rook_symmetry(dims: Sequence[int]) -> SymmetryGroup:
     if len(dims) < 2 or any(d < 2 for d in dims):
         raise ValueError("invalid rook dimensions")
     n = math.prod(dims)
-    strides = []
-    acc = 1
-    for d in reversed(dims):
-        strides.append(acc)
-        acc *= d
-    strides.reverse()
+    strides = _strides(dims)
 
     def decode(v):
         return tuple((v // strides[a]) % dims[a] for a in range(len(dims)))
@@ -116,6 +132,22 @@ def rook_symmetry(dims: Sequence[int]) -> SymmetryGroup:
                 perm.append(encode(c))
             gens.append(tuple(perm))
     return SymmetryGroup(gens, n, dims=dims)
+
+
+def _axis_orders(dims: tuple) -> Iterator[tuple]:
+    """Axis permutations allowed by the group: reorder only within
+    maximal runs of equal sizes.  The identity comes first."""
+    runs = []
+    start = 0
+    for i in range(1, len(dims) + 1):
+        if i == len(dims) or dims[i] != dims[start]:
+            runs.append(tuple(range(start, i)))
+            start = i
+    for combo in itertools.product(*(itertools.permutations(r) for r in runs)):
+        order = []
+        for block in combo:
+            order.extend(block)
+        yield tuple(order)
 
 
 # ======================================================================
@@ -148,34 +180,57 @@ def iter_orbit_min_vectors(total: int, size: int,
     """One lexicographically minimal representative per orbit of degree
     vectors under the group, streamed in ascending order.
 
-    With no group this is every degree vector.  Groups small enough to
-    enumerate use an orderly backtracking generator; anything larger
-    falls back to filtering by canonical form.
+    With no group this is every degree vector.  Rook groups use the
+    product-structured engine; groups without dims are enumerated
+    explicitly (``GroupTooLarge`` past the closure cap).
     """
     if sym is None:
         yield from iter_degree_vectors(total, size)
         return
     if sym.n != size:
         raise ValueError("group degree does not match the vector length")
-    try:
-        elements = sym.elements()
-    except GroupTooLarge:
-        for c in iter_degree_vectors(total, size):
-            if canonical_divisor_form(c, sym) == c:
-                yield c
+    if sym.dims is None:
+        yield from _iter_canonical_explicit(total, size, sym.elements())
         return
-    yield from _iter_canonical_explicit(total, size, elements)
+    shape = sym._tensor_shape()
+    yield from _orderly(total, size, shape.prune,
+                        lambda c: _is_min_image(shape, c))
+
+
+def iter_stabilizer_min_vectors(total: int, chips: Sequence[int],
+                                sym: SymmetryGroup) -> Iterator[tuple]:
+    """One lexicographically minimal representative per orbit of degree
+    vectors under the stabilizer of ``chips`` (the group elements that
+    map ``chips`` to itself), streamed in ascending order."""
+    chips = tuple(chips)
+    if len(chips) != sym.n:
+        raise ValueError("vector length does not match the group")
+    n = sym.n
+    if sym.dims is None:
+        stab = [p for p in sym.elements()
+                if all(chips[p[i]] == chips[i] for i in range(n))]
+        yield from _iter_canonical_explicit(total, n, stab)
+        return
+    shape = sym._tensor_shape()
+    colours = list(shape.sources(chips))
+    prune = [q for q in shape.prune
+             if all(chips[q[i]] == chips[i] for i in range(n))]
+
+    def accept(c):
+        e = tuple(c)
+        target = shape.fibers_of(e)
+        for src, colour in zip(shape.sources(e), colours):
+            if _improve(shape, src, target, True, colour, chips):
+                return False
+        return True
+
+    yield from _orderly(total, n, prune, accept)
 
 
 def _iter_canonical_explicit(total: int, size: int,
                              elements: Iterable[Sequence[int]]) -> Iterator[tuple]:
-    """Orderly generation of lex-min orbit representatives.
-
-    Each live group element tracks the first position where the permuted
-    image is still undecided or equal to the prefix; elements whose image
-    turns out larger are dropped, ones whose image turns out smaller kill
-    the branch.
-    """
+    """Orderly generation of lex-min orbit representatives under an
+    explicitly listed group (every non-identity element prunes)."""
     ident = tuple(range(size))
     invs = []
     for p in set(tuple(p) for p in elements):
@@ -186,41 +241,297 @@ def _iter_canonical_explicit(total: int, size: int,
             q[pi] = i
         invs.append(tuple(q))
     invs.sort()
-    c = [0] * size
+    yield from _orderly(total, size, invs)
 
-    def rec(pos: int, rem: int, live: List[tuple]) -> Iterator[tuple]:
-        if pos == size:
-            yield tuple(c)
-            return
-        vals = (rem,) if pos == size - 1 else range(rem + 1)
-        for v in vals:
-            c[pos] = v
-            end = pos + 1
-            ok = True
-            fresh = []
-            for q, j in live:
-                drop = False
-                while j < end:
-                    qj = q[j]
-                    if qj >= end:
-                        break  # image coordinate not assigned yet
-                    a = c[qj]
-                    b = c[j]
-                    if a < b:
-                        ok = False  # image is lex-smaller: prefix not canonical
-                        break
-                    if a > b:
-                        drop = True  # image is lex-larger for any completion
-                        break
-                    j += 1
-                if not ok:
+
+def _orderly(total: int, size: int, invs: Sequence[Sequence[int]],
+             accept: Optional[Callable[[list], bool]] = None) -> Iterator[tuple]:
+    """Depth-first orderly generation of degree vectors in ascending
+    lexicographic order.
+
+    Each live permutation q tracks the first position j where the image
+    (c[q[j]])_j is still undecided or equal to the prefix; permutations
+    whose image turns out larger are dropped, ones whose image turns out
+    smaller kill the branch.  When ``invs`` lists a whole group this is
+    exact.  Otherwise ``accept`` decides each complete vector.
+    """
+    c = [-1] * size
+    live_at = [[(q, 0) for q in invs]] + [None] * size
+    rem_at = [total] + [0] * size
+    last = size - 1
+    pos = 0
+    while pos >= 0:
+        rem = rem_at[pos]
+        v = rem if pos == last else c[pos] + 1
+        if v > rem or (pos == last and c[pos] == v):
+            c[pos] = -1  # values exhausted: backtrack
+            pos -= 1
+            continue
+        c[pos] = v
+        end = pos + 1
+        ok = True
+        fresh = []
+        for q, j in live_at[pos]:
+            drop = False
+            while j < end:
+                qj = q[j]
+                if qj >= end:
+                    break  # image coordinate not assigned yet
+                a = c[qj]
+                b = c[j]
+                if a < b:
+                    ok = False  # image is lex-smaller: prefix not canonical
                     break
-                if not drop:
-                    fresh.append((q, j))
-            if ok:
-                yield from rec(end, rem - v, fresh)
+                if a > b:
+                    drop = True  # image is lex-larger for any completion
+                    break
+                j += 1
+            if not ok:
+                break
+            if not drop:
+                fresh.append((q, j))
+        if not ok:
+            continue
+        if pos == last:
+            if accept is None or accept(c):
+                yield tuple(c)
+            continue
+        live_at[end] = fresh
+        rem_at[end] = rem - v
+        pos = end
 
-    yield from rec(0, total, [(q, 0) for q in invs])
+
+# ======================================================================
+# the product-structured engine
+# ======================================================================
+
+class _Shape:
+    """Index tables for the tensor view of a vector of length prod(dims).
+
+    A fiber is a run of ``m = dims[-1]`` consecutive entries: the values
+    along the last axis for one tuple of outer coordinates.
+    """
+
+    def __init__(self, dims: tuple):
+        self.n = math.prod(dims)
+        self.m = dims[-1]
+        self.outer = outer = dims[:-1]
+        self.nfibers = nf = self.n // self.m
+        k = len(outer)
+        self.fstride = fstride = _strides(outer)
+        self.coords = tuple(tuple((f // fstride[a]) % outer[a] for a in range(k))
+                            for f in range(nf))
+        # outer axes whose next index first appears at each fiber
+        self.pending = tuple(
+            tuple(a for a in range(k)
+                  if all(cf[b] == 0 for b in range(k) if b != a))
+            for cf in self.coords)
+        self.members = tuple(
+            tuple(tuple(f for f in range(nf) if self.coords[f][a] == o)
+                  for o in range(outer[a]))
+            for a in range(k))
+        strides = _strides(dims)
+        flat = [tuple((v // strides[a]) % dims[a] for a in range(len(dims)))
+                for v in range(self.n)]
+        orders = list(_axis_orders(dims))
+        self.axis_perms = tuple(
+            tuple(sum(cv[order[b]] * strides[b] for b in range(len(dims)))
+                  for cv in flat)
+            for order in orders[1:])
+        # cheap pruning permutations for the orderly search: at most one
+        # adjacent transposition per axis, under every axis order (a set
+        # closed under inverses)
+        moves = [(None,) + tuple(range(d - 1)) for d in dims]
+        prune = set()
+        for order in orders:
+            for combo in itertools.product(*moves):
+                perm = []
+                for cv in flat:
+                    v = 0
+                    for b, i in enumerate(combo):
+                        x = cv[order[b]]
+                        if x == i:
+                            x += 1
+                        elif i is not None and x == i + 1:
+                            x -= 1
+                        v += x * strides[b]
+                    perm.append(v)
+                prune.add(tuple(perm))
+        prune.discard(tuple(range(self.n)))
+        self.prune = tuple(sorted(prune))
+
+    def fibers_of(self, x: tuple) -> list:
+        m = self.m
+        return [x[i:i + m] for i in range(0, self.n, m)]
+
+    def sources(self, x: tuple) -> Iterator[tuple]:
+        """x under each axis order, identity first, built on demand."""
+        yield x
+        for perm in self.axis_perms:
+            yield tuple([x[p] for p in perm])
+
+
+def _is_min_image(shape: _Shape, x: Sequence[int]) -> bool:
+    """True iff x is the lexicographically smallest vector in its orbit."""
+    x = tuple(x)
+    target = shape.fibers_of(x)
+    for src in shape.sources(x):
+        if _improve(shape, src, target, True):
+            return False
+    return True
+
+
+def _improve(shape: _Shape, src: tuple, best: list, stop: bool,
+             colour: Optional[tuple] = None,
+             target_colour: Optional[tuple] = None) -> bool:
+    """Search the images of ``src`` under per-axis value relabelings for
+    one lexicographically smaller than ``best`` (a list of fibers).
+
+    Outer axes are mapped one new index at a time by backtracking, so
+    the image takes its fibers from a chosen sequence of source fibers.
+    For a fixed sequence the best order of the last axis is plain: sort
+    the columns (each column read down the chosen fibers).  So each
+    column carries its key, the tuple of its values so far, and fiber f
+    of the image is entry f of the sorted keys.  A fiber larger than the
+    target prunes the branch, an equal one goes deeper, and only ties
+    branch.  Old indices whose slices are identical in the source are
+    tried once.
+
+    With ``stop`` the search returns True at the first smaller image.
+    Without it, ``best`` is lowered in place to the smallest image
+    (fibers after an improvement are reset to None, meaning unbounded).
+
+    ``colour``/``target_colour`` (``stop`` only) restrict the search to
+    the maps that carry ``colour`` exactly onto ``target_colour``.  The
+    keys then hold colours, and a fiber must match the target's colour
+    keys as a multiset.  A partial map that matches may have no
+    matching completion, so ``src`` is compared only once every fiber
+    is mapped: within each class of equal colour keys, columns sorted
+    by their ``src`` values go to that class's positions in order.
+    """
+    m = shape.m
+    nfib = shape.nfibers
+    outer = shape.outer
+    coords = shape.coords
+    pending = shape.pending
+    fstride = shape.fstride
+    k = len(outer)
+    rows = shape.fibers_of(src)
+    if colour is None:
+        slices = rows
+    else:
+        crows = shape.fibers_of(colour)
+        slices = list(zip(rows, crows))
+        tkeys = [()] * m
+        tsorted = []
+        for trow in shape.fibers_of(target_colour):
+            tkeys = [tkeys[p] + (trow[p],) for p in range(m)]
+            tsorted.append(sorted(tkeys))
+        positions = {}
+        for p in range(m):
+            positions.setdefault(tkeys[p], []).append(p)
+    reps = []
+    for a in range(k):
+        first = {}
+        reps.append([first.setdefault(tuple([slices[f] for f in fibers]), o)
+                     for o, fibers in enumerate(shape.members[a])])
+    maps = [[0] * s for s in outer]
+    used = [[False] * s for s in outer]
+    olds = [0] * nfib
+
+    def visit(f, keys):
+        if f == nfib:
+            return colour is not None and compare(keys)
+        cf = coords[f]
+        axes = pending[f]
+        if len(axes) == 1:
+            a = axes[0]
+            ua = used[a]
+            ra = reps[a]
+            ma = maps[a]
+            new = cf[a]
+            base = 0  # the other outer coordinates are 0 here
+            for b in range(k):
+                if b != a:
+                    base += maps[b][0] * fstride[b]
+            stride = fstride[a]
+            tried = []
+            for o in range(outer[a]):
+                if ua[o] or ra[o] in tried:
+                    continue
+                tried.append(ra[o])
+                ma[new] = o
+                ua[o] = True
+                hit = step(f, base + o * stride, keys)
+                ua[o] = False
+                if hit:
+                    return True
+            return False
+        if not axes:
+            old = 0
+            for a in range(k):
+                old += maps[a][cf[a]] * fstride[a]
+            return step(f, old, keys)
+        options = []
+        for a in axes:
+            ua = used[a]
+            ra = reps[a]
+            opts = []
+            for o in range(outer[a]):
+                if not ua[o] and all(ra[o] != ra[p] for p in opts):
+                    opts.append(o)
+            options.append(opts)
+        for combo in itertools.product(*options):
+            old = 0
+            for a, o in zip(axes, combo):
+                maps[a][0] = o
+                used[a][o] = True
+                old += o * fstride[a]
+            hit = step(f, old, keys)
+            for a, o in zip(axes, combo):
+                used[a][o] = False
+            if hit:
+                return True
+        return False
+
+    def plain_step(f, old, keys):
+        row = rows[old]
+        keys = [key + (v,) for key, v in zip(keys, row)]
+        img = tuple([key[f] for key in sorted(keys)])
+        b = best[f]
+        if b is None or img < b:
+            if stop:
+                return True
+            best[f] = img
+            for g in range(f + 1, nfib):
+                best[g] = None
+        elif img != b:
+            return False
+        return visit(f + 1, keys)
+
+    def colour_step(f, old, keys):
+        olds[f] = old
+        crow = crows[old]
+        keys = [key + (v,) for key, v in zip(keys, crow)]
+        if sorted(keys) != tsorted[f]:
+            return False
+        return visit(f + 1, keys)
+
+    def compare(keys):
+        # outer maps fixed; columns may move only within a colour class
+        values = [tuple([rows[old][c] for old in olds]) for c in range(m)]
+        classes = {}
+        for c in sorted(range(m), key=values.__getitem__):
+            classes.setdefault(keys[c], []).append(c)
+        img = [[0] * m for _ in range(nfib)]
+        for key, cs in classes.items():
+            for p, c in zip(positions[key], cs):
+                for f in range(nfib):
+                    img[f][p] = values[c][f]
+        return [tuple(r) for r in img] < best
+
+    step = plain_step if colour is None else colour_step
+    return visit(0, [()] * m)
 
 
 # ======================================================================
@@ -232,144 +543,15 @@ def canonical_divisor_form(d: Sequence[int], sym: SymmetryGroup) -> tuple:
     d = tuple(d)
     if len(d) != sym.n:
         raise ValueError("vector length does not match the group")
-    if sym.dims is not None:
-        return _canonical_dims(d, sym.dims)
-    best = d
-    for p in sym.elements():
-        img = tuple(d[p[i]] for i in range(sym.n))
-        if img < best:
-            best = img
-    return best
-
-
-def _axis_orders(dims: tuple) -> Iterator[tuple]:
-    """Axis permutations allowed by the group: reorder only within
-    maximal runs of equal sizes."""
-    runs = []
-    start = 0
-    for i in range(1, len(dims) + 1):
-        if i == len(dims) or dims[i] != dims[start]:
-            runs.append(tuple(range(start, i)))
-            start = i
-    for combo in itertools.product(*(itertools.permutations(r) for r in runs)):
-        order = []
-        for block in combo:
-            order.extend(block)
-        yield tuple(order)
-
-
-def _canonical_dims(d: tuple, dims: tuple) -> tuple:
-    n = len(d)
-    strides = []
-    acc = 1
-    for s in reversed(dims):
-        strides.append(acc)
-        acc *= s
-    strides.reverse()
-    best = None
-    for order in _axis_orders(dims):
-        od = tuple(dims[a] for a in order)
-        ost = tuple(strides[a] for a in order)
-        cand = _min_value_image(d, od, ost, best)
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def _min_value_image(d: tuple, dims: tuple, strides: tuple, best):
-    """Minimize the flattened tensor over independent per-axis value
-    relabelings, by backtracking over flat positions.
-
-    ``dims``/``strides`` describe the axis order being tried; ``best`` is
-    the incumbent (or None).  Candidate old indices with identical slice
-    content are interchangeable, so only one per signature is branched on.
-    """
-    k = len(dims)
-    n = len(d)
-
-    # signature groups: old indices along an axis with equal slices
-    sig_rep = []
-    for a in range(k):
-        groups = {}
-        reps = []
-        for old in range(dims[a]):
-            sl = []
-            for v in range(n):
-                if (v // strides[a]) % dims[a] == old:
-                    sl.append(d[v])
-            key = tuple(sl)
-            if key in groups:
-                reps.append(groups[key])
-            else:
-                groups[key] = old
-                reps.append(old)
-        sig_rep.append(reps)
-
-    maps = [[-1] * dims[a] for a in range(k)]   # new index -> old index
-    used = [[False] * dims[a] for a in range(k)]
-    filled = [0] * k
-    out = [0] * n
-    found = [best]
-
-    # coordinates of each flat position in the new axis order
-    coords = []
-    for p in range(n):
-        cs = []
-        rest = p
-        for a in range(k):
-            size = 1
-            for b in range(a + 1, k):
-                size *= dims[b]
-            cs.append(rest // size)
-            rest %= size
-        coords.append(tuple(cs))
-
-    def place(p: int, tight: bool):
-        if p == n:
-            cand = tuple(out)
-            if found[0] is None or cand < found[0]:
-                found[0] = cand
-            return
-        cs = coords[p]
-        pending = [a for a in range(k) if cs[a] == filled[a]]
-
-        def assign(idx: int, t: bool):
-            if idx == len(pending):
-                old = 0
-                for a in range(k):
-                    old += maps[a][cs[a]] * strides[a]
-                val = d[old]
-                if t and found[0] is not None:
-                    ref = found[0][p]
-                    if val > ref:
-                        return
-                    if val < ref:
-                        t2 = False
-                    else:
-                        t2 = True
-                else:
-                    t2 = t
-                out[p] = val
-                place(p + 1, t2)
-                return
-            a = pending[idx]
-            seen = set()
-            for old in range(dims[a]):
-                if used[a][old]:
-                    continue
-                rep = sig_rep[a][old]
-                if rep in seen:
-                    continue
-                seen.add(rep)
-                maps[a][cs[a]] = old
-                used[a][old] = True
-                filled[a] += 1
-                assign(idx + 1, t)
-                filled[a] -= 1
-                used[a][old] = False
-                maps[a][cs[a]] = -1
-
-        assign(0, tight)
-
-    place(0, True)
-    return found[0]
+    if sym.dims is None:
+        best = d
+        for p in sym.elements():
+            img = tuple(d[p[i]] for i in range(sym.n))
+            if img < best:
+                best = img
+        return best
+    shape = sym._tensor_shape()
+    best = shape.fibers_of(d)
+    for src in shape.sources(d):
+        _improve(shape, src, best, False)
+    return tuple(itertools.chain.from_iterable(best))

@@ -10,12 +10,13 @@ import pytest
 CMD = [sys.executable, "-m", "rookgon.cli"]
 
 
-def run_cli(*args, check=True, env_extra=None):
+def run_cli(*args, check=True, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("ROOKGON_CACHE", None)
     if env_extra:
         env.update(env_extra)
-    proc = subprocess.run(CMD + list(args), capture_output=True, env=env)
+    proc = subprocess.run(CMD + list(args), capture_output=True, env=env,
+                          timeout=timeout)
     if check:
         assert proc.returncode == 0, proc.stderr.decode()
     return proc
@@ -67,6 +68,13 @@ def test_rank():
     data = out_json(run_cli("rank", "--rook", "2,2", "--chips=-1,0,0,0"))
     assert data["rank"] == -1
     assert data["winnable"] is False
+
+
+def test_rank_above_canonical_degree_is_immediate():
+    # degree 36 > 2g - 2 = 18 on 3x3, so Riemann–Roch gives 36 - 10
+    data = out_json(run_cli("rank", "--rook", "3,3",
+                            "--chips", "4,4,4,4,4,4,4,4,4", timeout=20))
+    assert data["rank"] == 26
 
 
 def test_gonality_record():
@@ -259,6 +267,44 @@ def test_cache_env_var(tmp_path):
     assert len(list(cache.iterdir())) == 1
 
 
+def test_cache_key_includes_version(tmp_path, monkeypatch, capsys):
+    from rookgon import cli
+    cache = tmp_path / "cache"
+    argv = ["gonality", "--rook", "2,2", "--cache-dir", str(cache)]
+    assert cli.main(argv) == 0
+    fresh = capsys.readouterr().out
+    entry = next(cache.iterdir())
+    entry.write_text('{"stale":true}\n')
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == '{"stale":true}\n'
+    # another release keys its requests apart and recomputes
+    monkeypatch.setattr(cli, "__version__", cli.__version__ + "+other")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == fresh
+    assert len(list(cache.iterdir())) == 2
+
+
+def test_cache_keeps_only_unbudgeted_passing_verify(tmp_path, monkeypatch):
+    from rookgon import cli
+    cache = tmp_path / "cache"
+    run_cli("verify", "--suite", "smoke", "--budget-secs", "1000",
+            "--cache-dir", str(cache))
+    assert not cache.exists() or not list(cache.iterdir())
+
+    def report(fail):
+        return lambda *a, **kw: {"claims": [], "suite": "smoke",
+                                 "counts": {"pass": 1 - fail, "fail": fail,
+                                            "skipped": 0}}
+
+    argv = ["verify", "--suite", "smoke", "--cache-dir", str(cache)]
+    monkeypatch.setattr(cli.suite, "run_suite", report(1))
+    assert cli.main(argv) == 1
+    assert not cache.exists() or not list(cache.iterdir())
+    monkeypatch.setattr(cli.suite, "run_suite", report(0))
+    assert cli.main(argv) == 0
+    assert len(list(cache.iterdir())) == 1
+
+
 def test_timings_bypasses_cache(tmp_path):
     cache = tmp_path / "cache"
     run_cli("gonality", "--rook", "2,2", "--timings",
@@ -288,6 +334,16 @@ def test_usage_errors_exit_two():
         proc = run_cli(*args, check=False)
         assert proc.returncode == 2, args
         assert proc.stderr, args
+
+
+def test_malformed_scramble_file_exits_two(tmp_path):
+    sfile = tmp_path / "s.json"
+    for eggs in ([[0, 1], 5], [[0, "x"]], [[0, None]], [[0, [1]]]):
+        sfile.write_text(json.dumps({"host": [2, 3], "eggs": eggs}))
+        proc = run_cli("scramble", "order", "--file", str(sfile), check=False)
+        assert proc.returncode == 2, eggs
+        assert proc.stderr.startswith(b"error:"), eggs
+        assert b"Traceback" not in proc.stderr, eggs
 
 
 def test_clear_message_for_short_dims():

@@ -282,6 +282,21 @@ def test_rank_riemann_roch_identity():
         assert rank(g, d) - rank(g, kd) == degree(d) - genus + 1
 
 
+def test_rank_above_canonical_degree_matches_oracle():
+    # Riemann–Roch: past degree 2g - 2 the rank is deg - g, with no search
+    rng = random.Random(4314)
+    for _ in range(15):
+        g = oracles.random_multigraph(rng, max_n=4, max_extra=2)
+        genus = g.genus()
+        d = random_divisor(rng, g.n, lo=-1, hi=2)
+        d[rng.randrange(g.n)] += 2 * genus - 1 + rng.randint(0, 1) - degree(d)
+        want = degree(d) - genus
+        assert oracles.rank(g, d) == want
+        assert rank(g, d) == want
+        assert rank_at_least(g, d, want) and not rank_at_least(g, d, want + 1)
+        assert "rank" not in g._cache and "rank_ge" not in g._cache
+
+
 def test_rank_monotone_in_chips():
     rng = random.Random(4310)
     for _ in range(30):

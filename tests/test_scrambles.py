@@ -74,6 +74,38 @@ def test_scramble_rejects_bad_vertices():
         Scramble(g, [[0, True]])
 
 
+def test_scramble_rejects_malformed_eggs():
+    g = rook_graph([2, 3])
+    for eggs in ([[0, 1], 5], [[0, "x"]], [[0, None]], [[0, [1]]], ["01"]):
+        with pytest.raises(ValueError):
+            Scramble(g, eggs)
+        with pytest.raises(ValueError):
+            scramble_from_json({"host": [2, 3], "eggs": eggs})
+    with pytest.raises(ValueError):
+        scramble_from_json({"host": [2, 3], "eggs": [[0, 1], (3, 4)]})
+
+
+def test_scramble_hints_stay_private():
+    # The hints promise that the eggs are every connected subset of one
+    # size, which sends the hitting number through the grid DP.  Only the
+    # family constructors may make that promise.  Taken on trust, the hint
+    # gave hitting number 4 for the single egg {0, 1} and order 3 (true
+    # order 2) for two disjoint 2-eggs: an overestimated lower bound.
+    g = rook_graph([2, 3])
+    with pytest.raises(TypeError):
+        Scramble(g, [[0, 1]], uniform_size=2)
+    one = Scramble(g, [[0, 1]])
+    with pytest.raises(AttributeError):
+        one.uniform_size = 2
+    assert one.uniform_size is None and not one.with_squares
+    assert hitting_number(one)[0] == 1
+    two = scramble_from_json(
+        {"host": [2, 3], "eggs": [[0, 1], [3, 4]], "uniform_size": 3})
+    assert two.uniform_size is None
+    rep = scramble_order(two)
+    assert (rep.hitting_number, rep.min_egg_cut, rep.order) == (2, 3, 2)
+
+
 def test_validate_scramble_reports_problems():
     g = rook_graph([2, 3])
     ok = Scramble(g, [[0, 1], [3]])
