@@ -219,6 +219,24 @@ def _parse_chips(text: str) -> list:
         raise ValueError(f"could not parse chip list {text!r}")
 
 
+def _threads(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return n
+
+
+def _add_threads(p) -> None:
+    # Accepted and validated so existing command lines keep working; the
+    # worker pool it selected lost to the serial scan on a 2-vCPU machine
+    # and was removed.
+    p.add_argument("--threads", type=_threads, default=1,
+                   help="accepted for compatibility; every scan is serial")
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -309,7 +327,7 @@ def cmd_gonality(args) -> int:
         t0 = time.monotonic()
         res = gonality.k_gonality(
             g, k=args.k, degree_cap=args.cap, sym=sym,
-            lower_bound=args.lower_bound, threads=args.threads,
+            lower_bound=args.lower_bound,
         )
         elapsed = (time.monotonic() - t0) if args.timings else None
         rec = gonality_record(g, res, elapsed)
@@ -410,7 +428,6 @@ def cmd_verify(args) -> int:
 
     def compute() -> str:
         report = suite.run_suite(args.suite, seed=args.seed,
-                                 threads=args.threads,
                                  budget_secs=args.budget_secs)
         return canonical_json(report)
 
@@ -478,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "non-exhaustive below it)")
     p_gon.add_argument("--no-symmetry", action="store_true",
                        help="disable automorphism orbit pruning")
-    p_gon.add_argument("--threads", type=int, default=1, help="worker processes")
+    _add_threads(p_gon)
     p_gon.add_argument("--timings", action="store_true",
                        help="add wall time to the report (bypasses the cache)")
     p_gon.add_argument("--format", choices=("json", "csv"), default="json")
@@ -515,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", choices=suite.SUITE_NAMES, default="smoke")
     p_ver.add_argument("--seed", type=int, default=0,
                        help="seed for the randomized property claims")
-    p_ver.add_argument("--threads", type=int, default=1, help="worker processes")
+    _add_threads(p_ver)
     p_ver.add_argument("--budget-secs", type=float,
                        help="skip claims whose declared cost exceeds the "
                             "remaining wall-clock budget (skips depend on the "

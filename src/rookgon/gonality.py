@@ -3,15 +3,13 @@
 Degrees are scanned in ascending order; at each degree the effective
 divisors (one representative per symmetry orbit when a group is given)
 are streamed in lexicographic order and tested with the rank recursion.
-The first success is therefore the lexicographically smallest witness,
-independent of worker count.
+The scan stops at the first success, which is therefore the
+lexicographically smallest witness of the smallest degree.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -89,39 +87,10 @@ def rook_certificate_divisor(dims: Sequence[int], k: int = 1) -> list:
     raise ValueError("certificate families exist only for ranks 1 and 3")
 
 
-# ----------------------------------------------------------------------
-# worker-pool scan: each worker rebuilds the graph once and reports the
-# first success in its chunk; the orchestrator takes the smallest.
-# ----------------------------------------------------------------------
-
-_WORKER: dict = {}
-
-
-def _pool_init(graph_json: str, k: int) -> None:
-    # Under fork the parent preloads _WORKER with its live graph, so the
-    # children inherit warm rank memos; rebuild only when that is absent
-    # (spawn start methods) or stale.
-    if _WORKER.get("json") != graph_json:
-        _WORKER["g"] = graphs.graph_from_json(json.loads(graph_json))
-        _WORKER["json"] = graph_json
-    _WORKER["k"] = k
-
-
-def _pool_scan(chunk):
-    g = _WORKER["g"]
-    k = _WORKER["k"]
-    for c in chunk:
-        if rank_at_least(g, list(c), k):
-            return c
-    return None
-
-
 def k_gonality(g: graphs.MultiGraph, k: int = 1,
                degree_cap: Optional[int] = None,
                sym: Optional[SymmetryGroup] = None,
-               lower_bound: Optional[int] = None,
-               threads: int = 1,
-               _pool_threshold: int = 64) -> GonalityResult:
+               lower_bound: Optional[int] = None) -> GonalityResult:
     """Minimum degree of an effective divisor of rank >= k, by ascending
     exhaustive search up to the degree cap."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
@@ -137,62 +106,26 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
         raise ValueError("degree cap below k can never hold a rank-k divisor")
     if lower_bound is not None and (not isinstance(lower_bound, int) or lower_bound < 0):
         raise ValueError("lower bound must be a nonnegative integer")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
 
     start = k if lower_bound is None else max(k, lower_bound)
     full_scan = lower_bound is None or lower_bound <= k
     refuted = []
     orbit_counts = {}
-    pool = None
-    graph_json = None
-    try:
-        for deg in range(start, cap + 1):
-            reps = iter_orbit_min_vectors(deg, g.n, sym)
-            found = None
-            if threads == 1:
-                count = 0
-                for c in reps:
-                    count += 1
-                    if rank_at_least(g, list(c), k):
-                        found = c
-                        break
-            else:
-                reps = list(reps)
-                count = len(reps)
-                if count < _pool_threshold:
-                    for c in reps:
-                        if rank_at_least(g, list(c), k):
-                            found = c
-                            break
-                else:
-                    if pool is None:
-                        graph_json = json.dumps(graphs.graph_to_json(g))
-                        _WORKER["g"] = g
-                        _WORKER["json"] = graph_json
-                        pool = ProcessPoolExecutor(
-                            max_workers=threads,
-                            initializer=_pool_init,
-                            initargs=(graph_json, k),
-                        )
-                    chunks = [reps[i::threads] for i in range(threads)]
-                    hits = [c for c in pool.map(_pool_scan, chunks) if c is not None]
-                    if hits:
-                        found = min(hits)
-            if found is not None:
+    for deg in range(start, cap + 1):
+        count = 0
+        for c in iter_orbit_min_vectors(deg, g.n, sym):
+            count += 1
+            if rank_at_least(g, list(c), k):
                 return GonalityResult(
-                    k=k, value=deg, witness=list(found),
+                    k=k, value=deg, witness=list(c),
                     exhaustive=full_scan, degree_cap=cap,
                     lower_bound=lower_bound,
                     refuted_degrees=tuple(refuted),
                     orbit_counts=dict(orbit_counts),
                     symmetry=sym is not None,
                 )
-            refuted.append(deg)
-            orbit_counts[deg] = count
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        refuted.append(deg)
+        orbit_counts[deg] = count
     return GonalityResult(
         k=k, value=None, witness=None,
         exhaustive=full_scan, degree_cap=cap, lower_bound=lower_bound,

@@ -3,8 +3,8 @@
 Each claim recomputes one published quantity (a gonality, a certificate
 check, a scramble order, or a bulk property sweep) and compares it with
 the frozen expected value.  Suites nest: standard extends smoke, full
-extends standard.  Reports carry no wall times so that reruns and
-different worker counts stay byte-identical; timing goes to stderr.
+extends standard.  Reports carry no wall times so that reruns stay
+byte-identical; timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -69,12 +69,11 @@ def _scramble(kind, *params) -> scrambles.Scramble:
     return _SCRAMBLES[key]
 
 
-def _gon_value(dims, k, threads, lower_bound=None):
-    key = (dims, k, threads, lower_bound)
+def _gon_value(dims, k, lower_bound=None):
+    key = (dims, k, lower_bound)
     if key not in _GON:
         _GON[key] = gonality.k_gonality(
-            _host(*dims), k=k, sym=_group(*dims),
-            lower_bound=lower_bound, threads=threads,
+            _host(*dims), k=k, sym=_group(*dims), lower_bound=lower_bound,
         )
     return _GON[key]
 
@@ -85,7 +84,7 @@ def _gon_value(dims, k, threads, lower_bound=None):
 
 def _claim_gonality(n, m, expect, k=1, cost=10.0):
     def fn(ctx):
-        res = _gon_value((n, m), k, ctx["threads"])
+        res = _gon_value((n, m), k)
         return ({"value": expect, "exhaustive": True},
                 {"value": res.value, "exhaustive": res.exhaustive})
     kind = {1: "gonality", 2: "second gonality", 3: "third gonality"}[k]
@@ -101,9 +100,9 @@ def _claim_gonality(n, m, expect, k=1, cost=10.0):
 
 def _claim_gonality_chain(n, m, cost=10.0):
     def fn(ctx):
-        v1 = _gon_value((n, m), 1, ctx["threads"]).value
-        v2 = _gon_value((n, m), 2, ctx["threads"]).value
-        v3 = _gon_value((n, m), 3, ctx["threads"]).value
+        v1 = _gon_value((n, m), 1).value
+        v2 = _gon_value((n, m), 2).value
+        v3 = _gon_value((n, m), 3).value
         ok = v1 <= v2 - 1 <= v3 - 2
         return (True, ok)
     return Claim(
@@ -377,7 +376,7 @@ def _claim_symmetry_agreement(dims, k=1, cost=10.0):
     def fn(ctx):
         host = _host(*dims)
         plain = gonality.k_gonality(host, k=k)
-        pruned = _gon_value(dims, k, ctx["threads"])
+        pruned = _gon_value(dims, k)
         return ({"value": plain.value, "exhaustive": True},
                 {"value": pruned.value, "exhaustive": pruned.exhaustive})
     return Claim(
@@ -469,7 +468,7 @@ def _claim_squares_order(cost=60.0):
 def _claim_gonality_refute(n, m, expect, refute, cost=3600.0):
     def fn(ctx):
         order = scrambles.scramble_order(_scramble("star", n, m)).order
-        res = _gon_value((n, m), 1, ctx["threads"], lower_bound=order)
+        res = _gon_value((n, m), 1, lower_bound=order)
         return ({"value": expect, "refuted": True, "order": refute},
                 {"value": res.value,
                  "refuted": refute in res.refuted_degrees,
@@ -589,7 +588,7 @@ def suite_claims(name: str):
     return claims
 
 
-def run_suite(name: str, seed: int = 0, threads: int = 1,
+def run_suite(name: str, seed: int = 0,
               budget_secs: Optional[float] = None, log=None) -> dict:
     """Run a suite and return its report as a plain dict.
 
@@ -601,7 +600,7 @@ def run_suite(name: str, seed: int = 0, threads: int = 1,
     if log is None:
         log = sys.stderr
     claims = suite_claims(name)
-    ctx = {"threads": threads, "seed": seed}
+    ctx = {"seed": seed}
     started = time.monotonic()
     rows = []
     counts = {"pass": 0, "fail": 0, "skipped": 0}

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +109,13 @@ def test_gonality_from_graph_file(tmp_path):
     data = out_json(run_cli("gonality", "--graph", str(gfile)))
     assert data["value"] == 3
     assert data["dims"] == [2, 3]
+
+
+def test_gonality_threads_output_matches_serial():
+    serial = run_cli("gonality", "--rook", "3,4", "--threads", "1")
+    many = run_cli("gonality", "--rook", "3,4", "--threads", "8")
+    assert out_json(serial)["value"] == 8
+    assert many.stdout == serial.stdout
 
 
 def test_gonality_csv():
@@ -267,6 +276,16 @@ def test_cache_env_var(tmp_path):
     assert len(list(cache.iterdir())) == 1
 
 
+def test_pyproject_version_matches_package():
+    # the cache key holds rookgon.__version__, so both must be bumped together
+    from rookgon import __version__
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    match = re.search(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE)
+    assert match is not None
+    assert match.group(1) == __version__
+
+
 def test_cache_key_includes_version(tmp_path, monkeypatch, capsys):
     from rookgon import cli
     cache = tmp_path / "cache"
@@ -334,6 +353,15 @@ def test_usage_errors_exit_two():
         proc = run_cli(*args, check=False)
         assert proc.returncode == 2, args
         assert proc.stderr, args
+
+
+@pytest.mark.parametrize("command", [("gonality", "--rook", "2,2"),
+                                     ("verify", "--suite", "smoke")])
+def test_threads_below_one_exits_two(command):
+    proc = run_cli(*command, "--threads", "0", check=False)
+    assert proc.returncode == 2
+    assert b"--threads" in proc.stderr
+    assert proc.stdout == b""
 
 
 def test_malformed_scramble_file_exits_two(tmp_path):

@@ -126,23 +126,13 @@ def test_gonality_validation():
     with pytest.raises(ValueError):
         k_gonality(g, lower_bound=-1)
     with pytest.raises(ValueError):
-        k_gonality(g, threads=0)
+        k_gonality(g, lower_bound=1.5)
     with pytest.raises(ValueError):
         k_gonality(g, sym=rook_symmetry([2, 3]))
     bad = rook_symmetry([2, 2])
     swapped = type(bad)([(1, 0, 2, 3)], 4)
     with pytest.raises(ValueError):
         k_gonality(g, sym=swapped)  # generator is not an automorphism
-
-
-def test_gonality_threads_match_serial():
-    g = rook_graph([2, 3])
-    serial = k_gonality(g, sym=rook_symmetry([2, 3]))
-    pooled = k_gonality(g, sym=rook_symmetry([2, 3]), threads=2,
-                        _pool_threshold=1)
-    assert pooled.value == serial.value
-    assert pooled.witness == serial.witness
-    assert pooled.refuted_degrees == serial.refuted_degrees
 
 
 def test_default_degree_cap_values():
