@@ -190,21 +190,31 @@ def _check_subset(g: MultiGraph, s: Iterable[int]) -> list:
 def is_connected_subset(g: MultiGraph, s: Iterable[int]) -> bool:
     """True iff s is nonempty and induces a connected subgraph."""
     verts = _check_subset(g, s)
-    if not verts:
+    return is_connected_mask(neighbour_masks(g), sum(1 << v for v in verts))
+
+
+def neighbour_masks(g: MultiGraph) -> tuple:
+    """Per-vertex neighbour bitmasks, built once per graph."""
+    nbr = g._cache.get("nbr_masks")
+    if nbr is None:
+        nbr = g._cache["nbr_masks"] = tuple(
+            sum(1 << v for v, _ in g.adj[u]) for u in range(g.n))
+    return nbr
+
+
+def is_connected_mask(nbr: Sequence[int], mask: int) -> bool:
+    """True iff the vertex bitmask is nonempty and connected under the
+    neighbour masks nbr; no range checks, for trusted vertex sets."""
+    if not mask:
         return False
-    inside = bytearray(g.n)
-    for v in verts:
-        inside[v] = 1
-    start = verts[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v, _ in g.adj[u]:
-            if inside[v] and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(verts)
+    seen = frontier = mask & -mask
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        fresh = nbr[low.bit_length() - 1] & mask & ~seen
+        seen |= fresh
+        frontier |= fresh
+    return seen == mask
 
 
 def cut_weight(g: MultiGraph, a: Iterable[int]) -> int:
@@ -235,12 +245,7 @@ def connected_subsets(g: MultiGraph, k: int) -> Iterator[tuple]:
         for u in range(n):
             yield (u,)
         return
-    nbr = [0] * n
-    for u in range(n):
-        m = 0
-        for v, _ in g.adj[u]:
-            m |= 1 << v
-        nbr[u] = m
+    nbr = neighbour_masks(g)
     for anchor in range(n):
         above = -1 << (anchor + 1)
         sub = 1 << anchor

@@ -3,13 +3,16 @@
 A scramble is a collection of eggs (nonempty connected vertex sets) on a
 host graph.  The hitting number is computed exactly through a maximum
 avoidance set; the minimum egg cut through pairwise max-flow with an
-early-terminating incumbent, helped by an exact cut floor available on
-two-factor rook hosts.
+early-terminating incumbent, which stops as soon as it meets a certified
+cut floor.  The floor exists on every rook host: it bounds the induced
+edges of a vertex set from its layer counts along the first axis,
+recursively, and is exact on two factors.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List, NamedTuple, Optional, Sequence
@@ -70,10 +73,11 @@ def _family(host: MultiGraph, eggs, uniform_size: int,
 def validate_scramble(s: Scramble) -> list:
     """List of violations (empty means the scramble is valid)."""
     out = []
+    nbr = graphs.neighbour_masks(s.host)
     for idx, egg in enumerate(s.eggs):
         if not egg:
             out.append(f"egg {idx} is empty")
-        elif not graphs.is_connected_subset(s.host, egg):
+        elif not graphs.is_connected_mask(nbr, sum(1 << v for v in egg)):
             out.append(f"egg {idx} is not connected: {list(egg)}")
     return out
 
@@ -300,78 +304,75 @@ class EggCutResult(NamedTuple):
     side: Optional[tuple]     # minimal source side of the minimum cut
 
 
-def _partitions_desc(total: int, max_parts: int, max_val: int) -> tuple:
-    out = []
-    parts: List[int] = []
-
-    def rec(rem, most):
-        if rem == 0:
-            out.append(tuple(parts))
-            return
-        if len(parts) == max_parts:
-            return
-        for v in range(min(most, rem), 0, -1):
-            parts.append(v)
-            rec(rem - v, v)
-            parts.pop()
-
-    rec(total, max_val)
-    return tuple(out)
-
-
-def _gale_ryser(rows: tuple, cols: tuple) -> bool:
-    """Feasibility of a 0/1 matrix with the given (descending) margins."""
-    for k in range(1, len(rows) + 1):
-        if sum(rows[:k]) > sum(min(c, k) for c in cols):
-            return False
-    return True
+_INFEASIBLE = -(1 << 62)
 
 
 @lru_cache(maxsize=None)
-def _max_induced_edges(n: int, m: int, size: int) -> int:
-    """Maximum edge count induced by `size` vertices of the n x m rook
-    graph; depends only on the row/column occupancy profiles."""
-    best = -1
-    col_parts = _partitions_desc(size, m, n)
-    for rows in _partitions_desc(size, n, m):
-        base = sum(r * (r - 1) // 2 for r in rows)
-        for cols in col_parts:
-            if _gale_ryser(rows, cols):
-                e = base + sum(c * (c - 1) // 2 for c in cols)
-                if e > best:
-                    best = e
-    return best
+def _max_induced_edges(dims: tuple) -> tuple:
+    """Entry s bounds from above the edges induced by s vertices of the
+    rook graph on `dims`; exact on one clique and on two factors.
 
-
-@lru_cache(maxsize=None)
-def min_side_cut_floor(n: int, m: int, min_side: int) -> Optional[int]:
-    """Exact minimum cut weight of the n x m rook graph over partitions
-    with both sides of at least min_side vertices (None if impossible).
-
-    Cut weight depends only on the side's row/column occupancy profile,
-    so the minimum is a small scan over feasible profile pairs.
+    Split the first axis into n = dims[0] layers, each a rook graph on
+    dims[1:] with m vertices.  A vertex set meets the layers in r_1 >=
+    ... >= r_n vertices (after sorting) and the line along the first
+    axis through position p in c_p; its induced edges are those inside
+    the layers plus sum C(c_p, 2).  The layer x position incidence is a
+    0/1 matrix with margins r and c, so c is majorized by the conjugate
+    r* of r (Gale-Ryser), and C(x, 2) is convex, so sum C(c_p, 2) <=
+    sum C(r*_j, 2) = sum (i-1) r_i (Karamata), with equality for the
+    staircase matrix.  Bounding each layer recursively leaves the
+    maximum of sum_i bound(r_i) + (i-1) r_i over descending r, a dynamic
+    program over the layers in which each count is capped by the one
+    before it.
     """
-    total = n * m
+    if len(dims) == 1:
+        return tuple(s * (s - 1) // 2 for s in range(dims[0] + 1))
+    layer = _max_induced_edges(dims[1:])
+    m = len(layer) - 1
+    total = dims[0] * m
+    # best[rem][cap]: most edges the layers still to fill can hold with
+    # rem vertices, each layer taking at most cap and no more than the
+    # layer before it
+    best = [[0] * (m + 1)] + [[_INFEASIBLE] * (m + 1) for _ in range(total)]
+    for i in range(dims[0] - 1, -1, -1):
+        gain = [layer[r] + i * r for r in range(m + 1)]
+        nxt = []
+        for rem in range(total + 1):
+            row = [best[rem][0]]
+            for cap in range(1, m + 1):
+                take = gain[cap] + best[rem - cap][cap] if cap <= rem else _INFEASIBLE
+                row.append(max(row[-1], take))
+            nxt.append(row)
+        best = nxt
+    return tuple(row[m] for row in best)
+
+
+def min_side_cut_floor(dims: Sequence[int], min_side: int) -> Optional[int]:
+    """Certified lower bound on the cut weight of the rook graph on
+    `dims` over partitions with both sides of at least min_side vertices
+    (None if impossible); exact on two factors.
+
+    The host is regular of degree deg, so a side X has cut weight
+    deg*|X| - 2*e(X) and the induced-edge bound gives the floor.  A cut
+    and its complement weigh the same, so sides up to half suffice.
+    """
+    total = math.prod(dims)
     if min_side < 1 or 2 * min_side > total:
         return None
-    deg = n + m - 2
-    best = None
-    for size in range(min_side, total - min_side + 1):
-        w = deg * size - 2 * _max_induced_edges(n, m, size)
-        if best is None or w < best:
-            best = w
-    return best
+    deg = sum(d - 1 for d in dims)
+    edges = _max_induced_edges(tuple(dims))
+    return min(deg * size - 2 * edges[size]
+               for size in range(min_side, total // 2 + 1))
 
 
 def egg_cut_floor(s: Scramble) -> Optional[int]:
-    """A certified lower bound on the minimum egg cut, when the host is a
-    two-factor rook graph: every egg-separating partition has both sides
-    at least as large as the smallest egg."""
+    """A certified lower bound on the minimum egg cut when the host is a
+    rook graph: every egg-separating partition has both sides at least
+    as large as the smallest egg."""
     host = s.host
-    if host.dims is None or len(host.dims) != 2 or not s.eggs:
+    if host.dims is None or len(host.dims) < 2 or not s.eggs:
         return None
-    smallest = min(len(e) for e in s.eggs)
-    return min_side_cut_floor(host.dims[0], host.dims[1], smallest)
+    return min_side_cut_floor(host.dims, min(len(e) for e in s.eggs))
 
 
 def min_egg_cut(s: Scramble, floor: Optional[int] = None) -> EggCutResult:

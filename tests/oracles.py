@@ -224,3 +224,44 @@ def random_multigraph(rng: random.Random, max_n=7, max_extra=6):
             mult[u][v] += 1
             mult[v][u] += 1
     return MultiGraph(mult)
+
+
+def max_induced_edges_profile_scan(dims, size):
+    """The layer-profile bound on induced edges, scanned literally: every
+    layer partition r against every position partition c, kept when a
+    0/1 layer x position matrix with those margins exists (Gale-Ryser),
+    scoring sum of the recursive layer bounds plus sum C(c_p, 2).  On two
+    factors this is the exact row/column profile scan."""
+    if len(dims) == 1:
+        return size * (size - 1) // 2
+    n, rest = dims[0], tuple(dims[1:])
+    positions = 1
+    for d in rest:
+        positions *= d
+
+    def partitions(total, max_parts, max_val):
+        if total == 0:
+            return [()]
+        if max_parts == 0:
+            return []
+        return [(v,) + p for v in range(min(total, max_val), 0, -1)
+                for p in partitions(total - v, max_parts - 1, v)]
+
+    def feasible(rows, cols):
+        return all(sum(rows[:k]) <= sum(min(c, k) for c in cols)
+                   for k in range(1, len(rows) + 1))
+
+    # position partitions by descending score, so a row partition's scan
+    # stops at its first feasible one or once it cannot beat the best
+    scored = sorted(((sum(c * (c - 1) // 2 for c in cols), cols)
+                     for cols in partitions(size, positions, n)), reverse=True)
+    best = -1
+    for rows in partitions(size, n, positions):
+        base = sum(max_induced_edges_profile_scan(rest, r) for r in rows)
+        for score, cols in scored:
+            if base + score <= best:
+                break
+            if feasible(rows, cols):
+                best = base + score
+                break
+    return best

@@ -165,6 +165,27 @@ def test_scramble_order_from_file(tmp_path):
     assert data["order"] == 3
 
 
+def test_scramble_order_floor_on_three_factor_host():
+    data = out_json(run_cli("scramble", "order", "--family", "uniform",
+                            "--dims", "2,2,2", "--k", "2", "--cut-mode", "floor"))
+    assert data["cut_exact"] is False
+    assert data["min_egg_cut"] == 4
+    assert data["order"] == 4
+
+
+def test_scramble_order_floor_without_dims_exits_two(tmp_path):
+    sfile = tmp_path / "s.json"
+    host = {"vertex_count": 4, "dims": None,
+            "edges": [[0, 1, 1], [0, 3, 1], [1, 2, 1], [2, 3, 1]]}
+    sfile.write_text(json.dumps({"host": host, "eggs": [[0], [2]]}))
+    proc = run_cli("scramble", "order", "--file", str(sfile),
+                   "--cut-mode", "floor", check=False)
+    assert proc.returncode == 2
+    assert b"no cut floor is available" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert proc.stdout == b""
+
+
 def test_scramble_avoidance_staircase():
     data = out_json(run_cli("scramble", "avoidance",
                             "--construction", "staircase", "--dims", "4,5"))

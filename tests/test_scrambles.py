@@ -31,6 +31,7 @@ from rookgon import (
     uniform_scramble,
     validate_scramble,
 )
+from rookgon.scrambles import _max_induced_edges
 
 
 def check_order_report(s, rep):
@@ -54,6 +55,11 @@ def check_order_report(s, rep):
         side = set(rep.cut_side)
         assert set(a) <= side and not set(b) & side
         assert cut_weight(host, side) == rep.min_egg_cut
+
+
+def _dimless_square():
+    """The 4-cycle built directly, so it carries no dims and no cut floor."""
+    return MultiGraph([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
 
 
 # ======================================================================
@@ -115,6 +121,30 @@ def test_validate_scramble_reports_problems():
     assert len(problems) == 1 and "not connected" in problems[0]
     with pytest.raises(ValueError):
         hitting_number(bad)
+
+
+def test_validate_scramble_matches_is_connected_subset():
+    # validation rejects exactly the eggs that is_connected_subset and the
+    # brute-force oracle reject, with the same messages, on connected and
+    # disconnected eggs
+    rng = random.Random(11)
+    hosts = [rook_graph([3, 4]), rook_graph([2, 2, 3]), rook_graph([2, 3, 3])]
+    hosts += [oracles.random_multigraph(rng) for _ in range(6)]
+    seen = set()
+    for g in hosts:
+        eggs = [rng.sample(range(g.n), rng.randint(1, g.n)) for _ in range(40)]
+        eggs += list(connected_subsets(g, min(3, g.n)))[:10]
+        s = Scramble(g, eggs)
+        expect = []
+        for idx, egg in enumerate(s.eggs):
+            ok = is_connected_subset(g, egg)
+            assert ok == oracles.connected(g, egg)
+            seen.add(ok)
+            if not ok:
+                expect.append(f"egg {idx} is not connected: {list(egg)}")
+        assert validate_scramble(s) == expect
+    assert seen == {True, False}
+    assert validate_scramble(Scramble(rook_graph([2, 2]), [[], [0]])) == ["egg 0 is empty"]
 
 
 def test_star_scramble_shapes():
@@ -244,38 +274,81 @@ def test_min_egg_cut_respects_floor_shortcut():
     floored = min_egg_cut(s, floor=egg_cut_floor(s))
     assert full.value == floored.value == 8
     assert floored.exact
+    # on three-factor hosts the floor stops the scan early without
+    # moving the value, the witness pair or the cut side
+    for dims in ([2, 2, 3], [2, 3, 3]):
+        s = uniform_scramble(rook_graph(dims), 2)
+        assert min_egg_cut(s, floor=egg_cut_floor(s)) == min_egg_cut(s)
 
 
 def test_cut_floor_values():
-    assert min_side_cut_floor(4, 4, 3) == 12
-    assert min_side_cut_floor(6, 6, 4) == 28
-    assert min_side_cut_floor(6, 6, 5) == 30
-    assert min_side_cut_floor(3, 4, 2) == 8
+    assert min_side_cut_floor((4, 4), 3) == 12
+    assert min_side_cut_floor((6, 6), 4) == 28
+    assert min_side_cut_floor((6, 6), 5) == 30
+    assert min_side_cut_floor((3, 4), 2) == 8
+    assert min_side_cut_floor((3, 3, 3), 3) == 12
+    assert min_side_cut_floor((3, 3), 5) is None
+    assert min_side_cut_floor((3, 3), 0) is None
+
+
+def _min_cut_by_size(g):
+    """Least cut weight over sides of each size, by a Gray-code sweep of
+    every vertex subset."""
+    best = [0] + [None] * g.n
+    inset = bytearray(g.n)
+    cut = size = 0
+    for i in range(1, 1 << g.n):
+        v = (i & -i).bit_length() - 1
+        e_in = sum(mm for w, mm in g.adj[v] if inset[w])
+        if inset[v]:
+            inset[v] = 0
+            size -= 1
+            cut += 2 * e_in - g.degrees[v]
+        else:
+            inset[v] = 1
+            size += 1
+            cut += g.degrees[v] - 2 * e_in
+        if best[size] is None or cut < best[size]:
+            best[size] = cut
+    return best
 
 
 def test_cut_floor_is_sound():
-    # the profile relaxation never exceeds the true constrained minimum
-    for n, m, smin in [(2, 3, 2), (3, 3, 2), (3, 3, 3), (3, 4, 2),
-                       (2, 4, 2), (3, 4, 3)]:
-        g = rook_graph([n, m])
-        verts = range(n * m)
-        best = None
-        for r in range(smin, n * m - smin + 1):
-            for side in itertools.combinations(verts, r):
-                w = cut_weight(g, side)
-                if best is None or w < best:
-                    best = w
-        assert min_side_cut_floor(n, m, smin) <= best
-        # and on these small boards the relaxation is exact
-        assert min_side_cut_floor(n, m, smin) == best
+    # the profile relaxation never exceeds the true constrained minimum,
+    # and on these small hosts it is exact, size by size
+    for dims in [(2, 3), (3, 3), (3, 4), (2, 4), (2, 2, 2), (2, 2, 3),
+                 (2, 3, 3)]:
+        g = rook_graph(dims)
+        best = _min_cut_by_size(g)
+        deg = g.degrees[0]
+        for size in range(g.n + 1):
+            assert deg * size - 2 * _max_induced_edges(dims)[size] == best[size]
+        for smin in range(1, g.n // 2 + 1):
+            assert min_side_cut_floor(dims, smin) == min(best[smin:g.n - smin + 1])
+
+
+def test_max_induced_edges_matches_profile_scan():
+    # the layer knapsack equals the literal layer x position Gale-Ryser
+    # scan: on two factors that is the exact row/column profile scan
+    for n in range(2, 8):
+        for m in range(n, 8):
+            assert _max_induced_edges((n, m)) == tuple(
+                oracles.max_induced_edges_profile_scan((n, m), size)
+                for size in range(n * m + 1))
+    for dims in [(2, 2, 2), (2, 3, 3), (3, 3, 3), (3, 2, 4), (2, 2, 2, 2)]:
+        edges = _max_induced_edges(dims)
+        for size in range(math.prod(dims) // 2 + 1):
+            assert edges[size] == oracles.max_induced_edges_profile_scan(dims, size)
 
 
 def test_egg_cut_floor_uses_smallest_egg():
     s = star_scramble(4, 4)
     assert egg_cut_floor(s) == 12
     assert egg_cut_floor(square_augmented_scramble((6, 6))) == 28
-    assert egg_cut_floor(uniform_scramble(rook_graph([2, 2, 2]), 2)) is None
+    assert egg_cut_floor(uniform_scramble(rook_graph([2, 2, 2]), 2)) == 4
+    assert egg_cut_floor(uniform_scramble(rook_graph([3, 3, 3]), 3)) == 12
     assert egg_cut_floor(Scramble(rook_graph([2, 2]), [])) is None
+    assert egg_cut_floor(Scramble(_dimless_square(), [[0], [2]])) is None
 
 
 # ======================================================================
@@ -339,17 +412,25 @@ def test_cut_mode_auto():
     # floor 8 < hitting 9: auto must fall back to the exact scan
     rep = scramble_order(star_scramble(3, 4), cut_mode="auto")
     assert rep.order == 8 and rep.cut_exact
-    # no floor on three-factor hosts: auto runs the exact scan
+    # floor 4 >= hitting 4 on 2x2x2: auto takes the shortcut
     rep = scramble_order(uniform_scramble(rook_graph([2, 2, 2]), 2),
                          cut_mode="auto")
-    assert rep.cut_exact and rep.order == 4
+    assert rep.order == 4 and rep.min_egg_cut == 4 and not rep.cut_exact
+    # no floor on a host without dims: auto runs the exact scan
+    s = Scramble(_dimless_square(), [[0], [2]])
+    rep = scramble_order(s, cut_mode="auto")
+    assert rep.cut_exact and rep.order == rep.min_egg_cut == 2
 
 
 def test_cut_mode_floor_rejected_when_below_hitting():
     with pytest.raises(ValueError):
         scramble_order(star_scramble(3, 4), cut_mode="floor")
-    with pytest.raises(ValueError):
-        scramble_order(uniform_scramble(rook_graph([2, 2, 2]), 2),
+    # floor 12 < hitting 17 on 3x3x3
+    with pytest.raises(ValueError, match="below the hitting number"):
+        scramble_order(uniform_scramble(rook_graph([3, 3, 3]), 3),
+                       cut_mode="floor")
+    with pytest.raises(ValueError, match="no cut floor"):
+        scramble_order(Scramble(_dimless_square(), [[0], [2]]),
                        cut_mode="floor")
     with pytest.raises(ValueError):
         scramble_order(star_scramble(4, 4), cut_mode="nope")
