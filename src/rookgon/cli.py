@@ -153,19 +153,21 @@ def _cache_dir(args) -> Optional[str]:
     return getattr(args, "cache_dir", None) or os.environ.get("ROOKGON_CACHE")
 
 
-def _with_cache(args, key_obj: dict, compute, storable=None) -> str:
+def _with_cache(args, request, compute, storable=None) -> str:
     """Content-addressed cache of finished report texts.
 
     The key digests the semantic request and the package version, so a
-    report computed by another release is never served.  Thread counts,
-    output paths, and the cache location itself stay out, so any of
-    those may change and still hit.  Timed runs bypass the cache
-    entirely; ``storable(text)`` may veto storing a computed report.
+    report computed by another release is never served.  ``request()``
+    builds that object only when a cache directory is set, because it may
+    copy a whole scramble.  Thread counts, output paths, and the cache
+    location itself stay out, so any of those may change and still hit.
+    Timed runs bypass the cache entirely; ``storable(text)`` may veto
+    storing a computed report.
     """
     cache = _cache_dir(args)
     if not cache or getattr(args, "timings", False):
         return compute()
-    keyed = {"request": key_obj, "version": __version__}
+    keyed = {"request": request(), "version": __version__}
     digest = hashlib.sha256(canonical_json(keyed).encode("utf-8")).hexdigest()
     path = os.path.join(cache, digest + ".json")
     if os.path.exists(path):
@@ -313,15 +315,17 @@ def cmd_gonality(args) -> int:
     if not args.no_symmetry and g.dims is not None:
         from . import symmetry as symmod
         sym = symmod.rook_symmetry(list(g.dims))
-    key = {
-        "cmd": "gonality",
-        "graph": graphs.graph_to_json(g),
-        "k": args.k,
-        "degree_cap": args.cap,
-        "lower_bound": args.lower_bound,
-        "symmetry": sym is not None,
-        "format": args.format,
-    }
+
+    def request() -> dict:
+        return {
+            "cmd": "gonality",
+            "graph": graphs.graph_to_json(g),
+            "k": args.k,
+            "degree_cap": args.cap,
+            "lower_bound": args.lower_bound,
+            "symmetry": sym is not None,
+            "format": args.format,
+        }
 
     def compute() -> str:
         t0 = time.monotonic()
@@ -335,7 +339,7 @@ def cmd_gonality(args) -> int:
             return emit_table([rec], "csv")
         return canonical_json(rec)
 
-    _write_output(args, _with_cache(args, key, compute))
+    _write_output(args, _with_cache(args, request, compute))
     return 0
 
 
@@ -366,12 +370,14 @@ def _scramble_from_args(args) -> tuple:
 
 def cmd_scramble_order(args) -> int:
     s, family = _scramble_from_args(args)
-    key = {
-        "cmd": "scramble-order",
-        "scramble": scrambles.scramble_to_json(s),
-        "cut_mode": args.cut_mode,
-        "format": args.format,
-    }
+
+    def request() -> dict:
+        return {
+            "cmd": "scramble-order",
+            "scramble": scrambles.scramble_to_json(s),
+            "cut_mode": args.cut_mode,
+            "format": args.format,
+        }
 
     def compute() -> str:
         t0 = time.monotonic()
@@ -382,7 +388,7 @@ def cmd_scramble_order(args) -> int:
             return emit_table([rec], "csv")
         return canonical_json(rec)
 
-    _write_output(args, _with_cache(args, key, compute))
+    _write_output(args, _with_cache(args, request, compute))
     return 0
 
 
@@ -419,12 +425,13 @@ def cmd_scramble_avoidance(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    key = {
-        "cmd": "verify",
-        "suite": args.suite,
-        "seed": args.seed,
-        "budget_secs": args.budget_secs,
-    }
+    def request() -> dict:
+        return {
+            "cmd": "verify",
+            "suite": args.suite,
+            "seed": args.seed,
+            "budget_secs": args.budget_secs,
+        }
 
     def compute() -> str:
         report = suite.run_suite(args.suite, seed=args.seed,
@@ -436,7 +443,7 @@ def cmd_verify(args) -> int:
         # come from a bug that a fix should not have to outlive
         return args.budget_secs is None and not json.loads(text)["counts"]["fail"]
 
-    text = _with_cache(args, key, compute, storable)
+    text = _with_cache(args, request, compute, storable)
     _write_output(args, text)
     counts = json.loads(text)["counts"]
     return 1 if counts["fail"] else 0

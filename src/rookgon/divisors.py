@@ -154,33 +154,46 @@ def _distance_info(g: MultiGraph, v: int):
 
 
 def _reduce(g: MultiGraph, chips: list, v: int, counts: Optional[list]) -> None:
-    """Reduce chips toward v in place.
+    """Reduce chips toward v in place: clear any debt away from v, then
+    fire unburnt sets until the burn from v spreads everywhere."""
+    if min(chips) < 0 and any(chips[u] < 0 for u in range(g.n) if u != v):
+        _clear_debt(g, chips, v, counts)
+    _fire_unburnt(g, chips, v, counts)
 
-    Phase 1 clears debt away from v: repeatedly pick an indebted vertex
-    of maximum distance (smallest index on ties) and fire the ball of
-    strictly closer vertices; the farthest-first debt profile strictly
-    decreases lexicographically, so this terminates.  Phase 2 runs the
-    burning loop, firing the unburnt set once per round.
+
+def _clear_debt(g: MultiGraph, chips: list, v: int, counts: Optional[list]) -> None:
+    """Make chips effective away from v in place.
+
+    Repeatedly pick an indebted vertex of maximum distance (smallest
+    index on ties) and fire the ball of strictly closer vertices; the
+    farthest-first debt profile strictly decreases lexicographically, so
+    this terminates.
     """
     n = g.n
+    dist, levels = _distance_info(g, v)
+    while True:
+        worst = -1
+        wd = -1
+        for u in range(n):
+            if u != v and chips[u] < 0 and dist[u] > wd:
+                wd = dist[u]
+                worst = u
+        if worst < 0:
+            return
+        delta, ball = levels[wd]
+        for i in range(n):
+            chips[i] += delta[i]
+        if counts is not None:
+            for i in ball:
+                counts[i] += 1
+
+
+def _fire_unburnt(g: MultiGraph, chips: list, v: int, counts: Optional[list]) -> None:
+    """Finish a reduction of chips, effective away from v, in place: fire
+    the unburnt set once per round until the burn from v reaches every
+    vertex."""
+    n = g.n
     adj = g.adj
-    if any(chips[u] < 0 for u in range(n) if u != v):
-        dist, levels = _distance_info(g, v)
-        while True:
-            worst = -1
-            wd = -1
-            for u in range(n):
-                if u != v and chips[u] < 0 and dist[u] > wd:
-                    wd = dist[u]
-                    worst = u
-            if worst < 0:
-                break
-            delta, ball = levels[wd]
-            for i in range(n):
-                chips[i] += delta[i]
-            if counts is not None:
-                for i in ball:
-                    counts[i] += 1
     while True:
         burnt, cnt = _burn(g, chips, v)
         if all(burnt):
@@ -248,7 +261,9 @@ def rank(g: MultiGraph, d: Sequence[int]) -> int:
     that d survives the removal of every effective divisor of degree r.
 
     Above degree 2g - 2, Riemann–Roch (Baker–Norine 2007) gives the rank
-    as deg(d) - g without any search."""
+    as deg(d) - g without any search.  Below it, the rank is the largest
+    k for which the ``rank_at_least`` recursion holds; it never exceeds
+    the chips that the 0-reduced form keeps at vertex 0."""
     chips = _check_divisor(g, d)
     deg = sum(chips)
     if deg < 0:
@@ -256,35 +271,22 @@ def rank(g: MultiGraph, d: Sequence[int]) -> int:
     genus = _genus(g)
     if deg > 2 * genus - 2:
         return deg - genus
-    memo = g._cache.setdefault("rank", {})
+    memo = g._cache.setdefault("rank_ge", {})
     rd = _reduced_tuple(g, chips)
-    return _rank_reduced(g, rd, memo)
-
-
-def _rank_reduced(g: MultiGraph, rd: tuple, memo: dict) -> int:
-    val = memo.get(rd)
-    if val is not None:
-        return val
-    if rd[0] < 0:
-        memo[rd] = -1
-        return -1
-    best = None
-    for u in range(g.n):
-        child = list(rd)
-        child[u] -= 1
-        r = _rank_reduced(g, _reduced_tuple(g, child), memo)
-        if r < 0:
-            best = -1
-            break
-        if best is None or r < best:
-            best = r
-    val = best + 1
-    memo[rd] = val
-    return val
+    r = -1
+    while r < rd[0] and _rank_ge(g, rd, r + 1, memo):
+        r += 1
+    return r
 
 
 def rank_at_least(g: MultiGraph, d: Sequence[int], k: int) -> bool:
-    """Decide rank(d) >= k without computing the exact rank."""
+    """Decide rank(d) >= k without computing the exact rank.
+
+    The recursion removes one chip at a time from the 0-reduced form.  It
+    refutes as soon as vertex 0 holds fewer than k chips, reduces a child
+    only when removing the chip puts a vertex into debt, and at k = 1
+    settles each such child by its chips at vertex 0, with no further
+    recursion and no memo entry."""
     chips = _check_divisor(g, d)
     if k <= -1:
         return True
@@ -300,26 +302,41 @@ def rank_at_least(g: MultiGraph, d: Sequence[int], k: int) -> bool:
 
 
 def _rank_ge(g: MultiGraph, rd: tuple, k: int, memo: dict) -> bool:
-    if rd[0] < 0:
+    """rank(rd) >= k for a 0-reduced rd and k >= 0.
+
+    Sound shortcuts, all because rd is 0-reduced: rd - k*e0 stays
+    0-reduced, so it is unwinnable when rd[0] < k; rd - e0 needs no
+    reduction; and rd - e_u is effective, hence winnable, unless
+    rd[u] = 0, in which case u is the only vertex in debt.
+    """
+    if rd[0] < k:
         return False
-    if k <= 0:
+    if k == 0:
         return True
+    if k == 1:
+        return all(rd[u] or _reduced_child(g, rd, u)[0] >= 0
+                   for u in range(1, g.n))
     key = (rd, k)
     val = memo.get(key)
-    if val is not None:
-        return val
-    if sum(rd) < k:
-        memo[key] = False
-        return False
-    ok = True
-    for u in range(g.n):
-        child = list(rd)
-        child[u] -= 1
-        if not _rank_ge(g, _reduced_tuple(g, child), k - 1, memo):
-            ok = False
-            break
-    memo[key] = ok
-    return ok
+    if val is None:
+        val = memo[key] = (
+            _rank_ge(g, (rd[0] - 1,) + rd[1:], k - 1, memo)
+            and all(_rank_ge(g, _reduced_child(g, rd, u), k - 1, memo)
+                    for u in range(1, g.n)))
+    return val
+
+
+def _reduced_child(g: MultiGraph, rd: tuple, u: int) -> tuple:
+    """The 0-reduced form of rd - e_u for a 0-reduced rd and u != 0.
+
+    Taking a chip can only help the burn from 0, so rd - e_u is still
+    0-reduced unless it puts u into debt."""
+    child = list(rd)
+    child[u] -= 1
+    if child[u] < 0:
+        _clear_debt(g, child, 0, None)
+        _fire_unburnt(g, child, 0, None)
+    return tuple(child)
 
 
 def verify_rank_at_least(g: MultiGraph, d: Sequence[int], k: int,

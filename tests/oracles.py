@@ -8,6 +8,8 @@ Keep instances tiny.
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 
 def connected(g, verts):
@@ -155,6 +157,84 @@ def rank(g, d):
             if not winnable(g, [d[i] - e[i] for i in range(g.n)]):
                 return r
         r += 1
+
+
+def class_rank_at_least(g):
+    """A decider for rank(d) >= k that works on linear-equivalence classes.
+
+    Same definitions as ``rank``, organised so that sweeping every small
+    divisor on eight vertices stays cheap.  Two divisors of one degree are
+    equivalent iff the inverse of the reduced Laplacian (base vertex 0
+    removed) maps their difference into the integers, so a class is its
+    degree plus that image modulo the integers, scaled by a common
+    denominator.  A class is winnable iff building effective divisors
+    chip by chip reaches it; rank(d) >= k unrolls to every d - e_u having
+    rank >= k - 1.  Returns ``ge(d, k)``.
+    """
+    n = g.n
+    m = n - 1
+    a = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(1, n):
+        for j in range(1, n):
+            a[i - 1][j - 1] = Fraction(sum(g.mult[i]) if i == j
+                                       else -g.mult[i][j])
+    inv = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    for col in range(m):
+        piv = next(r for r in range(col, m) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        f = 1 / a[col][col]
+        a[col] = [x * f for x in a[col]]
+        inv[col] = [x * f for x in inv[col]]
+        for r in range(m):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [a[r][c] - f * a[col][c] for c in range(m)]
+                inv[r] = [inv[r][c] - f * inv[col][c] for c in range(m)]
+    den = 1
+    for row in inv:
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+    rows = [tuple(int(x * den) for x in row) for row in inv]
+    cols = list(zip(*rows))
+
+    def key(d):
+        rest = d[1:]
+        return (sum(d), tuple(sum(map(mul, row, rest)) % den
+                              for row in rows))
+
+    def shift(c, u, s):
+        deg, img = c
+        if u:
+            img = tuple((x + s * y) % den for x, y in zip(img, cols[u - 1]))
+        return (deg + s, img)
+
+    effective = [{key([0] * n)}]
+    memo = {}
+
+    def winnable(c):
+        if c[0] < 0:
+            return False
+        while len(effective) <= c[0]:
+            effective.append({shift(e, u, 1) for e in effective[-1]
+                              for u in range(n)})
+        return c in effective[c[0]]
+
+    def class_ge(c, k):
+        val = memo.get((c, k))
+        if val is None:
+            if k == 0:
+                val = winnable(c)
+            else:
+                val = all(class_ge(shift(c, u, -1), k - 1)
+                          for u in range(n))
+            memo[(c, k)] = val
+        return val
+
+    def ge(d, k):
+        return k < 0 or class_ge(key(d), k)
+
+    return ge
 
 
 def is_reduced(g, d, v):

@@ -103,6 +103,16 @@ def test_gonality_no_symmetry_and_k():
     assert data["value"] == 3
 
 
+def test_gonality_no_symmetry_k2_matches_symmetric():
+    # the rank recursion runs on every divisor, not on orbit representatives
+    plain = out_json(run_cli("gonality", "--rook", "2,3", "--k", "2",
+                             "--no-symmetry"))
+    sym = out_json(run_cli("gonality", "--rook", "2,3", "--k", "2"))
+    assert plain["value"] == sym["value"] == 5
+    assert plain["witness"] == sym["witness"] == [0, 0, 0, 1, 2, 2]
+    assert plain["orbit_counts"] == {"2": 21, "3": 56, "4": 126}
+
+
 def test_gonality_from_graph_file(tmp_path):
     gfile = tmp_path / "g.json"
     gfile.write_bytes(run_cli("graph", "gen", "--rook", "2,3").stdout)
@@ -322,6 +332,22 @@ def test_cache_key_includes_version(tmp_path, monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == fresh
     assert len(list(cache.iterdir())) == 2
+
+
+def test_cache_request_built_only_with_cache(tmp_path, monkeypatch, capsys):
+    from rookgon import cli
+    calls = []
+    to_json = cli.scrambles.scramble_to_json
+    monkeypatch.setattr(cli.scrambles, "scramble_to_json",
+                        lambda s: calls.append(1) or to_json(s))
+    monkeypatch.delenv("ROOKGON_CACHE", raising=False)
+    argv = ["scramble", "order", "--family", "star", "--dims", "3,3"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    assert calls == []
+    assert cli.main(argv + ["--cache-dir", str(tmp_path / "cache")]) == 0
+    assert capsys.readouterr().out == plain
+    assert calls == [1]
 
 
 def test_cache_keeps_only_unbudgeted_passing_verify(tmp_path, monkeypatch):

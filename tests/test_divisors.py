@@ -328,6 +328,49 @@ def test_rank_at_least_consistent_with_rank():
             assert rank_at_least(g, d, k) == (k <= r)
 
 
+def _check_rank_at_least(g, divisors, max_k):
+    ge = oracles.class_rank_at_least(g)
+    for d in divisors:
+        d = list(d)
+        base = v_reduce(g, d, 0).reduced[0]
+        for k in range(max_k + 1):
+            got = rank_at_least(g, d, k)
+            assert got == ge(d, k), (g.mult, d, k)
+            if base < k:
+                # the 0-reduced form keeps fewer than k chips at vertex 0
+                assert not got, (g.mult, d, k)
+
+
+def test_rank_at_least_sweeps_every_small_divisor():
+    k4 = [[int(i != j) for j in range(4)] for i in range(4)]
+    k4[0][1] = k4[1][0] = 2
+    hosts = [rook_graph([2, 3]), rook_graph([2, 2, 2]), MultiGraph(k4)]
+    for g in hosts:
+        _check_rank_at_least(g, itertools.product(range(-1, 3), repeat=g.n), 3)
+
+
+def test_rank_at_least_random_multigraphs():
+    rng = random.Random(4315)
+    hosts = 0
+    while hosts < 40:
+        g = oracles.random_multigraph(rng, max_n=7)
+        if max(max(row) for row in g.mult) < 2:
+            continue
+        hosts += 1
+        divisors = [random_divisor(rng, g.n, lo=-1, hi=3) for _ in range(25)]
+        _check_rank_at_least(g, divisors, 4)
+
+
+def test_class_rank_oracle_matches_definitional_rank():
+    rng = random.Random(4316)
+    for _ in range(30):
+        g = oracles.random_multigraph(rng, max_n=4, max_extra=3)
+        ge = oracles.class_rank_at_least(g)
+        d = random_divisor(rng, g.n, lo=-1, hi=2)
+        r = oracles.rank(g, d)
+        assert [ge(d, k) for k in range(-1, r + 3)] == [True] * (r + 2) + [False] * 2
+
+
 def test_rank_at_least_negative_k_is_trivially_true():
     g = rook_graph([2, 2])
     assert rank_at_least(g, [-5, 0, 0, 0], -1)
