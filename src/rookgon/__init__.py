@@ -70,4 +70,4 @@ from .scrambles import (
 )
 from .suite import run_suite, suite_claims
 
-__version__ = "0.1.1"
+__version__ = "0.2.0"

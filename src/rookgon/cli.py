@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -231,6 +232,17 @@ def _threads(text: str) -> int:
     return n
 
 
+def _budget_secs(text: str) -> float:
+    try:
+        secs = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(secs) or secs < 0:
+        raise argparse.ArgumentTypeError("must be a finite number of seconds, "
+                                         "at least 0")
+    return secs
+
+
 def _add_threads(p) -> None:
     # Accepted and validated so existing command lines keep working; the
     # worker pool it selected lost to the serial scan on a 2-vCPU machine
@@ -272,7 +284,7 @@ def _divisor_from_args(args, g: graphs.MultiGraph) -> list:
 def cmd_graph_gen(args) -> int:
     if args.rook:
         g = graphs.rook_graph(_parse_dims(args.rook))
-    elif args.complete:
+    elif args.complete is not None:
         g = graphs.complete_graph(args.complete)
     else:
         raise ValueError("provide --rook N,M,... or --complete N")
@@ -540,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0,
                        help="seed for the randomized property claims")
     _add_threads(p_ver)
-    p_ver.add_argument("--budget-secs", type=float,
+    p_ver.add_argument("--budget-secs", type=_budget_secs,
                        help="skip claims whose declared cost exceeds the "
                             "remaining wall-clock budget (skips depend on the "
                             "machine; leave unset for deterministic reports)")

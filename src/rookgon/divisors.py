@@ -9,11 +9,7 @@ from __future__ import annotations
 from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from .graphs import MultiGraph, _check_subset
-from .symmetry import (
-    SymmetryGroup,
-    iter_degree_vectors,
-    iter_stabilizer_min_vectors,
-)
+from .symmetry import iter_degree_vectors
 
 
 class BurnReport(NamedTuple):
@@ -339,17 +335,13 @@ def _reduced_child(g: MultiGraph, rd: tuple, u: int) -> tuple:
     return tuple(child)
 
 
-def verify_rank_at_least(g: MultiGraph, d: Sequence[int], k: int,
-                         sym: Optional[SymmetryGroup] = None):
+def verify_rank_at_least(g: MultiGraph, d: Sequence[int], k: int):
     """Check that d minus every effective divisor of degree k stays
     winnable; on failure, return the first offending placement.
 
-    Returns (ok, counterexample-or-None).  A symmetry group restricts the
-    enumeration to orbit representatives under the stabilizer of d, which
-    is sound because stabilizing permutations preserve winnability.
-    Generators must be automorphisms of g.  Rook groups never list their
-    elements; a group without dims raises ``GroupTooLarge`` past the
-    explicit closure cap.
+    Returns (ok, counterexample-or-None).  Every degree-k vector is
+    checked, in ascending lexicographic order, so the answer rests on
+    the definition of rank alone.
     """
     chips = _check_divisor(g, d)
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
@@ -358,13 +350,7 @@ def verify_rank_at_least(g: MultiGraph, d: Sequence[int], k: int,
         if is_winnable(g, chips):
             return True, None
         return False, [0] * g.n
-    if sym is None:
-        reps = iter_degree_vectors(k, g.n)
-    else:
-        if sym.n != g.n:
-            raise ValueError("group degree does not match the graph")
-        reps = iter_stabilizer_min_vectors(k, chips, sym)
-    for e in reps:
+    for e in iter_degree_vectors(k, g.n):
         rem = [a - b for a, b in zip(chips, e)]
         if not is_winnable(g, rem):
             return False, list(e)

@@ -119,7 +119,7 @@ def _claim_certificate(dims, cost=5.0):
     def fn(ctx):
         host = _host(*dims)
         d = gonality.rook_certificate_divisor(dims, k=1)
-        ok, _ = divisors.verify_rank_at_least(host, d, 1, sym=_group(*dims))
+        ok, _ = divisors.verify_rank_at_least(host, d, 1)
         low = min(dims)
         expect_deg = (low - 1) * (host.n // low)
         return ({"ok": True, "degree": expect_deg},
@@ -139,7 +139,7 @@ def _claim_all_ones_rank3(n, m, cost=10.0):
     def fn(ctx):
         host = _host(n, m)
         d = gonality.rook_certificate_divisor((n, m), k=3)
-        ok, _ = divisors.verify_rank_at_least(host, d, 3, sym=_group(n, m))
+        ok, _ = divisors.verify_rank_at_least(host, d, 3)
         return (True, ok)
     return Claim(
         id=f"allones-rank3-{n}x{m}",

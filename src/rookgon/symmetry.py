@@ -4,10 +4,9 @@ A chip vector on a rook graph is a tensor with one axis per factor (the
 last axis varies fastest in the vertex numbering).  Its automorphism
 group reorders axes of equal size and relabels the values along each
 axis independently.  One engine uses that product structure for every
-rook-group question: the exact canonical form of a vector, the stream of
-lexicographically minimal orbit representatives, and the same stream
-under the stabilizer of a divisor.  Groups given only by generators fall
-back to an explicit (bounded) closure.
+rook-group question: the exact canonical form of a vector and the stream
+of lexicographically minimal orbit representatives.  Groups given only by
+generators fall back to an explicit (bounded) closure.
 """
 
 from __future__ import annotations
@@ -197,36 +196,6 @@ def iter_orbit_min_vectors(total: int, size: int,
                         lambda c: _is_min_image(shape, c))
 
 
-def iter_stabilizer_min_vectors(total: int, chips: Sequence[int],
-                                sym: SymmetryGroup) -> Iterator[tuple]:
-    """One lexicographically minimal representative per orbit of degree
-    vectors under the stabilizer of ``chips`` (the group elements that
-    map ``chips`` to itself), streamed in ascending order."""
-    chips = tuple(chips)
-    if len(chips) != sym.n:
-        raise ValueError("vector length does not match the group")
-    n = sym.n
-    if sym.dims is None:
-        stab = [p for p in sym.elements()
-                if all(chips[p[i]] == chips[i] for i in range(n))]
-        yield from _iter_canonical_explicit(total, n, stab)
-        return
-    shape = sym._tensor_shape()
-    colours = list(shape.sources(chips))
-    prune = [q for q in shape.prune
-             if all(chips[q[i]] == chips[i] for i in range(n))]
-
-    def accept(c):
-        e = tuple(c)
-        target = shape.fibers_of(e)
-        for src, colour in zip(shape.sources(e), colours):
-            if _improve(shape, src, target, True, colour, chips):
-                return False
-        return True
-
-    yield from _orderly(total, n, prune, accept)
-
-
 def _iter_canonical_explicit(total: int, size: int,
                              elements: Iterable[Sequence[int]]) -> Iterator[tuple]:
     """Orderly generation of lex-min orbit representatives under an
@@ -381,9 +350,7 @@ def _is_min_image(shape: _Shape, x: Sequence[int]) -> bool:
     return True
 
 
-def _improve(shape: _Shape, src: tuple, best: list, stop: bool,
-             colour: Optional[tuple] = None,
-             target_colour: Optional[tuple] = None) -> bool:
+def _improve(shape: _Shape, src: tuple, best: list, stop: bool) -> bool:
     """Search the images of ``src`` under per-axis value relabelings for
     one lexicographically smaller than ``best`` (a list of fibers).
 
@@ -400,16 +367,7 @@ def _improve(shape: _Shape, src: tuple, best: list, stop: bool,
     With ``stop`` the search returns True at the first smaller image.
     Without it, ``best`` is lowered in place to the smallest image
     (fibers after an improvement are reset to None, meaning unbounded).
-
-    ``colour``/``target_colour`` (``stop`` only) restrict the search to
-    the maps that carry ``colour`` exactly onto ``target_colour``.  The
-    keys then hold colours, and a fiber must match the target's colour
-    keys as a multiset.  A partial map that matches may have no
-    matching completion, so ``src`` is compared only once every fiber
-    is mapped: within each class of equal colour keys, columns sorted
-    by their ``src`` values go to that class's positions in order.
     """
-    m = shape.m
     nfib = shape.nfibers
     outer = shape.outer
     coords = shape.coords
@@ -417,31 +375,17 @@ def _improve(shape: _Shape, src: tuple, best: list, stop: bool,
     fstride = shape.fstride
     k = len(outer)
     rows = shape.fibers_of(src)
-    if colour is None:
-        slices = rows
-    else:
-        crows = shape.fibers_of(colour)
-        slices = list(zip(rows, crows))
-        tkeys = [()] * m
-        tsorted = []
-        for trow in shape.fibers_of(target_colour):
-            tkeys = [tkeys[p] + (trow[p],) for p in range(m)]
-            tsorted.append(sorted(tkeys))
-        positions = {}
-        for p in range(m):
-            positions.setdefault(tkeys[p], []).append(p)
     reps = []
     for a in range(k):
         first = {}
-        reps.append([first.setdefault(tuple([slices[f] for f in fibers]), o)
+        reps.append([first.setdefault(tuple([rows[f] for f in fibers]), o)
                      for o, fibers in enumerate(shape.members[a])])
     maps = [[0] * s for s in outer]
     used = [[False] * s for s in outer]
-    olds = [0] * nfib
 
     def visit(f, keys):
         if f == nfib:
-            return colour is not None and compare(keys)
+            return False
         cf = coords[f]
         axes = pending[f]
         if len(axes) == 1:
@@ -494,7 +438,7 @@ def _improve(shape: _Shape, src: tuple, best: list, stop: bool,
                 return True
         return False
 
-    def plain_step(f, old, keys):
+    def step(f, old, keys):
         row = rows[old]
         keys = [key + (v,) for key, v in zip(keys, row)]
         img = tuple([key[f] for key in sorted(keys)])
@@ -509,29 +453,7 @@ def _improve(shape: _Shape, src: tuple, best: list, stop: bool,
             return False
         return visit(f + 1, keys)
 
-    def colour_step(f, old, keys):
-        olds[f] = old
-        crow = crows[old]
-        keys = [key + (v,) for key, v in zip(keys, crow)]
-        if sorted(keys) != tsorted[f]:
-            return False
-        return visit(f + 1, keys)
-
-    def compare(keys):
-        # outer maps fixed; columns may move only within a colour class
-        values = [tuple([rows[old][c] for old in olds]) for c in range(m)]
-        classes = {}
-        for c in sorted(range(m), key=values.__getitem__):
-            classes.setdefault(keys[c], []).append(c)
-        img = [[0] * m for _ in range(nfib)]
-        for key, cs in classes.items():
-            for p, c in zip(positions[key], cs):
-                for f in range(nfib):
-                    img[f][p] = values[c][f]
-        return [tuple(r) for r in img] < best
-
-    step = plain_step if colour is None else colour_step
-    return visit(0, [()] * m)
+    return visit(0, [()] * shape.m)
 
 
 # ======================================================================

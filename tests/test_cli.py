@@ -49,6 +49,13 @@ def test_graph_gen_complete():
     assert len(data["edges"]) == 3
 
 
+def test_graph_gen_complete_zero_names_the_real_problem():
+    proc = run_cli("graph", "gen", "--complete", "0", check=False)
+    assert proc.returncode == 2
+    assert b"complete graph needs at least one vertex" in proc.stderr
+    assert proc.stdout == b""
+
+
 def test_reduce():
     proc = run_cli("reduce", "--rook", "2,2", "--chips", "2,0,0,0",
                    "--vertex", "2")
@@ -409,6 +416,22 @@ def test_threads_below_one_exits_two(command):
     assert proc.returncode == 2
     assert b"--threads" in proc.stderr
     assert proc.stdout == b""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "-inf", "abc"])
+def test_verify_budget_must_be_finite_and_nonnegative(value):
+    # nan and inf used to run and print NaN/Infinity, which is not JSON
+    proc = run_cli("verify", "--suite", "smoke", f"--budget-secs={value}",
+                   check=False)
+    assert proc.returncode == 2
+    assert b"--budget-secs" in proc.stderr
+    assert proc.stdout == b""
+
+
+def test_verify_budget_zero_is_accepted():
+    report = out_json(run_cli("verify", "--suite", "smoke",
+                              "--budget-secs", "0"))
+    assert report["budget_secs"] == 0
 
 
 def test_malformed_scramble_file_exits_two(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from rookgon import (
     MultiGraph,
+    SymmetryGroup,
     complete_graph,
     degree,
     dhar_burn,
@@ -20,7 +21,6 @@ from rookgon import (
     rank,
     rank_at_least,
     rook_graph,
-    rook_symmetry,
     v_reduce,
     verify_rank_at_least,
 )
@@ -399,24 +399,25 @@ def test_verify_rank_at_least_agrees_with_rank():
                 assert bad is None
 
 
-def test_verify_rank_at_least_symmetry_restriction():
+def test_verify_rank_at_least_counterexamples():
     g = rook_graph([2, 3])
-    sym = rook_symmetry([2, 3])
     d = [0, 0, 0, 1, 1, 1]
     for k in (0, 1):
-        plain = verify_rank_at_least(g, d, k)
-        pruned = verify_rank_at_least(g, d, k, sym=sym)
-        assert plain[0] == pruned[0] == True
-    ok, bad = verify_rank_at_least(g, d, 2, sym=sym)
+        assert verify_rank_at_least(g, d, k) == (True, None)
+    ok, bad = verify_rank_at_least(g, d, 2)
     assert not ok
     assert degree(bad) == 2
     assert not is_winnable(g, [d[i] - bad[i] for i in range(6)])
 
-
-def test_verify_rank_at_least_group_mismatch():
-    g = rook_graph([2, 2])
-    with pytest.raises(ValueError):
-        verify_rank_at_least(g, [0] * 4, 1, sym=rook_symmetry([2, 3]))
+    # (0,4,1,3,2) is not an automorphism of this multigraph; when the
+    # check took a group hint, passing it here answered (True, None)
+    g = MultiGraph([(0, 2, 1, 1, 0), (2, 0, 0, 2, 0), (1, 0, 0, 0, 1),
+                    (1, 2, 0, 0, 0), (0, 0, 1, 0, 0)])
+    d = [2, 0, 0, 1, 0]
+    assert verify_rank_at_least(g, d, 1) == (False, [0, 1, 0, 0, 0])
+    assert rank(g, d) == 0
+    with pytest.raises(TypeError):
+        verify_rank_at_least(g, d, 1, sym=SymmetryGroup([(0, 4, 1, 3, 2)], 5))
 
 
 # ======================================================================
