@@ -18,7 +18,6 @@ from .graphs import (
 from .symmetry import (
     GroupTooLarge,
     SymmetryGroup,
-    canonical_divisor_form,
     iter_degree_vectors,
     iter_orbit_min_vectors,
     rook_symmetry,
@@ -42,7 +41,6 @@ from .divisors import (
 from .gonality import (
     GonalityResult,
     default_degree_cap,
-    is_automorphism,
     k_gonality,
     poorest_slice_chips,
     rook_certificate_divisor,
@@ -70,4 +68,4 @@ from .scrambles import (
 )
 from .suite import run_suite, suite_claims
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

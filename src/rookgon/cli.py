@@ -122,28 +122,17 @@ def _cell(rec: dict, col: str) -> str:
     return str(val)
 
 
-def emit_table(records, fmt: str) -> str:
-    """Render result records as a small table.
+def csv_table(rec: dict) -> str:
+    """Render one result record as a CSV header and row.
 
-    Records must share one kind; columns are fixed so rows from separate
-    runs can be concatenated.  CSV quoting follows the csv module's RFC
-    behaviour; JSON output is a canonical list of row objects.
+    The columns are fixed, so rows from separate runs can be
+    concatenated; quoting follows the csv module's RFC behaviour.
     """
-    records = list(records)
-    kinds = {r.get("kind") for r in records}
-    if len(kinds) > 1:
-        raise ValueError("emit_table needs records of a single kind")
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_TABLE_COLUMNS)
-        for rec in records:
-            writer.writerow([_cell(rec, c) for c in _TABLE_COLUMNS])
-        return buf.getvalue()
-    if fmt == "json":
-        return canonical_json([{c: _cell(r, c) for c in _TABLE_COLUMNS}
-                               for r in records])
-    raise ValueError("table format must be csv or json")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_TABLE_COLUMNS)
+    writer.writerow([_cell(rec, c) for c in _TABLE_COLUMNS])
+    return buf.getvalue()
 
 
 # ----------------------------------------------------------------------
@@ -257,17 +246,17 @@ def _load_json(path: str):
 
 
 def _graph_from_args(args) -> graphs.MultiGraph:
-    if getattr(args, "rook", None):
+    if getattr(args, "rook", None) is not None:
         return graphs.rook_graph(_parse_dims(args.rook))
-    if getattr(args, "graph", None):
+    if getattr(args, "graph", None) is not None:
         return graphs.graph_from_json(_load_json(args.graph))
     raise ValueError("provide a graph with --rook N,M or --graph FILE")
 
 
 def _divisor_from_args(args, g: graphs.MultiGraph) -> list:
-    if getattr(args, "chips", None):
+    if getattr(args, "chips", None) is not None:
         chips = _parse_chips(args.chips)
-    elif getattr(args, "divisor", None):
+    elif getattr(args, "divisor", None) is not None:
         chips = divisors.divisor_from_json(_load_json(args.divisor))
     else:
         raise ValueError("provide chips with --chips a,b,... or --divisor FILE")
@@ -282,7 +271,7 @@ def _divisor_from_args(args, g: graphs.MultiGraph) -> list:
 # ----------------------------------------------------------------------
 
 def cmd_graph_gen(args) -> int:
-    if args.rook:
+    if args.rook is not None:
         g = graphs.rook_graph(_parse_dims(args.rook))
     elif args.complete is not None:
         g = graphs.complete_graph(args.complete)
@@ -323,10 +312,6 @@ def cmd_rank(args) -> int:
 
 def cmd_gonality(args) -> int:
     g = _graph_from_args(args)
-    sym = None
-    if not args.no_symmetry and g.dims is not None:
-        from . import symmetry as symmod
-        sym = symmod.rook_symmetry(list(g.dims))
 
     def request() -> dict:
         return {
@@ -335,20 +320,20 @@ def cmd_gonality(args) -> int:
             "k": args.k,
             "degree_cap": args.cap,
             "lower_bound": args.lower_bound,
-            "symmetry": sym is not None,
+            "symmetry": not args.no_symmetry,
             "format": args.format,
         }
 
     def compute() -> str:
         t0 = time.monotonic()
         res = gonality.k_gonality(
-            g, k=args.k, degree_cap=args.cap, sym=sym,
+            g, k=args.k, degree_cap=args.cap, symmetry=not args.no_symmetry,
             lower_bound=args.lower_bound,
         )
         elapsed = (time.monotonic() - t0) if args.timings else None
         rec = gonality_record(g, res, elapsed)
         if args.format == "csv":
-            return emit_table([rec], "csv")
+            return csv_table(rec)
         return canonical_json(rec)
 
     _write_output(args, _with_cache(args, request, compute))
@@ -397,7 +382,7 @@ def cmd_scramble_order(args) -> int:
         elapsed = (time.monotonic() - t0) if args.timings else None
         rec = order_record(s, rep, family, elapsed)
         if args.format == "csv":
-            return emit_table([rec], "csv")
+            return csv_table(rec)
         return canonical_json(rec)
 
     _write_output(args, _with_cache(args, request, compute))

@@ -1,10 +1,11 @@
 """Gonality search: smallest degree of a divisor of rank >= k.
 
 Degrees are scanned in ascending order; at each degree the effective
-divisors (one representative per symmetry orbit when a group is given)
-are streamed in lexicographic order and tested with the rank recursion.
-The scan stops at the first success, which is therefore the
-lexicographically smallest witness of the smallest degree.
+divisors (one representative per automorphism orbit when symmetry is
+asked for on a rook graph) are streamed in lexicographic order and
+tested with the rank recursion.  The scan stops at the first success,
+which is therefore the lexicographically smallest witness of the
+smallest degree.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import graphs
 from .divisors import rank_at_least
-from .symmetry import SymmetryGroup, iter_orbit_min_vectors
+from .symmetry import is_rook_shape, iter_orbit_min_vectors
 
 
 @dataclass
@@ -31,25 +32,11 @@ class GonalityResult:
     symmetry: bool = False
 
 
-def is_automorphism(g: graphs.MultiGraph, perm: Sequence[int]) -> bool:
-    """Does the vertex permutation preserve all edge multiplicities?"""
-    p = tuple(perm)
-    if sorted(p) != list(range(g.n)):
-        return False
-    mult = g.mult
-    for u in range(g.n):
-        pu = p[u]
-        for v in range(u + 1, g.n):
-            if mult[u][v] != mult[pu][p[v]]:
-                return False
-    return True
-
-
 def default_degree_cap(g: graphs.MultiGraph, k: int) -> int:
     """Certificate degree for rook graphs where one is known, else a
     degree at which rank >= k is guaranteed."""
     dims = g.dims
-    if dims is not None and len(dims) >= 2 and all(d >= 2 for d in dims):
+    if is_rook_shape(dims):
         if k == 1:
             small = min(dims)
             return (small - 1) * (math.prod(dims) // small)
@@ -69,7 +56,7 @@ def rook_certificate_divisor(dims: Sequence[int], k: int = 1) -> list:
     graphs).  Other ranks have no closed-form family here.
     """
     dims = tuple(int(d) for d in dims)
-    if len(dims) < 2 or any(d < 2 for d in dims):
+    if not is_rook_shape(dims):
         raise ValueError("invalid rook dimensions")
     n = math.prod(dims)
     if k == 1:
@@ -89,18 +76,20 @@ def rook_certificate_divisor(dims: Sequence[int], k: int = 1) -> list:
 
 def k_gonality(g: graphs.MultiGraph, k: int = 1,
                degree_cap: Optional[int] = None,
-               sym: Optional[SymmetryGroup] = None,
+               symmetry: bool = False,
                lower_bound: Optional[int] = None) -> GonalityResult:
     """Minimum degree of an effective divisor of rank >= k, by ascending
-    exhaustive search up to the degree cap."""
+    exhaustive search up to the degree cap.
+
+    With ``symmetry`` set and ``g`` a rook graph (its ``dims`` have at
+    least two factors, each at least 2), one divisor per automorphism
+    orbit is scanned.  ``MultiGraph`` accepts ``dims`` only when they
+    match its edges, so that group is sound; any other graph is scanned
+    plainly and the result reports ``symmetry`` False.
+    """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError("k must be a positive integer")
-    if sym is not None:
-        if sym.n != g.n:
-            raise ValueError("group degree does not match the graph")
-        for p in sym.generators:
-            if not is_automorphism(g, p):
-                raise ValueError("symmetry generator is not a graph automorphism")
+    dims = g.dims if symmetry and is_rook_shape(g.dims) else None
     cap = default_degree_cap(g, k) if degree_cap is None else int(degree_cap)
     if cap < k:
         raise ValueError("degree cap below k can never hold a rank-k divisor")
@@ -113,7 +102,7 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
     orbit_counts = {}
     for deg in range(start, cap + 1):
         count = 0
-        for c in iter_orbit_min_vectors(deg, g.n, sym):
+        for c in iter_orbit_min_vectors(deg, g.n, dims):
             count += 1
             if rank_at_least(g, list(c), k):
                 return GonalityResult(
@@ -122,7 +111,7 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
                     lower_bound=lower_bound,
                     refuted_degrees=tuple(refuted),
                     orbit_counts=dict(orbit_counts),
-                    symmetry=sym is not None,
+                    symmetry=dims is not None,
                 )
         refuted.append(deg)
         orbit_counts[deg] = count
@@ -130,7 +119,7 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
         k=k, value=None, witness=None,
         exhaustive=full_scan, degree_cap=cap, lower_bound=lower_bound,
         refuted_degrees=tuple(refuted), orbit_counts=dict(orbit_counts),
-        symmetry=sym is not None,
+        symmetry=dims is not None,
     )
 
 

@@ -299,7 +299,6 @@ def _max_avoidance_grid(nrows: int, ncols: int, maxcomp: int,
 
 class EggCutResult(NamedTuple):
     value: Optional[int]      # None means no two eggs are disjoint (+infinity)
-    exact: bool               # False: value is a certified lower bound
     pair: Optional[tuple]     # the egg pair attaining the minimum
     side: Optional[tuple]     # minimal source side of the minimum cut
 
@@ -409,11 +408,11 @@ def min_egg_cut(s: Scramble, floor: Optional[int] = None) -> EggCutResult:
         if done:
             break
     if best is None:
-        return EggCutResult(None, True, None, None)
+        return EggCutResult(None, None, None)
     fr = graphs.min_cut_between(host, eggs[best_pair[0]], eggs[best_pair[1]])
     if fr.value != best:
         raise RuntimeError("flow re-solve disagreed with the pair scan")
-    return EggCutResult(best, True, (eggs[best_pair[0]], eggs[best_pair[1]]),
+    return EggCutResult(best, (eggs[best_pair[0]], eggs[best_pair[1]]),
                         fr.source_side)
 
 
@@ -456,7 +455,7 @@ def scramble_order(s: Scramble, cut_mode: str = "exact") -> OrderReport:
         return OrderReport(hn, hit, avoid, floor, False, None, None, hn)
     res = min_egg_cut(s, floor=floor)
     order = hn if res.value is None else min(hn, res.value)
-    return OrderReport(hn, hit, avoid, res.value, res.exact, res.pair,
+    return OrderReport(hn, hit, avoid, res.value, True, res.pair,
                        res.side, order)
 
 

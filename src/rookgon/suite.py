@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import divisors, gonality, graphs, scrambles, symmetry
+from . import divisors, gonality, graphs, scrambles
 
 SUITE_NAMES = ("smoke", "standard", "full")
 
@@ -30,11 +30,10 @@ class Claim:
 
 
 # ----------------------------------------------------------------------
-# shared hosts, groups, and scrambles (memoized per process)
+# shared hosts and scrambles (memoized per process)
 # ----------------------------------------------------------------------
 
 _HOSTS: dict = {}
-_GROUPS: dict = {}
 _SCRAMBLES: dict = {}
 _GON: dict = {}
 
@@ -46,12 +45,6 @@ def _host(*dims) -> graphs.MultiGraph:
         else:
             _HOSTS[dims] = graphs.rook_graph(list(dims))
     return _HOSTS[dims]
-
-
-def _group(*dims) -> symmetry.SymmetryGroup:
-    if dims not in _GROUPS:
-        _GROUPS[dims] = symmetry.rook_symmetry(list(dims))
-    return _GROUPS[dims]
 
 
 def _scramble(kind, *params) -> scrambles.Scramble:
@@ -73,7 +66,7 @@ def _gon_value(dims, k, lower_bound=None):
     key = (dims, k, lower_bound)
     if key not in _GON:
         _GON[key] = gonality.k_gonality(
-            _host(*dims), k=k, sym=_group(*dims), lower_bound=lower_bound,
+            _host(*dims), k=k, symmetry=True, lower_bound=lower_bound,
         )
     return _GON[key]
 

@@ -1,18 +1,19 @@
-"""Vertex-permutation symmetry for product graphs.
+"""Vertex-permutation symmetry of rook graphs.
 
 A chip vector on a rook graph is a tensor with one axis per factor (the
 last axis varies fastest in the vertex numbering).  Its automorphism
 group reorders axes of equal size and relabels the values along each
-axis independently.  One engine uses that product structure for every
-rook-group question: the exact canonical form of a vector and the stream
-of lexicographically minimal orbit representatives.  Groups given only by
-generators fall back to an explicit (bounded) closure.
+axis independently.  The orbit stream uses that product structure and
+never lists the group; it reads the group from the rook dimensions
+alone.  ``SymmetryGroup`` closes a generator set explicitly and is the
+reference the tests compare the engine against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -24,15 +25,10 @@ _EXPLICIT_LIMIT = 200_000
 
 
 class SymmetryGroup:
-    """A permutation group on vertices, given by generators.
+    """A permutation group on vertices, given by generators and closed
+    explicitly by ``elements()``."""
 
-    ``dims`` is set for rook-graph groups; it unlocks the closed-form
-    order and the product-structured engine, which never enumerates the
-    group.  Groups without ``dims`` are handled through ``elements()``.
-    """
-
-    def __init__(self, generators: Iterable[Sequence[int]], n: int,
-                 dims: Optional[Sequence[int]] = None):
+    def __init__(self, generators: Iterable[Sequence[int]], n: int):
         gens = []
         for p in generators:
             p = tuple(p)
@@ -41,9 +37,7 @@ class SymmetryGroup:
             gens.append(p)
         self.generators = tuple(gens)
         self.n = n
-        self.dims = tuple(dims) if dims is not None else None
         self._elements = None
-        self._shape = None
 
     def elements(self, limit: int = _EXPLICIT_LIMIT) -> tuple:
         """Every group element as a vertex permutation (BFS closure)."""
@@ -68,18 +62,11 @@ class SymmetryGroup:
         self._elements = tuple(sorted(seen))
         return self._elements
 
-    def order(self) -> int:
-        if self.dims is not None:
-            total = math.prod(math.factorial(d) for d in self.dims)
-            for _, run in itertools.groupby(self.dims):
-                total *= math.factorial(len(tuple(run)))
-            return total
-        return len(self.elements())
 
-    def _tensor_shape(self) -> "_Shape":
-        if self._shape is None:
-            self._shape = _Shape(self.dims)
-        return self._shape
+def is_rook_shape(dims: Optional[Sequence[int]]) -> bool:
+    """Do these dimensions describe a rook graph: at least two factors,
+    each of size at least 2?"""
+    return dims is not None and len(dims) >= 2 and all(d >= 2 for d in dims)
 
 
 def _strides(dims: Sequence[int]) -> list:
@@ -99,7 +86,7 @@ def rook_symmetry(dims: Sequence[int]) -> SymmetryGroup:
     swap of neighbouring coordinate axes whenever their sizes agree.
     """
     dims = tuple(int(d) for d in dims)
-    if len(dims) < 2 or any(d < 2 for d in dims):
+    if not is_rook_shape(dims):
         raise ValueError("invalid rook dimensions")
     n = math.prod(dims)
     strides = _strides(dims)
@@ -130,7 +117,7 @@ def rook_symmetry(dims: Sequence[int]) -> SymmetryGroup:
                 c[a], c[a + 1] = c[a + 1], c[a]
                 perm.append(encode(c))
             gens.append(tuple(perm))
-    return SymmetryGroup(gens, n, dims=dims)
+    return SymmetryGroup(gens, n)
 
 
 def _axis_orders(dims: tuple) -> Iterator[tuple]:
@@ -175,23 +162,23 @@ def iter_degree_vectors(total: int, size: int) -> Iterator[tuple]:
 
 
 def iter_orbit_min_vectors(total: int, size: int,
-                           sym: Optional[SymmetryGroup]) -> Iterator[tuple]:
+                           dims: Optional[Sequence[int]]) -> Iterator[tuple]:
     """One lexicographically minimal representative per orbit of degree
-    vectors under the group, streamed in ascending order.
+    vectors under the automorphism group of the rook graph on ``dims``,
+    streamed in ascending order.
 
-    With no group this is every degree vector.  Rook groups use the
-    product-structured engine; groups without dims are enumerated
-    explicitly (``GroupTooLarge`` past the closure cap).
+    With ``dims`` None this is every degree vector.  Dimensions that are
+    not a rook shape, or whose product is not ``size``, raise ValueError.
     """
-    if sym is None:
+    if dims is None:
         yield from iter_degree_vectors(total, size)
         return
-    if sym.n != size:
-        raise ValueError("group degree does not match the vector length")
-    if sym.dims is None:
-        yield from _iter_canonical_explicit(total, size, sym.elements())
-        return
-    shape = sym._tensor_shape()
+    dims = tuple(dims)
+    if not is_rook_shape(dims):
+        raise ValueError("invalid rook dimensions")
+    if math.prod(dims) != size:
+        raise ValueError("rook dimensions do not match the vector length")
+    shape = _rook_shape(dims)
     yield from _orderly(total, size, shape.prune,
                         lambda c: _is_min_image(shape, c))
 
@@ -340,19 +327,24 @@ class _Shape:
             yield tuple([x[p] for p in perm])
 
 
+@lru_cache(maxsize=None)
+def _rook_shape(dims: tuple) -> _Shape:
+    return _Shape(dims)
+
+
 def _is_min_image(shape: _Shape, x: Sequence[int]) -> bool:
     """True iff x is the lexicographically smallest vector in its orbit."""
     x = tuple(x)
     target = shape.fibers_of(x)
     for src in shape.sources(x):
-        if _improve(shape, src, target, True):
+        if _improve(shape, src, target):
             return False
     return True
 
 
-def _improve(shape: _Shape, src: tuple, best: list, stop: bool) -> bool:
-    """Search the images of ``src`` under per-axis value relabelings for
-    one lexicographically smaller than ``best`` (a list of fibers).
+def _improve(shape: _Shape, src: tuple, target: list) -> bool:
+    """Is some image of ``src`` under per-axis value relabelings
+    lexicographically smaller than ``target`` (a list of fibers)?
 
     Outer axes are mapped one new index at a time by backtracking, so
     the image takes its fibers from a chosen sequence of source fibers.
@@ -362,11 +354,7 @@ def _improve(shape: _Shape, src: tuple, best: list, stop: bool) -> bool:
     of the image is entry f of the sorted keys.  A fiber larger than the
     target prunes the branch, an equal one goes deeper, and only ties
     branch.  Old indices whose slices are identical in the source are
-    tried once.
-
-    With ``stop`` the search returns True at the first smaller image.
-    Without it, ``best`` is lowered in place to the smallest image
-    (fibers after an improvement are reset to None, meaning unbounded).
+    tried once.  The search returns True at the first smaller image.
     """
     nfib = shape.nfibers
     outer = shape.outer
@@ -442,38 +430,12 @@ def _improve(shape: _Shape, src: tuple, best: list, stop: bool) -> bool:
         row = rows[old]
         keys = [key + (v,) for key, v in zip(keys, row)]
         img = tuple([key[f] for key in sorted(keys)])
-        b = best[f]
-        if b is None or img < b:
-            if stop:
-                return True
-            best[f] = img
-            for g in range(f + 1, nfib):
-                best[g] = None
-        elif img != b:
+        t = target[f]
+        if img < t:
+            return True
+        if img != t:
             return False
         return visit(f + 1, keys)
 
     return visit(0, [()] * shape.m)
 
-
-# ======================================================================
-# canonical forms
-# ======================================================================
-
-def canonical_divisor_form(d: Sequence[int], sym: SymmetryGroup) -> tuple:
-    """Lexicographically smallest image of d under the group (exact)."""
-    d = tuple(d)
-    if len(d) != sym.n:
-        raise ValueError("vector length does not match the group")
-    if sym.dims is None:
-        best = d
-        for p in sym.elements():
-            img = tuple(d[p[i]] for i in range(sym.n))
-            if img < best:
-                best = img
-        return best
-    shape = sym._tensor_shape()
-    best = shape.fibers_of(d)
-    for src in shape.sources(d):
-        _improve(shape, src, best, False)
-    return tuple(itertools.chain.from_iterable(best))

@@ -28,7 +28,6 @@ from rookgon import (
     rank,
     rook_certificate_divisor,
     rook_graph,
-    rook_symmetry,
     run_suite,
     scramble_order,
     square_augmented_scramble,
@@ -41,7 +40,7 @@ from rookgon import (
 
 
 def gon(dims, k=1, **kw):
-    return k_gonality(rook_graph(dims), k=k, sym=rook_symmetry(dims), **kw)
+    return k_gonality(rook_graph(dims), k=k, symmetry=True, **kw)
 
 
 def ok(n, msg):
@@ -277,7 +276,7 @@ def test_criterion_09_divisor_properties():
     for dims in ([2, 2], [2, 3], [2, 4], [3, 3], [2, 2, 2]):
         g = rook_graph(dims)
         plain = k_gonality(g)
-        pruned = k_gonality(g, sym=rook_symmetry(dims))
+        pruned = k_gonality(g, symmetry=True)
         assert plain.value == pruned.value
         assert plain.exhaustive == pruned.exhaustive
 

@@ -128,6 +128,19 @@ def test_gonality_from_graph_file(tmp_path):
     assert data["dims"] == [2, 3]
 
 
+def test_gonality_graph_file_without_rook_shape(tmp_path):
+    # K5 is written with dims [5], which is no rook shape: the search runs
+    # plainly instead of failing to build a rook group
+    gfile = tmp_path / "k5.json"
+    run_cli("graph", "gen", "--complete", "5", "-o", str(gfile))
+    pruned = run_cli("gonality", "--graph", str(gfile))
+    plain = run_cli("gonality", "--graph", str(gfile), "--no-symmetry")
+    assert pruned.stdout == plain.stdout
+    data = out_json(pruned)
+    assert data["value"] == 4
+    assert data["symmetry"] is False
+
+
 def test_gonality_threads_output_matches_serial():
     serial = run_cli("gonality", "--rook", "3,4", "--threads", "1")
     many = run_cli("gonality", "--rook", "3,4", "--threads", "8")
@@ -140,6 +153,13 @@ def test_gonality_csv():
     lines = proc.stdout.decode().splitlines()
     assert lines[0] == "kind,dims,k,value,witness_digest,time"
     assert lines[1] == "gonality,2x3,1,3,ffa9a1368b97,"
+
+
+def test_scramble_order_csv():
+    proc = run_cli("scramble", "order", "--family", "uniform", "--dims", "2,3",
+                   "--k", "2", "--format", "csv")
+    assert proc.stdout == (b"kind,dims,k,value,witness_digest,time\n"
+                           b"order,2x3,2,3,2c5b23b8ed11,\n")
 
 
 def test_scramble_order_star():
@@ -442,6 +462,21 @@ def test_malformed_scramble_file_exits_two(tmp_path):
         assert proc.returncode == 2, eggs
         assert proc.stderr.startswith(b"error:"), eggs
         assert b"Traceback" not in proc.stderr, eggs
+
+
+@pytest.mark.parametrize("args, message", [
+    (("graph", "gen", "--rook", ""), b"could not parse dims ''"),
+    (("gonality", "--rook", ""), b"could not parse dims ''"),
+    (("rank", "--rook", "2,2", "--chips", ""), b"could not parse chip list ''"),
+    (("reduce", "--rook", "2,2", "--chips", "", "--vertex", "0"),
+     b"could not parse chip list ''"),
+])
+def test_empty_flag_values_are_parsed(args, message):
+    # an empty value was taken for a missing flag
+    proc = run_cli(*args, check=False)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert proc.stdout == b""
 
 
 def test_clear_message_for_short_dims():

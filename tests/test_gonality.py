@@ -1,26 +1,22 @@
 """Gonality search, certificates, and the slice report."""
 
-import random
-
 import pytest
 
-import oracles
 from rookgon import (
+    MultiGraph,
     complete_graph,
     default_degree_cap,
-    is_automorphism,
     k_gonality,
     poorest_slice_chips,
     rank_at_least,
     rook_certificate_divisor,
     rook_graph,
-    rook_symmetry,
     verify_rank_at_least,
 )
 
 
 def gon(dims, k=1, **kw):
-    return k_gonality(rook_graph(dims), k=k, sym=rook_symmetry(dims), **kw)
+    return k_gonality(rook_graph(dims), k=k, symmetry=True, **kw)
 
 
 # ======================================================================
@@ -67,7 +63,7 @@ def test_gonality_without_symmetry_agrees():
     for dims in ([2, 2], [2, 3], [2, 2, 2]):
         g = rook_graph(dims)
         plain = k_gonality(g)
-        pruned = k_gonality(g, sym=rook_symmetry(dims))
+        pruned = k_gonality(g, symmetry=True)
         assert not plain.symmetry and pruned.symmetry
         assert plain.value == pruned.value
         assert plain.exhaustive == pruned.exhaustive
@@ -127,12 +123,22 @@ def test_gonality_validation():
         k_gonality(g, lower_bound=-1)
     with pytest.raises(ValueError):
         k_gonality(g, lower_bound=1.5)
-    with pytest.raises(ValueError):
-        k_gonality(g, sym=rook_symmetry([2, 3]))
-    bad = rook_symmetry([2, 2])
-    swapped = type(bad)([(1, 0, 2, 3)], 4)
-    with pytest.raises(ValueError):
-        k_gonality(g, sym=swapped)  # generator is not an automorphism
+    with pytest.raises(TypeError):
+        k_gonality(g, sym=None)  # the group hint is gone
+
+
+def test_gonality_symmetry_needs_a_rook_shape():
+    # symmetry is read from g.dims, and only a rook shape has the rook
+    # group; any other graph is scanned plainly
+    hosts = [
+        complete_graph(4),                                    # dims (4,)
+        MultiGraph(rook_graph([2, 3]).mult),                  # no dims
+    ]
+    for g in hosts:
+        pruned = k_gonality(g, symmetry=True)
+        plain = k_gonality(g)
+        assert not pruned.symmetry
+        assert pruned == plain
 
 
 def test_default_degree_cap_values():
@@ -198,18 +204,8 @@ def test_certificate_matches_gonality_value():
 
 
 # ======================================================================
-# automorphism check and slice report
+# slice report
 # ======================================================================
-
-def test_is_automorphism_matches_oracle():
-    rng = random.Random(4401)
-    g = rook_graph([2, 3])
-    perms = [tuple(rng.sample(range(6), 6)) for _ in range(30)]
-    perms.append((3, 4, 5, 0, 1, 2))  # swap the two rows
-    perms.append(tuple(range(6)))
-    for p in perms:
-        assert is_automorphism(g, p) == oracles.is_automorphism(g, p)
-
 
 def test_poorest_slice_chips():
     g = rook_graph([2, 3])

@@ -252,7 +252,6 @@ def test_min_egg_cut_matches_brute_force():
     for s in cases:
         res = min_egg_cut(s)
         assert res.value == oracles.min_egg_cut(s.host, s.eggs)
-        assert res.exact
         a, b = res.pair
         assert not set(a) & set(b)
         assert cut_weight(s.host, res.side) == res.value
@@ -262,7 +261,7 @@ def test_min_egg_cut_no_disjoint_pair():
     g = rook_graph([2, 3])
     s = Scramble(g, [[0, 1], [0, 2], [0, 3]])  # all share vertex 0
     res = min_egg_cut(s)
-    assert res == (None, True, None, None)
+    assert res == (None, None, None)
     rep = scramble_order(s)
     assert rep.order == rep.hitting_number == 1
     assert rep.hitting_set == (0,)
@@ -273,7 +272,6 @@ def test_min_egg_cut_respects_floor_shortcut():
     full = min_egg_cut(s)
     floored = min_egg_cut(s, floor=egg_cut_floor(s))
     assert full.value == floored.value == 8
-    assert floored.exact
     # on three-factor hosts the floor stops the scan early without
     # moving the value, the witness pair or the cut side
     for dims in ([2, 2, 3], [2, 3, 3]):
