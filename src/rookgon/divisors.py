@@ -6,7 +6,7 @@ takes the host graph explicitly so copies stay cheap inside searches.
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .graphs import MultiGraph, _check_subset
 from .symmetry import iter_degree_vectors

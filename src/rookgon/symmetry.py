@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -282,17 +283,13 @@ class _Shape:
             tuple(a for a in range(k)
                   if all(cf[b] == 0 for b in range(k) if b != a))
             for cf in self.coords)
-        self.members = tuple(
-            tuple(tuple(f for f in range(nf) if self.coords[f][a] == o)
-                  for o in range(outer[a]))
-            for a in range(k))
         strides = _strides(dims)
         flat = [tuple((v // strides[a]) % dims[a] for a in range(len(dims)))
                 for v in range(self.n)]
         orders = list(_axis_orders(dims))
         self.axis_perms = tuple(
-            tuple(sum(cv[order[b]] * strides[b] for b in range(len(dims)))
-                  for cv in flat)
+            itemgetter(*(sum(cv[order[b]] * strides[b] for b in range(len(dims)))
+                         for cv in flat))
             for order in orders[1:])
         # cheap pruning permutations for the orderly search: at most one
         # adjacent transposition per axis, under every axis order (a set
@@ -316,15 +313,14 @@ class _Shape:
         prune.discard(tuple(range(self.n)))
         self.prune = tuple(sorted(prune))
 
-    def fibers_of(self, x: tuple) -> list:
+    def sources(self, x: tuple) -> list:
+        """The fibers of x under each axis order, identity first."""
         m = self.m
-        return [x[i:i + m] for i in range(0, self.n, m)]
-
-    def sources(self, x: tuple) -> Iterator[tuple]:
-        """x under each axis order, identity first, built on demand."""
-        yield x
+        out = [[x[i:i + m] for i in range(0, self.n, m)]]
         for perm in self.axis_perms:
-            yield tuple([x[p] for p in perm])
+            y = perm(x)
+            out.append([y[i:i + m] for i in range(0, self.n, m)])
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -333,109 +329,165 @@ def _rook_shape(dims: tuple) -> _Shape:
 
 
 def _is_min_image(shape: _Shape, x: Sequence[int]) -> bool:
-    """True iff x is the lexicographically smallest vector in its orbit."""
+    """True iff x is the lexicographically smallest vector in its orbit.
+
+    Every image of x is some axis order of x (a source) with each axis's
+    values relabeled.  For a fixed image of the outer axes the best order
+    of the last axis is to sort the columns, so the search packs each
+    column, read down the fibers placed so far, into one int key (base
+    ``max(x) + 1``).  The sorted keys compare with the target's column
+    keys at that depth exactly as the image fiber compares with x's
+    fiber, given the earlier fibers tie.  Image fiber 0 is a sorted
+    source fiber, so a source fiber that sorts below x's first fiber
+    settles the test before any search.
+    """
     x = tuple(x)
-    target = shape.fibers_of(x)
-    for src in shape.sources(x):
-        if _improve(shape, src, target):
+    sources = shape.sources(x)
+    first = list(sources[0][0])
+    heads = []
+    for rows in sources:
+        h = list(map(sorted, rows))
+        if min(h) < first:
+            return False
+        heads.append(h)
+    base = max(x) + 1
+    # x's own packed column keys after each fiber
+    tkeys = [first]
+    keys = first
+    for row in sources[0][1:]:
+        keys = [key * base + v for key, v in zip(keys, row)]
+        tkeys.append(keys)
+    improve = _improve_rows if len(shape.outer) == 1 else _improve
+    for rows, h in zip(sources, heads):
+        # a search starts only from fibers that sort to x's first fiber
+        if first in h and improve(shape, rows, h, tkeys, base):
             return False
     return True
 
 
-def _improve(shape: _Shape, src: tuple, target: list) -> bool:
-    """Is some image of ``src`` under per-axis value relabelings
-    lexicographically smaller than ``target`` (a list of fibers)?
+def _improve_rows(shape: _Shape, rows: list, heads: list, tkeys: list,
+                  base: int) -> bool:
+    """Two factors: is some ordering of the source ``rows``, with its
+    columns sorted, lexicographically smaller than the target?
+
+    The unplaced rows are kept as a multiset of distinct rows, so equal
+    rows are tried once at each depth.  ``scaled`` holds the column keys
+    of the rows placed so far, times the base.  Only a row whose image
+    fiber ties the target's goes deeper; the first smaller one answers
+    True.
+    """
+    left = dict.fromkeys(rows, 0)
+    for row in rows:
+        left[row] += 1
+    last = len(rows) - 1
+
+    def place(f, scaled):
+        t = tkeys[f]
+        for row, c in left.items():
+            if c:
+                s = sorted(map(add, scaled, row))
+                if s < t:
+                    return True
+                if s == t and f < last:
+                    left[row] = c - 1
+                    hit = place(f + 1, [(key + v) * base
+                                        for key, v in zip(scaled, row)])
+                    left[row] = c
+                    if hit:
+                        return True
+        return False
+
+    # image fiber 0 is a sorted row, and none sorts below the target's
+    first = tkeys[0]
+    for row, head in dict(zip(rows, heads)).items():
+        if head == first:
+            c = left[row]
+            left[row] = c - 1
+            hit = place(1, [v * base for v in row])
+            left[row] = c
+            if hit:
+                return True
+    return False
+
+
+def _improve(shape: _Shape, rows: list, heads: list, tkeys: list,
+             base: int) -> bool:
+    """Three or more factors: is some image of the source ``rows`` under
+    per-axis value relabelings lexicographically smaller than the
+    target?
 
     Outer axes are mapped one new index at a time by backtracking, so
-    the image takes its fibers from a chosen sequence of source fibers.
-    For a fixed sequence the best order of the last axis is plain: sort
-    the columns (each column read down the chosen fibers).  So each
-    column carries its key, the tuple of its values so far, and fiber f
-    of the image is entry f of the sorted keys.  A fiber larger than the
-    target prunes the branch, an equal one goes deeper, and only ties
-    branch.  Old indices whose slices are identical in the source are
-    tried once.  The search returns True at the first smaller image.
+    the image takes its fibers from a chosen sequence of source fibers;
+    ``offs[a][new]`` holds the chosen old index of axis a times its
+    fiber stride.  A fiber smaller than the target answers True, a
+    larger one prunes the branch, and only ties go deeper.
     """
-    nfib = shape.nfibers
     outer = shape.outer
     coords = shape.coords
     pending = shape.pending
     fstride = shape.fstride
     k = len(outer)
-    rows = shape.fibers_of(src)
-    reps = []
-    for a in range(k):
-        first = {}
-        reps.append([first.setdefault(tuple([rows[f] for f in fibers]), o)
-                     for o, fibers in enumerate(shape.members[a])])
-    maps = [[0] * s for s in outer]
+    offs = [[0] * s for s in outer]
     used = [[False] * s for s in outer]
+    last = shape.nfibers - 1
 
-    def visit(f, keys):
-        if f == nfib:
-            return False
-        cf = coords[f]
+    def place(f, scaled):
         axes = pending[f]
-        if len(axes) == 1:
-            a = axes[0]
-            ua = used[a]
-            ra = reps[a]
-            ma = maps[a]
-            new = cf[a]
-            base = 0  # the other outer coordinates are 0 here
-            for b in range(k):
-                if b != a:
-                    base += maps[b][0] * fstride[b]
-            stride = fstride[a]
-            tried = []
-            for o in range(outer[a]):
-                if ua[o] or ra[o] in tried:
-                    continue
-                tried.append(ra[o])
-                ma[new] = o
+        while not axes:  # every outer index of fiber f is mapped already
+            cf = coords[f]
+            old = 0
+            for a in range(k):
+                old += offs[a][cf[a]]
+            row = rows[old]
+            s = sorted(map(add, scaled, row))
+            t = tkeys[f]
+            if s != t:
+                return s < t
+            if f == last:
+                return False
+            scaled = [(key + v) * base for key, v in zip(scaled, row)]
+            f += 1
+            axes = pending[f]
+        (a,) = axes  # past fiber 0, one axis at a time takes a new index
+        t = tkeys[f]
+        ua = used[a]
+        oa = offs[a]
+        new = coords[f][a]
+        stride = fstride[a]
+        start = 0  # the other outer coordinates are 0 here
+        for b in range(k):
+            if b != a:
+                start += offs[b][0]
+        for o in range(outer[a]):
+            if ua[o]:
+                continue
+            row = rows[start + o * stride]
+            s = sorted(map(add, scaled, row))
+            if s < t:
+                return True
+            if s == t and f < last:
+                oa[new] = o * stride
                 ua[o] = True
-                hit = step(f, base + o * stride, keys)
+                hit = place(f + 1, [(key + v) * base
+                                    for key, v in zip(scaled, row)])
                 ua[o] = False
                 if hit:
                     return True
-            return False
-        if not axes:
-            old = 0
-            for a in range(k):
-                old += maps[a][cf[a]] * fstride[a]
-            return step(f, old, keys)
-        options = []
-        for a in axes:
-            ua = used[a]
-            ra = reps[a]
-            opts = []
-            for o in range(outer[a]):
-                if not ua[o] and all(ra[o] != ra[p] for p in opts):
-                    opts.append(o)
-            options.append(opts)
-        for combo in itertools.product(*options):
-            old = 0
-            for a, o in zip(axes, combo):
-                maps[a][0] = o
-                used[a][o] = True
-                old += o * fstride[a]
-            hit = step(f, old, keys)
-            for a, o in zip(axes, combo):
-                used[a][o] = False
-            if hit:
-                return True
         return False
 
-    def step(f, old, keys):
-        row = rows[old]
-        keys = [key + (v,) for key, v in zip(keys, row)]
-        img = tuple([key[f] for key in sorted(keys)])
-        t = target[f]
-        if img < t:
+    # image fiber 0 maps every outer axis at once, to a source fiber
+    # that sorts to the target's first fiber
+    first = tkeys[0]
+    for old, head in enumerate(heads):
+        if head != first:
+            continue
+        cf = coords[old]
+        for a in range(k):
+            offs[a][0] = cf[a] * fstride[a]
+            used[a][cf[a]] = True
+        hit = place(1, [v * base for v in rows[old]])
+        for a in range(k):
+            used[a][cf[a]] = False
+        if hit:
             return True
-        if img != t:
-            return False
-        return visit(f + 1, keys)
-
-    return visit(0, [()] * shape.m)
-
+    return False

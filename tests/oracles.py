@@ -78,6 +78,31 @@ def automorphisms(g):
     return out
 
 
+def burnside_orbit_count(elements, n, d):
+    """Orbits of length-n nonnegative vectors of sum d under the listed
+    permutation group, by Burnside: the average number of vectors an
+    element fixes.  A fixed vector is constant on each cycle, so an
+    element with cycle lengths l_i fixes [x^d] of prod 1/(1 - x^l_i)
+    vectors."""
+    fixed = 0
+    for p in elements:
+        seen = [False] * n
+        coef = [1] + [0] * d
+        for i in range(n):
+            length = 0
+            while not seen[i]:
+                seen[i] = True
+                i = p[i]
+                length += 1
+            if length:
+                for t in range(length, d + 1):
+                    coef[t] += coef[t - length]
+        fixed += coef[d]
+    count, rem = divmod(fixed, len(elements))
+    assert rem == 0, "not a group: Burnside's average is not an integer"
+    return count
+
+
 def laplacian_image(g, counts):
     """The chip movement caused by firing each vertex counts[v] times."""
     n = g.n

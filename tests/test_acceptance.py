@@ -5,7 +5,6 @@ line; run with -s (or read the -v test lines) for the per-criterion
 verdicts.  All comparisons are exact integers.
 """
 
-import io
 import itertools
 import json
 import os
@@ -24,11 +23,9 @@ from rookgon import (
     fire_set,
     hitting_number,
     k_gonality,
-    min_egg_cut,
     rank,
     rook_certificate_divisor,
     rook_graph,
-    run_suite,
     scramble_order,
     square_augmented_scramble,
     staircase_avoidance,

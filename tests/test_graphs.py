@@ -1,6 +1,5 @@
 """Graph construction, subset enumeration, and min-cut tests."""
 
-import itertools
 import random
 
 import pytest

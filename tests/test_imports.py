@@ -1,0 +1,46 @@
+"""Every module under src/ and tests/ uses each name it imports.
+
+``rookgon/__init__.py`` imports names to re-export them, so its imports
+count as used.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REEXPORTS = ROOT / "src" / "rookgon" / "__init__.py"
+
+
+def unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    found = []
+    for top in ("src", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path == REEXPORTS:
+                continue
+            for line, name in unused_imports(path):
+                found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+    assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_unused_import_is_reported(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from __future__ import annotations\nimport os\n"
+                   "import os.path\nfrom math import pi, tau\n"
+                   "print(os.sep, tau)\n")
+    assert unused_imports(src) == [(4, "pi")]

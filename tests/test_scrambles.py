@@ -1,6 +1,5 @@
 """Scramble tests: hitting numbers, egg cuts, orders, constructions."""
 
-import itertools
 import math
 import random
 
@@ -10,7 +9,6 @@ import oracles
 from rookgon import (
     MultiGraph,
     Scramble,
-    complete_graph,
     connected_subsets,
     cube_diagonal_avoidance,
     cut_weight,

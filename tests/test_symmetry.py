@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -14,7 +15,7 @@ from rookgon import (
     rook_graph,
     rook_symmetry,
 )
-from rookgon.symmetry import _iter_canonical_explicit
+from rookgon.symmetry import _is_min_image, _iter_canonical_explicit, _rook_shape
 
 # every rook host whose group the explicit closure lists quickly (at most
 # 1,152 elements); the closure is the oracle for the product engine
@@ -122,17 +123,25 @@ def test_orbit_min_vectors_counts_2x3():
 
 
 def test_orbit_min_vectors_counts_match_burnside():
-    # orbit count == average number of vectors fixed by a group element
+    # the stream yields one vector per orbit.  The oracle itself matches a
+    # direct fixed-point count on 2x3 and the frozen 4x4 gonality counts.
     els = rook_symmetry([2, 3]).elements()
     for total in (1, 2, 3):
-        fixed = 0
-        for p in els:
-            fixed += sum(1 for d in iter_degree_vectors(total, 6)
-                         if tuple(d[p[i]] for i in range(6)) == d)
-        want, rem = divmod(fixed, len(els))
-        assert rem == 0
-        got = sum(1 for _ in iter_orbit_min_vectors(total, 6, (2, 3)))
-        assert got == want
+        fixed = sum(1 for p in els for d in iter_degree_vectors(total, 6)
+                    if tuple(d[p[i]] for i in range(6)) == d)
+        assert oracles.burnside_orbit_count(els, 6, total) * len(els) == fixed
+    els = rook_symmetry([4, 4]).elements()
+    assert [oracles.burnside_orbit_count(els, 16, t) for t in range(1, 12)] == \
+        [1, 3, 7, 21, 47, 128, 303, 754, 1735, 3989, 8712]
+    # 2x3x3 up to degree 8 is matched against the explicit closure below
+    for dims, degrees in (([2, 3], range(7)), ([3, 4], range(13)),
+                          ([2, 5], range(13)), ([2, 3, 3], (9,))):
+        n = math.prod(dims)
+        els = rook_symmetry(dims).elements()
+        for total in degrees:
+            got = sum(1 for _ in iter_orbit_min_vectors(total, n, dims))
+            assert got == oracles.burnside_orbit_count(els, n, total), \
+                (dims, total)
 
 
 def test_orbit_min_vectors_partition_all_vectors():
@@ -180,6 +189,29 @@ def test_engine_orbit_stream_matches_explicit_closure():
         for total in range(9):
             assert list(iter_orbit_min_vectors(total, n, dims)) == \
                 list(_iter_canonical_explicit(total, n, els)), (dims, total)
+
+
+def test_leaf_test_matches_orbit_minimum():
+    # the exact leaf test alone, without the orderly search's prune set.
+    # Entries come from a small random palette up to 9, so sums go far
+    # past the degree-8 stream above, and half the vectors are orbit
+    # minima or one swap away from one, so fibers tie often.
+    rng = random.Random(8)
+    for dims in ENGINE_DIMS:
+        n = math.prod(dims)
+        els = rook_symmetry(dims).elements()
+        shape = _rook_shape(tuple(dims))
+        for trial in range(300):
+            palette = rng.sample(range(10), rng.randint(1, 4))
+            x = tuple(rng.choice(palette) for _ in range(n))
+            if trial % 2:
+                x = list(min(orbit_of(x, els)))
+                if trial % 4 == 3:
+                    i, j = rng.sample(range(n), 2)
+                    x[i], x[j] = x[j], x[i]
+                x = tuple(x)
+            assert _is_min_image(shape, x) == (x == min(orbit_of(x, els))), \
+                (dims, x)
 
 
 def test_rook_paths_never_list_the_group(monkeypatch):
