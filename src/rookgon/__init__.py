@@ -64,8 +64,7 @@ from .scrambles import (
     staircase_avoidance,
     star_scramble,
     uniform_scramble,
-    validate_scramble,
 )
 from .suite import run_suite, suite_claims
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

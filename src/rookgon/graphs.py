@@ -47,29 +47,15 @@ class MultiGraph:
             tuple((v, rows[u][v]) for v in range(n) if rows[u][v] > 0) for u in range(n)
         )
         self.degrees = tuple(sum(m for _, m in nbrs) for nbrs in self.adj)
-        if not self._is_connected():
+        self._cache: dict = {}
+        if not is_connected_mask(neighbour_masks(self), (1 << n) - 1):
             raise ValueError("graph must be connected")
         if dims is not None:
             dims = tuple(int(d) for d in dims)
             self._check_dims(dims)
         self.dims = dims
-        self._cache: dict = {}
 
     # -- structure ---------------------------------------------------------
-
-    def _is_connected(self) -> bool:
-        seen = bytearray(self.n)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v, _ in self.adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    stack.append(v)
-        return count == self.n
 
     def _check_dims(self, dims: tuple) -> None:
         if any(d < 1 for d in dims):

@@ -22,7 +22,8 @@ from .graphs import MultiGraph, connected_subsets, cut_weight, rook_graph
 
 
 class Scramble:
-    """Eggs over a host graph, stored sorted and deduplicated.
+    """Eggs over a host graph, stored sorted and deduplicated; building
+    one with an empty or disconnected egg raises ValueError.
 
     ``uniform_size`` / ``with_squares`` are read-only fast-path hints.
     Only the family constructors in this module set them, because they
@@ -32,7 +33,7 @@ class Scramble:
     DP to a wrong hitting number.
     """
 
-    __slots__ = ("host", "eggs", "_uniform_size", "_with_squares", "_validated")
+    __slots__ = ("host", "eggs", "_uniform_size", "_with_squares")
 
     def __init__(self, host: MultiGraph, eggs: Iterable[Iterable[int]]):
         normed = set()
@@ -49,9 +50,17 @@ class Scramble:
             normed.add(tuple(sorted(set(verts))))
         self.host = host
         self.eggs = tuple(sorted(normed))
+        nbr = graphs.neighbour_masks(host)
+        problems = []
+        for idx, egg in enumerate(self.eggs):
+            if not egg:
+                problems.append(f"egg {idx} is empty")
+            elif not graphs.is_connected_mask(nbr, sum(1 << v for v in egg)):
+                problems.append(f"egg {idx} is not connected: {list(egg)}")
+        if problems:
+            raise ValueError("invalid scramble: " + "; ".join(problems))
         self._uniform_size = None
         self._with_squares = False
-        self._validated = False
 
     @property
     def uniform_size(self) -> Optional[int]:
@@ -70,27 +79,6 @@ def _family(host: MultiGraph, eggs, uniform_size: int,
     return s
 
 
-def validate_scramble(s: Scramble) -> list:
-    """List of violations (empty means the scramble is valid)."""
-    out = []
-    nbr = graphs.neighbour_masks(s.host)
-    for idx, egg in enumerate(s.eggs):
-        if not egg:
-            out.append(f"egg {idx} is empty")
-        elif not graphs.is_connected_mask(nbr, sum(1 << v for v in egg)):
-            out.append(f"egg {idx} is not connected: {list(egg)}")
-    return out
-
-
-def _require_valid(s: Scramble) -> None:
-    if s._validated:
-        return
-    problems = validate_scramble(s)
-    if problems:
-        raise ValueError("invalid scramble: " + "; ".join(problems))
-    s._validated = True
-
-
 # ======================================================================
 # hitting number via maximum avoidance
 # ======================================================================
@@ -103,7 +91,6 @@ def hitting_number(s: Scramble):
     connected k-subsets of a two-factor rook graph (optionally plus all
     2x2 squares), else from branch and bound over vertex inclusion.
     """
-    _require_valid(s)
     host = s.host
     n = host.n
     if not s.eggs:
@@ -374,14 +361,14 @@ def egg_cut_floor(s: Scramble) -> Optional[int]:
     return min_side_cut_floor(host.dims, min(len(e) for e in s.eggs))
 
 
-def min_egg_cut(s: Scramble, floor: Optional[int] = None) -> EggCutResult:
+def min_egg_cut(s: Scramble) -> EggCutResult:
     """Minimum over disjoint egg pairs of the min cut separating them.
 
-    Flows terminate early at the incumbent; when a known floor is given
-    the pair scan stops as soon as the incumbent reaches it.  The witness
+    Flows terminate early at the incumbent, and the pair scan stops as
+    soon as the incumbent reaches the certified cut floor.  The witness
     is the first pair (in egg order) attaining the minimum.
     """
-    _require_valid(s)
+    floor = egg_cut_floor(s)
     host = s.host
     eggs = s.eggs
     masks = [sum(1 << v for v in e) for e in eggs]
@@ -444,16 +431,17 @@ def scramble_order(s: Scramble, cut_mode: str = "exact") -> OrderReport:
     if cut_mode not in ("exact", "floor", "auto"):
         raise ValueError("cut_mode must be exact, floor, or auto")
     hn, hit, avoid = hitting_number(s)
-    floor = egg_cut_floor(s)
-    if cut_mode == "auto":
-        cut_mode = "floor" if (floor is not None and floor >= hn) else "exact"
+    if cut_mode != "exact":
+        floor = egg_cut_floor(s)
+        if cut_mode == "auto":
+            cut_mode = "floor" if (floor is not None and floor >= hn) else "exact"
     if cut_mode == "floor":
         if floor is None:
             raise ValueError("no cut floor is available for this scramble; use exact mode")
         if floor < hn:
             raise ValueError("cut floor is below the hitting number; exact cut needed")
         return OrderReport(hn, hit, avoid, floor, False, None, None, hn)
-    res = min_egg_cut(s, floor=floor)
+    res = min_egg_cut(s)
     order = hn if res.value is None else min(hn, res.value)
     return OrderReport(hn, hit, avoid, res.value, True, res.pair,
                        res.side, order)
@@ -676,6 +664,8 @@ def scramble_from_json(data: dict) -> Scramble:
     except KeyError as exc:
         raise ValueError(f"scramble JSON is missing key {exc}") from None
     if isinstance(host, (list, tuple)):
+        if not all(isinstance(d, int) and not isinstance(d, bool) for d in host):
+            raise ValueError("host dims must be a list of integers")
         hostg = rook_graph(host)
     elif isinstance(host, dict):
         hostg = graphs.graph_from_json(host)

@@ -148,18 +148,7 @@ def iter_degree_vectors(total: int, size: int) -> Iterator[tuple]:
         raise ValueError("vector length must be positive")
     if total < 0:
         raise ValueError("total must be nonnegative")
-    c = [0] * size
-
-    def rec(pos, rem):
-        if pos == size - 1:
-            c[pos] = rem
-            yield tuple(c)
-            return
-        for v in range(rem + 1):
-            c[pos] = v
-            yield from rec(pos + 1, rem - v)
-
-    yield from rec(0, total)
+    yield from _orderly(total, size, ())
 
 
 def iter_orbit_min_vectors(total: int, size: int,

@@ -456,12 +456,16 @@ def test_verify_budget_zero_is_accepted():
 
 def test_malformed_scramble_file_exits_two(tmp_path):
     sfile = tmp_path / "s.json"
-    for eggs in ([[0, 1], 5], [[0, "x"]], [[0, None]], [[0, [1]]]):
-        sfile.write_text(json.dumps({"host": [2, 3], "eggs": eggs}))
+    cases = [{"host": [2, 3], "eggs": eggs}
+             for eggs in ([[0, 1], 5], [[0, "x"]], [[0, None]], [[0, [1]]])]
+    cases += [{"host": host, "eggs": [[0]]}
+              for host in ([[2], 3], [2, 3.0], ["2", "3"], [2, True])]
+    for data in cases:
+        sfile.write_text(json.dumps(data))
         proc = run_cli("scramble", "order", "--file", str(sfile), check=False)
-        assert proc.returncode == 2, eggs
-        assert proc.stderr.startswith(b"error:"), eggs
-        assert b"Traceback" not in proc.stderr, eggs
+        assert proc.returncode == 2, data
+        assert proc.stderr.startswith(b"error:"), data
+        assert b"Traceback" not in proc.stderr, data
 
 
 @pytest.mark.parametrize("args, message", [

@@ -27,7 +27,6 @@ from rookgon import (
     staircase_avoidance,
     star_scramble,
     uniform_scramble,
-    validate_scramble,
 )
 from rookgon.scrambles import _max_induced_edges
 
@@ -110,21 +109,22 @@ def test_scramble_hints_stay_private():
     assert (rep.hitting_number, rep.min_egg_cut, rep.order) == (2, 3, 2)
 
 
-def test_validate_scramble_reports_problems():
+def test_scramble_constructor_reports_problems():
     g = rook_graph([2, 3])
     ok = Scramble(g, [[0, 1], [3]])
-    assert validate_scramble(ok) == []
-    bad = Scramble(g, [[0, 4]])          # a diagonal pair: disconnected
-    problems = validate_scramble(bad)
-    assert len(problems) == 1 and "not connected" in problems[0]
-    with pytest.raises(ValueError):
-        hitting_number(bad)
+    assert ok.eggs == ((0, 1), (3,))
+    with pytest.raises(ValueError) as err:
+        Scramble(g, [[0, 4]])            # a diagonal pair: disconnected
+    assert str(err.value) == "invalid scramble: egg 0 is not connected: [0, 4]"
+    with pytest.raises(ValueError) as err:
+        Scramble(rook_graph([2, 2]), [[], [0]])
+    assert str(err.value) == "invalid scramble: egg 0 is empty"
 
 
-def test_validate_scramble_matches_is_connected_subset():
-    # validation rejects exactly the eggs that is_connected_subset and the
-    # brute-force oracle reject, with the same messages, on connected and
-    # disconnected eggs
+def test_scramble_constructor_matches_is_connected_subset():
+    # construction rejects exactly the eggs that is_connected_subset and
+    # the brute-force oracle reject, with the same messages, on connected
+    # and disconnected eggs
     rng = random.Random(11)
     hosts = [rook_graph([3, 4]), rook_graph([2, 2, 3]), rook_graph([2, 3, 3])]
     hosts += [oracles.random_multigraph(rng) for _ in range(6)]
@@ -132,17 +132,20 @@ def test_validate_scramble_matches_is_connected_subset():
     for g in hosts:
         eggs = [rng.sample(range(g.n), rng.randint(1, g.n)) for _ in range(40)]
         eggs += list(connected_subsets(g, min(3, g.n)))[:10]
-        s = Scramble(g, eggs)
         expect = []
-        for idx, egg in enumerate(s.eggs):
+        for idx, egg in enumerate(sorted({tuple(sorted(e)) for e in eggs})):
             ok = is_connected_subset(g, egg)
             assert ok == oracles.connected(g, egg)
             seen.add(ok)
             if not ok:
                 expect.append(f"egg {idx} is not connected: {list(egg)}")
-        assert validate_scramble(s) == expect
+        if expect:
+            with pytest.raises(ValueError) as err:
+                Scramble(g, eggs)
+            assert str(err.value) == "invalid scramble: " + "; ".join(expect)
+        else:
+            assert len(Scramble(g, eggs).eggs) == len(set(map(frozenset, eggs)))
     assert seen == {True, False}
-    assert validate_scramble(Scramble(rook_graph([2, 2]), [[], [0]])) == ["egg 0 is empty"]
 
 
 def test_star_scramble_shapes():
@@ -170,7 +173,6 @@ def test_square_augmented_shapes():
     assert len(s.eggs) == 50697
     sizes = {len(e) for e in s.eggs}
     assert sizes == {4, 5}
-    assert validate_scramble(s) == []
     with pytest.raises(ValueError):
         square_augmented_scramble((6,))
 
@@ -266,15 +268,20 @@ def test_min_egg_cut_no_disjoint_pair():
 
 
 def test_min_egg_cut_respects_floor_shortcut():
+    # the scan derives its own certified floor; a caller-supplied floor
+    # could stop it above the true minimum, so none is accepted
     s = star_scramble(3, 4)
-    full = min_egg_cut(s)
-    floored = min_egg_cut(s, floor=egg_cut_floor(s))
-    assert full.value == floored.value == 8
+    with pytest.raises(TypeError):
+        min_egg_cut(s, floor=egg_cut_floor(s))
+    assert min_egg_cut(s).value == 8
     # on three-factor hosts the floor stops the scan early without
     # moving the value, the witness pair or the cut side
-    for dims in ([2, 2, 3], [2, 3, 3]):
-        s = uniform_scramble(rook_graph(dims), 2)
-        assert min_egg_cut(s, floor=egg_cut_floor(s)) == min_egg_cut(s)
+    for dims, value in (([2, 2, 3], 6), ([2, 3, 3], 8)):
+        res = min_egg_cut(uniform_scramble(rook_graph(dims), 2))
+        assert res == (value, ((0, 1), (2, 5)), (0, 1))
+    # a caller floor of 10**6 would stop these two scans at 9 and 8
+    assert min_egg_cut(uniform_scramble(rook_graph([3, 4]), 3)).value == 8
+    assert min_egg_cut(uniform_scramble(rook_graph([2, 5]), 2)).value == 5
 
 
 def test_cut_floor_values():
