@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .graphs import MultiGraph, _check_subset
+from .graphs import MultiGraph, _check_subset, neighbour_masks
 from .symmetry import iter_degree_vectors
 
 
@@ -71,13 +71,20 @@ def fire_set(g: MultiGraph, d: Sequence[int], a: Iterable[int]) -> list:
 # burning
 # ======================================================================
 
-def _burn(g: MultiGraph, chips: Sequence[int], source: int):
-    """Fixed point of the burning process from source.
+def dhar_burn(g: MultiGraph, d: Sequence[int], source: int) -> BurnReport:
+    """Run the burning process from source on a divisor that is effective
+    away from it; the unburnt set is the maximal subset that can fire
+    without sending any of its members negative.
 
-    Returns (burnt flags, per-vertex burning-edge tallies).  A vertex
-    ignites when the multiplicity of its burning incident edges exceeds
-    its chips; the fixed point is independent of examination order.
-    """
+    A vertex ignites when the multiplicity of its burning incident edges
+    exceeds its chips.  The fixed point is independent of examination
+    order, but each burnt vertex reports the tally it had when this
+    stack walk lit it, which is not; so this keeps the walk, while
+    reductions burn on bitmasks in ``_fire_unburnt``."""
+    chips = _check_divisor(g, d)
+    _check_vertex(g, source)
+    if not is_effective_away_from(chips, source):
+        raise ValueError("divisor must be effective away from the source")
     n = g.n
     adj = g.adj
     burnt = bytearray(n)
@@ -93,20 +100,8 @@ def _burn(g: MultiGraph, chips: Sequence[int], source: int):
                 if c > chips[v]:
                     burnt[v] = 1
                     stack.append(v)
-    return burnt, cnt
-
-
-def dhar_burn(g: MultiGraph, d: Sequence[int], source: int) -> BurnReport:
-    """Run the burning process from source on a divisor that is effective
-    away from it; the unburnt set is the maximal subset that can fire
-    without sending any of its members negative."""
-    chips = _check_divisor(g, d)
-    _check_vertex(g, source)
-    if not is_effective_away_from(chips, source):
-        raise ValueError("divisor must be effective away from the source")
-    burnt, cnt = _burn(g, chips, source)
-    b = tuple(u for u in range(g.n) if burnt[u])
-    ub = tuple(u for u in range(g.n) if not burnt[u])
+    b = tuple(u for u in range(n) if burnt[u])
+    ub = tuple(u for u in range(n) if not burnt[u])
     return BurnReport(b, ub, source, tuple(cnt))
 
 
@@ -184,24 +179,63 @@ def _clear_debt(g: MultiGraph, chips: list, v: int, counts: Optional[list]) -> N
                 counts[i] += 1
 
 
+def _burn_masks(g: MultiGraph) -> tuple:
+    """Bitmasks for the reduction's burn, built once per graph.
+
+    Returns (nbr, extra, others).  nbr[u] is the neighbour mask of u, and
+    extra[u] holds the masks of the neighbours joined to u by more than
+    1, 2, ... edges, so u has popcount(nbr[u] & B) plus popcount(x & B)
+    over x in extra[u] edges into a vertex set B.  On a simple graph
+    every extra[u] is empty.  others[v] lists every vertex but v."""
+    masks = g._cache.get("burn_masks")
+    if masks is None:
+        n = g.n
+        extra = tuple(
+            tuple(sum(1 << w for w, m in g.adj[u] if m > j)
+                  for j in range(1, max((m for _, m in g.adj[u]), default=1)))
+            for u in range(n))
+        others = tuple(tuple(u for u in range(n) if u != v) for v in range(n))
+        masks = g._cache["burn_masks"] = (neighbour_masks(g), extra, others)
+    return masks
+
+
 def _fire_unburnt(g: MultiGraph, chips: list, v: int, counts: Optional[list]) -> None:
     """Finish a reduction of chips, effective away from v, in place: fire
     the unburnt set once per round until the burn from v reaches every
-    vertex."""
-    n = g.n
+    vertex.
+
+    Each burn sweeps the unburnt vertices in index order and ignites
+    every one whose burning edges outnumber its chips, until a sweep
+    ignites nothing; the fixed point does not depend on the order."""
     adj = g.adj
+    nbr, extra, others = _burn_masks(g)
     while True:
-        burnt, cnt = _burn(g, chips, v)
-        if all(burnt):
+        burnt = 1 << v
+        unburnt = others[v]
+        while unburnt:
+            before = burnt
+            left = []
+            for u in unburnt:
+                c = (nbr[u] & burnt).bit_count()
+                if extra[u]:
+                    for x in extra[u]:
+                        c += (x & burnt).bit_count()
+                if c > chips[u]:
+                    burnt |= 1 << u
+                else:
+                    left.append(u)
+            if burnt == before:
+                break
+            unburnt = left
+        if not unburnt:
             return
-        for u in range(n):
-            if not burnt[u]:
-                chips[u] -= cnt[u]
-                if counts is not None:
-                    counts[u] += 1
-                for w, m in adj[u]:
-                    if burnt[w]:
-                        chips[w] += m
+        for u in unburnt:
+            if counts is not None:
+                counts[u] += 1
+            for w, m in adj[u]:
+                if burnt >> w & 1:
+                    chips[u] -= m
+                    chips[w] += m
 
 
 def _reduced_tuple(g: MultiGraph, chips: list) -> tuple:
@@ -284,6 +318,8 @@ def rank_at_least(g: MultiGraph, d: Sequence[int], k: int) -> bool:
     settles each such child by its chips at vertex 0, with no further
     recursion and no memo entry."""
     chips = _check_divisor(g, d)
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError("k must be an integer")
     if k <= -1:
         return True
     deg = sum(chips)

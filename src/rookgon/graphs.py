@@ -51,7 +51,7 @@ class MultiGraph:
         if not is_connected_mask(neighbour_masks(self), (1 << n) - 1):
             raise ValueError("graph must be connected")
         if dims is not None:
-            dims = tuple(int(d) for d in dims)
+            dims = _int_dims(dims)
             self._check_dims(dims)
         self.dims = dims
 
@@ -144,9 +144,17 @@ def cartesian_product(g: MultiGraph, h: MultiGraph) -> MultiGraph:
     return MultiGraph(mult, dims=dims)
 
 
+def _int_dims(dims: Sequence[int]) -> tuple:
+    """dims as a tuple; every entry must be an int (bools rejected)."""
+    dims = tuple(dims)
+    if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
+        raise ValueError("dims must be integers")
+    return dims
+
+
 def rook_graph(dims: Sequence[int]) -> MultiGraph:
     """Iterated product of complete graphs; every dim >= 2, at least two dims."""
-    dims = [int(d) for d in dims]
+    dims = _int_dims(dims)
     if len(dims) < 2:
         raise ValueError("rook graph needs at least two dimensions")
     if any(d < 2 for d in dims):
@@ -414,8 +422,6 @@ def graph_from_json(data: dict) -> MultiGraph:
         mult[u][v] = m
         mult[v][u] = m
     dims = data.get("dims")
-    if dims is not None:
-        if not (isinstance(dims, (list, tuple)) and
-                all(isinstance(d, int) and not isinstance(d, bool) for d in dims)):
-            raise ValueError("dims must be a list of integers or null")
+    if dims is not None and not isinstance(dims, (list, tuple)):
+        raise ValueError("dims must be a list of integers or null")
     return MultiGraph(mult, dims=dims)

@@ -664,8 +664,6 @@ def scramble_from_json(data: dict) -> Scramble:
     except KeyError as exc:
         raise ValueError(f"scramble JSON is missing key {exc}") from None
     if isinstance(host, (list, tuple)):
-        if not all(isinstance(d, int) and not isinstance(d, bool) for d in host):
-            raise ValueError("host dims must be a list of integers")
         hostg = rook_graph(host)
     elif isinstance(host, dict):
         hostg = graphs.graph_from_json(host)

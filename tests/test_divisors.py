@@ -143,6 +143,26 @@ def test_dhar_burn_unburnt_set_is_firable_random():
             assert all(fired[v] >= 0 for v in rep.unburnt)
 
 
+def test_dhar_burn_pins_stack_order_tallies_on_a_multigraph():
+    # a burnt vertex reports its tally when the stack walk lit it, which
+    # depends on the walk's order: vertex 3 below ignites on 5 of its 7
+    # edges in the first case; these reports are pinned byte for byte
+    g = MultiGraph([[0, 3, 1, 0, 2],
+                    [3, 0, 0, 4, 1],
+                    [1, 0, 0, 2, 0],
+                    [0, 4, 2, 0, 1],
+                    [2, 1, 0, 1, 0]])
+    cases = [
+        ([0, 2, 1, 3, 1], 0, ((0, 1, 2, 3, 4), (), 0, (0, 3, 3, 5, 2))),
+        ([5, 0, 1, 2, 0], 3, ((0, 1, 2, 3, 4), (), 3, (6, 4, 2, 0, 1))),
+        ([1, 3, 2, 0, 2], 4, ((0, 1, 2, 3, 4), (), 4, (2, 5, 3, 1, 0))),
+        ([0, 3, 0, 5, 3], 0, ((0, 2), (1, 3, 4), 0, (0, 3, 1, 2, 2))),
+        ([2, 2, 2, 2, 2], 1, ((0, 1, 2, 3, 4), (), 1, (3, 0, 3, 4, 4))),
+    ]
+    for d, src, want in cases:
+        assert tuple(dhar_burn(g, d, src)) == want, (d, src)
+
+
 def test_dhar_burn_validation():
     g = rook_graph([2, 2])
     with pytest.raises(ValueError):
@@ -185,6 +205,48 @@ def test_v_reduce_properties_random():
         again = v_reduce(g, res.reduced, v)
         assert again.reduced == res.reduced
         assert again.firing_counts == [0] * g.n
+
+
+def heavy_multigraph(rng, n):
+    """A connected multigraph whose pair multiplicities are drawn from 0-4,
+    with at least one pair joined by 3 or more edges."""
+    while True:
+        mult = [[0] * n for _ in range(n)]
+        for u in range(n):
+            for w in range(u + 1, n):
+                mult[u][w] = mult[w][u] = rng.randint(0, 4)
+        if max(map(max, mult)) < 3:
+            continue
+        try:
+            return MultiGraph(mult)
+        except ValueError:  # disconnected
+            continue
+
+
+def test_reduction_and_rank_on_heavy_multigraphs():
+    # reductions burn on per-multiplicity neighbour masks; heavy edges
+    # exercise every layer of them
+    rng = random.Random(4317)
+    for _ in range(40):
+        g = heavy_multigraph(rng, rng.randint(2, 6))
+        for _ in range(6):
+            d = random_divisor(rng, g.n, lo=-4, hi=6)
+            v = rng.randrange(g.n)
+            res = v_reduce(g, d, v)
+            assert res.firing_counts[v] == 0
+            moved = oracles.laplacian_image(g, res.firing_counts)
+            assert res.reduced == [d[i] + moved[i] for i in range(g.n)]
+            assert oracles.is_reduced(g, res.reduced, v)
+            again = v_reduce(g, res.reduced, v)
+            assert again.reduced == res.reduced
+            assert again.firing_counts == [0] * g.n
+    for _ in range(12):
+        g = heavy_multigraph(rng, rng.randint(2, 5))
+        ge = oracles.class_rank_at_least(g)
+        for _ in range(10):
+            d = random_divisor(rng, g.n, lo=-1, hi=4)
+            for k in range(0, 4):
+                assert rank_at_least(g, d, k) == ge(d, k), (g.mult, d, k)
 
 
 def test_v_reduce_unique_per_class():
@@ -375,6 +437,13 @@ def test_rank_at_least_negative_k_is_trivially_true():
     g = rook_graph([2, 2])
     assert rank_at_least(g, [-5, 0, 0, 0], -1)
     assert rank_at_least(g, [0, 0, 0, 0], -3)
+
+
+def test_rank_at_least_rejects_non_integer_k():
+    g = rook_graph([2, 3])
+    for k in (1.5, 2.0, True, False, "1", None):
+        with pytest.raises(ValueError):
+            rank_at_least(g, [2, 1, 1, 1, 0, 0], k)
 
 
 # ======================================================================

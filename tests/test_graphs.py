@@ -78,6 +78,18 @@ def test_rook_graph_three_factors():
     assert g.mult == h.mult
 
 
+def test_dims_must_be_integers():
+    # int() coercion used to build 2x3 from the first four
+    for dims in ([2, 3.7], ["2", "3"], [2, True], [2.0, 3], [[2], 3]):
+        with pytest.raises(ValueError):
+            rook_graph(dims)
+    mult = rook_graph([2, 3]).mult
+    for dims in ([2, 3.0], ["2", "3"], [True, 3]):
+        with pytest.raises(ValueError):
+            MultiGraph(mult, dims=dims)
+    assert MultiGraph(mult, dims=(2, 3)).dims == (2, 3)
+
+
 def test_multigraph_validation():
     with pytest.raises(ValueError):
         MultiGraph([])  # no vertices
@@ -275,3 +287,7 @@ def test_graph_json_rejects_malformed():
         graph_from_json({"vertex_count": 2, "edges": [[0, 1]]})
     with pytest.raises(ValueError):
         graph_from_json({"vertex_count": 2, "edges": [[0, 1, True]]})
+    for dims in ([2.0], ["2"], [True], "2", 2):
+        with pytest.raises(ValueError):
+            graph_from_json({"vertex_count": 2, "edges": [[0, 1, 1]],
+                             "dims": dims})
