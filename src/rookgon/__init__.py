@@ -67,4 +67,4 @@ from .scrambles import (
 )
 from .suite import run_suite, suite_claims
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -3,8 +3,7 @@ searches, scramble reports, and the verification suites.
 
 All output is canonical JSON (sorted keys, compact separators, trailing
 newline) unless a CSV table is requested, so identical requests produce
-byte-identical bytes — the property the result cache and the determinism
-suite both rely on.
+byte-identical bytes — the property the determinism suite relies on.
 """
 
 from __future__ import annotations
@@ -15,12 +14,11 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 import time
 from typing import Optional
 
-from . import __version__, divisors, gonality, graphs, scrambles, suite
+from . import divisors, gonality, graphs, scrambles, suite
 
 
 # ----------------------------------------------------------------------
@@ -136,51 +134,11 @@ def csv_table(rec: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# result cache
+# output
 # ----------------------------------------------------------------------
 
-def _cache_dir(args) -> Optional[str]:
-    return getattr(args, "cache_dir", None) or os.environ.get("ROOKGON_CACHE")
-
-
-def _with_cache(args, request, compute, storable=None) -> str:
-    """Content-addressed cache of finished report texts.
-
-    The key digests the semantic request and the package version, so a
-    report computed by another release is never served.  ``request()``
-    builds that object only when a cache directory is set, because it may
-    copy a whole scramble.  Thread counts, output paths, and the cache
-    location itself stay out, so any of those may change and still hit.
-    Timed runs bypass the cache entirely; ``storable(text)`` may veto
-    storing a computed report.
-    """
-    cache = _cache_dir(args)
-    if not cache or getattr(args, "timings", False):
-        return compute()
-    keyed = {"request": request(), "version": __version__}
-    digest = hashlib.sha256(canonical_json(keyed).encode("utf-8")).hexdigest()
-    path = os.path.join(cache, digest + ".json")
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            json.loads(text)
-            return text
-        except (OSError, ValueError):
-            print(f"warning: corrupt cache entry {path}; recomputing",
-                  file=sys.stderr)
-    text = compute()
-    if storable is not None and not storable(text):
-        return text
-    try:
-        os.makedirs(cache, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        print(f"warning: could not store cache entry: {exc}", file=sys.stderr)
-    return text
+def _format_record(args, rec: dict) -> str:
+    return csv_table(rec) if args.format == "csv" else canonical_json(rec)
 
 
 def _write_output(args, text: str) -> None:
@@ -312,31 +270,13 @@ def cmd_rank(args) -> int:
 
 def cmd_gonality(args) -> int:
     g = _graph_from_args(args)
-
-    def request() -> dict:
-        return {
-            "cmd": "gonality",
-            "graph": graphs.graph_to_json(g),
-            "k": args.k,
-            "degree_cap": args.cap,
-            "lower_bound": args.lower_bound,
-            "symmetry": not args.no_symmetry,
-            "format": args.format,
-        }
-
-    def compute() -> str:
-        t0 = time.monotonic()
-        res = gonality.k_gonality(
-            g, k=args.k, degree_cap=args.cap, symmetry=not args.no_symmetry,
-            lower_bound=args.lower_bound,
-        )
-        elapsed = (time.monotonic() - t0) if args.timings else None
-        rec = gonality_record(g, res, elapsed)
-        if args.format == "csv":
-            return csv_table(rec)
-        return canonical_json(rec)
-
-    _write_output(args, _with_cache(args, request, compute))
+    t0 = time.monotonic()
+    res = gonality.k_gonality(
+        g, k=args.k, degree_cap=args.cap, symmetry=not args.no_symmetry,
+        lower_bound=args.lower_bound,
+    )
+    elapsed = (time.monotonic() - t0) if args.timings else None
+    _write_output(args, _format_record(args, gonality_record(g, res, elapsed)))
     return 0
 
 
@@ -367,25 +307,10 @@ def _scramble_from_args(args) -> tuple:
 
 def cmd_scramble_order(args) -> int:
     s, family = _scramble_from_args(args)
-
-    def request() -> dict:
-        return {
-            "cmd": "scramble-order",
-            "scramble": scrambles.scramble_to_json(s),
-            "cut_mode": args.cut_mode,
-            "format": args.format,
-        }
-
-    def compute() -> str:
-        t0 = time.monotonic()
-        rep = scrambles.scramble_order(s, cut_mode=args.cut_mode)
-        elapsed = (time.monotonic() - t0) if args.timings else None
-        rec = order_record(s, rep, family, elapsed)
-        if args.format == "csv":
-            return csv_table(rec)
-        return canonical_json(rec)
-
-    _write_output(args, _with_cache(args, request, compute))
+    t0 = time.monotonic()
+    rep = scrambles.scramble_order(s, cut_mode=args.cut_mode)
+    elapsed = (time.monotonic() - t0) if args.timings else None
+    _write_output(args, _format_record(args, order_record(s, rep, family, elapsed)))
     return 0
 
 
@@ -422,28 +347,10 @@ def cmd_scramble_avoidance(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    def request() -> dict:
-        return {
-            "cmd": "verify",
-            "suite": args.suite,
-            "seed": args.seed,
-            "budget_secs": args.budget_secs,
-        }
-
-    def compute() -> str:
-        report = suite.run_suite(args.suite, seed=args.seed,
-                                 budget_secs=args.budget_secs)
-        return canonical_json(report)
-
-    def storable(text: str) -> bool:
-        # budgeted skips depend on the machine, and a failing report may
-        # come from a bug that a fix should not have to outlive
-        return args.budget_secs is None and not json.loads(text)["counts"]["fail"]
-
-    text = _with_cache(args, request, compute, storable)
-    _write_output(args, text)
-    counts = json.loads(text)["counts"]
-    return 1 if counts["fail"] else 0
+    report = suite.run_suite(args.suite, seed=args.seed,
+                             budget_secs=args.budget_secs)
+    _write_output(args, canonical_json(report))
+    return 1 if report["counts"]["fail"] else 0
 
 
 # ----------------------------------------------------------------------
@@ -452,8 +359,6 @@ def cmd_verify(args) -> int:
 
 def _add_common(p) -> None:
     p.add_argument("-o", "--output", help="write the report to this file")
-    p.add_argument("--cache-dir",
-                   help="result cache directory (or env ROOKGON_CACHE)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable automorphism orbit pruning")
     _add_threads(p_gon)
     p_gon.add_argument("--timings", action="store_true",
-                       help="add wall time to the report (bypasses the cache)")
+                       help="add wall time to the report")
     p_gon.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p_gon)
     p_gon.set_defaults(func=cmd_gonality)
@@ -519,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact pairwise flows, the certified floor, or "
                             "floor when it already settles the order")
     p_ord.add_argument("--timings", action="store_true",
-                       help="add wall time to the report (bypasses the cache)")
+                       help="add wall time to the report")
     p_ord.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p_ord)
     p_ord.set_defaults(func=cmd_scramble_order)

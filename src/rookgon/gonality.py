@@ -55,7 +55,7 @@ def rook_certificate_divisor(dims: Sequence[int], k: int = 1) -> list:
     rest).  k=3: one chip on every vertex (rank >= 3 on two-factor
     graphs).  Other ranks have no closed-form family here.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = graphs._int_dims(dims)
     if not is_rook_shape(dims):
         raise ValueError("invalid rook dimensions")
     n = math.prod(dims)

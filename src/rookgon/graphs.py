@@ -121,6 +121,8 @@ class MultiGraph:
 
 def complete_graph(n: int) -> MultiGraph:
     """K_n with a single edge between every pair of distinct vertices."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError("complete graph size must be an integer")
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
     mult = [[0 if u == v else 1 for v in range(n)] for u in range(n)]

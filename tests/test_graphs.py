@@ -39,6 +39,10 @@ def test_complete_graph_single_vertex():
     assert g.n == 1
     assert g.edge_count() == 0
     assert g.genus() == 0
+    # non-integers used to raise TypeError from range() or <
+    for n in (0, -2, 2.5, 3.0, "3", True, None):
+        with pytest.raises(ValueError):
+            complete_graph(n)
 
 
 def test_rook_graph_2x3_structure():

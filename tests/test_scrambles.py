@@ -175,6 +175,18 @@ def test_square_augmented_shapes():
     assert sizes == {4, 5}
     with pytest.raises(ValueError):
         square_augmented_scramble((6,))
+    with pytest.raises(ValueError):
+        square_augmented_scramble((3.9, 3))  # int() used to build 3x3
+
+
+def test_square_augmented_refuses_egg_size_above_five(monkeypatch):
+    # 7x7 used to enumerate 1.26M eggs and then never finish branch and bound
+    import rookgon.scrambles as scr
+    monkeypatch.setattr(scr, "connected_subsets",
+                        lambda *a: pytest.fail("eggs were enumerated"))
+    for dims in ((7, 7), (7, 3), (9, 9)):
+        with pytest.raises(ValueError, match="up to 5"):
+            square_augmented_scramble(dims)
 
 
 # ======================================================================

@@ -40,6 +40,13 @@ def test_rook_symmetry_orders():
     assert len(rook_symmetry([4, 4]).elements()) == 24 * 24 * 2
 
 
+def test_rook_symmetry_rejects_non_integer_dims():
+    # int() coercion used to build the 2x3 group from the first two
+    for dims in ((2.5, 3), ("2", "3"), (2, True)):
+        with pytest.raises(ValueError):
+            rook_symmetry(dims)
+
+
 def test_rook_symmetry_order_matches_enumeration():
     for dims in ([2, 2], [2, 3], [3, 3], [2, 2, 2], [2, 2, 3], [2, 3, 3]):
         order = math.prod(math.factorial(d) for d in dims)
