@@ -6,6 +6,7 @@ from .graphs import (
     MultiGraph,
     cartesian_product,
     complete_graph,
+    connected_masks,
     connected_subsets,
     cut_weight,
     graph_from_json,

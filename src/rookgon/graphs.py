@@ -204,10 +204,10 @@ def is_connected_mask(nbr: Sequence[int], mask: int) -> bool:
     if not mask:
         return False
     seen = frontier = mask & -mask
-    while frontier:
+    while frontier and seen != mask:
         low = frontier & -frontier
         frontier ^= low
-        fresh = nbr[low.bit_length() - 1] & mask & ~seen
+        fresh = nbr[low.bit_length() - 1] & (mask ^ seen)  # seen is inside mask
         seen |= fresh
         frontier |= fresh
     return seen == mask
@@ -228,33 +228,42 @@ def cut_weight(g: MultiGraph, a: Iterable[int]) -> int:
 
 
 def connected_subsets(g: MultiGraph, k: int) -> Iterator[tuple]:
-    """All connected k-subsets, each exactly once, in a fixed order.
+    """All connected k-subsets as sorted vertex tuples, in the order of
+    connected_masks."""
+    return map(mask_vertices, connected_masks(g, k))
+
+
+def connected_masks(g: MultiGraph, k: int) -> Iterator[int]:
+    """All connected k-subsets as vertex bitmasks, each exactly once, in
+    a fixed order.
 
     Grows subsets from an anchor vertex (the smallest member), extending
     only with larger-indexed vertices from exclusive neighborhoods, so no
-    subset is produced twice.
+    subset is produced twice.  A bad k raises ValueError at the call.
     """
-    n = g.n
-    if not 1 <= k <= n:
-        raise ValueError("k must be between 1 and the vertex count")
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= g.n:
+        raise ValueError("k must be an integer between 1 and the vertex count")
     if k == 1:
-        for u in range(n):
-            yield (u,)
-        return
-    nbr = neighbour_masks(g)
+        return (1 << u for u in range(g.n))
+    return _connected_masks(neighbour_masks(g), g.n, k)
+
+
+def _connected_masks(nbr, n, k):
     for anchor in range(n):
         above = -1 << (anchor + 1)
         sub = 1 << anchor
-        ext = nbr[anchor] & above
-        closed = nbr[anchor] | sub
-        for mask in _esu_extend(nbr, above, sub, ext, closed, k - 1):
-            out = []
-            m = mask
-            while m:
-                low = m & -m
-                out.append(low.bit_length() - 1)
-                m ^= low
-            yield tuple(out)
+        yield from _esu_extend(nbr, above, sub, nbr[anchor] & above,
+                               nbr[anchor] | sub, k - 1)
+
+
+def mask_vertices(mask: int) -> tuple:
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _esu_extend(nbr, above, sub, ext, closed, need):

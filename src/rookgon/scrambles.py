@@ -18,12 +18,14 @@ from functools import lru_cache
 from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from . import graphs
-from .graphs import MultiGraph, connected_subsets, cut_weight, rook_graph
+from .graphs import MultiGraph, connected_masks, cut_weight, rook_graph
 
 
 class Scramble:
-    """Eggs over a host graph, stored sorted and deduplicated; building
-    one with an empty or disconnected egg raises ValueError.
+    """Eggs over a host graph, stored as sorted, deduplicated vertex
+    bitmasks in ``masks``; building one with an empty or disconnected egg
+    raises ValueError.  ``eggs`` holds the same eggs as ascending vertex
+    tuples in ascending order, decoded from the masks on first read.
 
     ``uniform_size`` / ``with_squares`` are read-only fast-path hints.
     Only the family constructors in this module set them, because they
@@ -33,9 +35,13 @@ class Scramble:
     DP to a wrong hitting number.
     """
 
-    __slots__ = ("host", "eggs", "_uniform_size", "_with_squares")
+    __slots__ = ("host", "masks", "_eggs", "_uniform_size", "_with_squares")
 
     def __init__(self, host: MultiGraph, eggs: Iterable[Iterable[int]]):
+        try:
+            eggs = iter(eggs)
+        except TypeError:
+            raise ValueError(f"eggs {eggs!r} is not a list of eggs") from None
         normed = set()
         for egg in eggs:
             if isinstance(egg, (str, bytes)):
@@ -48,19 +54,50 @@ class Scramble:
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < host.n:
                     raise ValueError(f"egg vertex {v!r} out of range")
             normed.add(tuple(sorted(set(verts))))
-        self.host = host
-        self.eggs = tuple(sorted(normed))
+        eggs = tuple(sorted(normed))
+        masks = [sum(1 << v for v in egg) for egg in eggs]
         nbr = graphs.neighbour_masks(host)
         problems = []
-        for idx, egg in enumerate(self.eggs):
+        for idx, (egg, mask) in enumerate(zip(eggs, masks)):
             if not egg:
                 problems.append(f"egg {idx} is empty")
-            elif not graphs.is_connected_mask(nbr, sum(1 << v for v in egg)):
+            elif not graphs.is_connected_mask(nbr, mask):
                 problems.append(f"egg {idx} is not connected: {list(egg)}")
         if problems:
             raise ValueError("invalid scramble: " + "; ".join(problems))
+        self.host = host
+        self.masks = tuple(sorted(masks))
+        self._eggs = eggs
         self._uniform_size = None
         self._with_squares = False
+
+    @classmethod
+    def _from_masks(cls, host: MultiGraph, masks: Iterable[int],
+                    uniform_size: int, with_squares: bool = False) -> "Scramble":
+        """A family scramble over egg bitmasks, each checked to be a
+        nonempty connected vertex set of the host."""
+        masks = list(masks)
+        full = 1 << host.n
+        nbr = graphs.neighbour_masks(host)
+        for mask in masks:
+            if not isinstance(mask, int) or isinstance(mask, bool) or not 0 < mask < full:
+                raise ValueError(f"egg mask {mask!r} is not a nonempty vertex set")
+            if not graphs.is_connected_mask(nbr, mask):
+                raise ValueError(f"invalid scramble: egg is not connected: "
+                                 f"{list(graphs.mask_vertices(mask))}")
+        s = cls.__new__(cls)
+        s.host = host
+        s.masks = tuple(sorted(set(masks)))
+        s._eggs = None
+        s._uniform_size = uniform_size
+        s._with_squares = with_squares
+        return s
+
+    @property
+    def eggs(self) -> tuple:
+        if self._eggs is None:
+            self._eggs = tuple(sorted(map(graphs.mask_vertices, self.masks)))
+        return self._eggs
 
     @property
     def uniform_size(self) -> Optional[int]:
@@ -69,14 +106,6 @@ class Scramble:
     @property
     def with_squares(self) -> bool:
         return self._with_squares
-
-
-def _family(host: MultiGraph, eggs, uniform_size: int,
-            with_squares: bool = False) -> Scramble:
-    s = Scramble(host, eggs)
-    s._uniform_size = uniform_size
-    s._with_squares = with_squares
-    return s
 
 
 # ======================================================================
@@ -93,7 +122,7 @@ def hitting_number(s: Scramble):
     """
     host = s.host
     n = host.n
-    if not s.eggs:
+    if not s.masks:
         return 0, (), tuple(range(n))
     avoid = None
     if (s._uniform_size is not None and host.dims is not None
@@ -106,11 +135,11 @@ def hitting_number(s: Scramble):
             )
     if avoid is None:
         avoid = _max_avoidance_branch_bound(s)
-    aset = set(avoid)
-    for egg in s.eggs:
-        if all(v in aset for v in egg):
+    amask = sum(1 << v for v in set(avoid))
+    for mask in s.masks:
+        if mask & amask == mask:
             raise RuntimeError("avoidance solver returned a set containing an egg")
-    hit = tuple(v for v in range(n) if v not in aset)
+    hit = tuple(v for v in range(n) if not amask >> v & 1)
     return len(hit), hit, tuple(sorted(avoid))
 
 
@@ -122,10 +151,10 @@ def _max_avoidance_branch_bound(s: Scramble) -> tuple:
     """
     host = s.host
     n = host.n
-    egg_masks = [sum(1 << v for v in e) for e in s.eggs]
+    egg_masks = s.masks
     member = [[] for _ in range(n)]
-    for ei, e in enumerate(s.eggs):
-        for v in e:
+    for ei, mask in enumerate(egg_masks):
+        for v in graphs.mask_vertices(mask):
             member[v].append(ei)
     order = sorted(range(n), key=lambda v: (-len(member[v]), v))
     best_size = -1
@@ -356,9 +385,9 @@ def egg_cut_floor(s: Scramble) -> Optional[int]:
     rook graph: every egg-separating partition has both sides at least
     as large as the smallest egg."""
     host = s.host
-    if host.dims is None or len(host.dims) < 2 or not s.eggs:
+    if host.dims is None or len(host.dims) < 2 or not s.masks:
         return None
-    return min_side_cut_floor(host.dims, min(len(e) for e in s.eggs))
+    return min_side_cut_floor(host.dims, min(m.bit_count() for m in s.masks))
 
 
 def min_egg_cut(s: Scramble) -> EggCutResult:
@@ -453,15 +482,16 @@ def scramble_order(s: Scramble, cut_mode: str = "exact") -> OrderReport:
 
 def star_scramble(n: int, m: int) -> Scramble:
     """All connected (n-1)-subsets of the n x m rook graph."""
+    n, m = graphs._int_dims((n, m))
     if not (2 <= n <= m):
         raise ValueError("star scramble needs 2 <= n <= m")
     host = rook_graph([n, m])
-    return _family(host, connected_subsets(host, n - 1), n - 1)
+    return Scramble._from_masks(host, connected_masks(host, n - 1), n - 1)
 
 
 def uniform_scramble(g: MultiGraph, k: int) -> Scramble:
     """All connected k-subsets of an arbitrary host."""
-    return _family(g, connected_subsets(g, k), k)
+    return Scramble._from_masks(g, connected_masks(g, k), k)
 
 
 def square_augmented_scramble(dims: Sequence[int] = (6, 6)) -> Scramble:
@@ -482,14 +512,14 @@ def square_augmented_scramble(dims: Sequence[int] = (6, 6)) -> Scramble:
         raise ValueError(f"square-augmented scrambles support egg sizes n-1 up "
                          f"to 5 only; {n}x{m} has egg size {n - 1}")
     host = rook_graph([n, m])
-    eggs = list(connected_subsets(host, n - 1))
+    masks = list(connected_masks(host, n - 1))
     for r1 in range(n):
         for r2 in range(r1 + 1, n):
             for c1 in range(m):
                 for c2 in range(c1 + 1, m):
-                    eggs.append((r1 * m + c1, r1 * m + c2,
-                                 r2 * m + c1, r2 * m + c2))
-    return _family(host, eggs, n - 1, with_squares=True)
+                    masks.append((1 << r1 * m + c1) | (1 << r1 * m + c2)
+                                 | (1 << r2 * m + c1) | (1 << r2 * m + c2))
+    return Scramble._from_masks(host, masks, n - 1, with_squares=True)
 
 
 # ======================================================================

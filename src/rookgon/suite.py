@@ -288,14 +288,16 @@ def _burn_matches_maximal_firable(n):
     g = _host(n)
     deg = n - 1
     chips = [0] * n
-    subsets = []
+    # each subset avoiding the source, with the edges each member sends
+    # out of it: a subset is firable when every member has that many chips
+    requirements = {}
     for mask in range(1, 1 << (n - 1)):
-        subsets.append([v + 1 for v in range(n - 1) if mask >> v & 1])
+        sub = tuple(v + 1 for v in range(n - 1) if mask >> v & 1)
+        requirements[sub] = tuple(
+            (v, sum(mm for w, mm in g.adj[v] if w not in sub)) for v in sub)
 
-    def firable(sub, ch):
-        inside = set(sub)
-        for v in sub:
-            out = sum(mm for w, mm in g.adj[v] if w not in inside)
+    def firable(req, ch):
+        for v, out in req:
             if ch[v] < out:
                 return False
         return True
@@ -305,13 +307,13 @@ def _burn_matches_maximal_firable(n):
         for v in range(1, n):
             chips[v] = stack[v - 1]
         union = set()
-        for sub in subsets:
-            if firable(sub, chips):
+        for sub, req in requirements.items():
+            if firable(req, chips):
                 union.update(sub)
         rep = divisors.dhar_burn(g, chips, 0)
         if set(rep.unburnt) != union:
             return f"burn mismatch for chips {chips}"
-        if rep.unburnt and not firable(list(rep.unburnt), chips):
+        if union and not firable(requirements[tuple(sorted(union))], chips):
             return f"unburnt set not firable for chips {chips}"
         pos = 0
         while pos < n - 1 and stack[pos] == deg:

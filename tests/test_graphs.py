@@ -9,6 +9,7 @@ from rookgon import (
     MultiGraph,
     cartesian_product,
     complete_graph,
+    connected_masks,
     connected_subsets,
     cut_weight,
     graph_from_json,
@@ -178,12 +179,26 @@ def test_connected_subsets_are_sorted_unique():
     assert len(subs) == len(set(subs))
 
 
+def test_connected_masks_decode_to_connected_subsets():
+    # the mask stream, decoded bit by bit, is the tuple stream in order
+    hosts = [complete_graph(5), rook_graph([2, 3]), rook_graph([3, 3]),
+             rook_graph([2, 2, 2]),
+             MultiGraph([[0, 2, 1, 0], [2, 0, 0, 3], [1, 0, 0, 1], [0, 3, 1, 0]])]
+    for g in hosts:
+        for k in range(1, g.n + 1):
+            masks = list(connected_masks(g, k))
+            decoded = [tuple(v for v in range(g.n) if m >> v & 1) for m in masks]
+            assert decoded == list(connected_subsets(g, k)), (g.n, k)
+
+
 def test_connected_subsets_rejects_bad_k():
     g = rook_graph([2, 2])
-    with pytest.raises(ValueError):
-        list(connected_subsets(g, 0))
-    with pytest.raises(ValueError):
-        list(connected_subsets(g, 5))
+    for k in (0, 5, -1, 2.0, True, "2", None):
+        with pytest.raises(ValueError) as masks_err:
+            list(connected_masks(g, k))
+        with pytest.raises(ValueError) as subsets_err:
+            list(connected_subsets(g, k))
+        assert str(masks_err.value) == str(subsets_err.value)
 
 
 # ======================================================================

@@ -1,5 +1,6 @@
 """Scramble tests: hitting numbers, egg cuts, orders, constructions."""
 
+import dataclasses
 import math
 import random
 
@@ -148,6 +149,13 @@ def test_scramble_constructor_matches_is_connected_subset():
     assert seen == {True, False}
 
 
+def test_scramble_constructor_rejects_non_iterable_eggs():
+    g = rook_graph([2, 3])
+    for eggs in (5, None):
+        with pytest.raises(ValueError, match="not a list of eggs"):
+            Scramble(g, eggs)
+
+
 def test_star_scramble_shapes():
     s = star_scramble(4, 4)
     assert len(s.eggs) == 176
@@ -158,6 +166,9 @@ def test_star_scramble_shapes():
         star_scramble(4, 3)
     with pytest.raises(ValueError):
         star_scramble(1, 5)
+    for n, m in ((2, "3"), (2, 3.0), (True, 3), (None, 3)):
+        with pytest.raises(ValueError, match="integers"):
+            star_scramble(n, m)
 
 
 def test_uniform_scramble_is_all_connected_subsets():
@@ -165,6 +176,42 @@ def test_uniform_scramble_is_all_connected_subsets():
     s = uniform_scramble(g, 2)
     assert s.eggs == tuple(connected_subsets(g, 2))
     assert s.uniform_size == 2
+    for k in (2.0, True, "2", 0, 10):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            uniform_scramble(g, k)
+
+
+def test_family_scrambles_match_vertex_list_construction():
+    # a family scramble stores masks and decodes eggs on demand; the
+    # vertex-list constructor on its eggs holds the same eggs and answers
+    # the same order query.  It carries no fast-path hints, so branch and
+    # bound may pick another maximum avoidance set than the grid DP.
+    families = [star_scramble(4, 4), uniform_scramble(rook_graph([3, 3]), 2),
+                uniform_scramble(rook_graph([2, 2, 3]), 2),
+                square_augmented_scramble((4, 4))]
+    for s in families:
+        t = Scramble(s.host, s.eggs)
+        assert t.uniform_size is None
+        assert t.eggs == s.eggs
+        assert t.masks == s.masks
+        assert set(t.masks) == {sum(1 << v for v in e) for e in s.eggs}
+        for mode in ("exact", "auto"):
+            got, want = scramble_order(t, mode), scramble_order(s, mode)
+            check_order_report(t, got)
+            assert (dataclasses.replace(got, hitting_set=None, max_avoidance=None)
+                    == dataclasses.replace(want, hitting_set=None, max_avoidance=None))
+
+
+def test_mask_constructor_checks_every_mask():
+    g = rook_graph([2, 3])
+    ok = Scramble._from_masks(g, [0b11, 0b11, 0b1000], 2)
+    assert ok.masks == (0b11, 0b1000)
+    assert ok.eggs == ((0, 1), (3,))
+    for bad in (0, True, -1, 1 << 6, 1.0, "3"):
+        with pytest.raises(ValueError, match="not a nonempty vertex set"):
+            Scramble._from_masks(g, [0b11, bad], 2)
+    with pytest.raises(ValueError, match=r"not connected: \[0, 4\]"):
+        Scramble._from_masks(g, [0b11, 0b10001], 2)  # a diagonal pair
 
 
 def test_square_augmented_shapes():
@@ -182,7 +229,7 @@ def test_square_augmented_shapes():
 def test_square_augmented_refuses_egg_size_above_five(monkeypatch):
     # 7x7 used to enumerate 1.26M eggs and then never finish branch and bound
     import rookgon.scrambles as scr
-    monkeypatch.setattr(scr, "connected_subsets",
+    monkeypatch.setattr(scr, "connected_masks",
                         lambda *a: pytest.fail("eggs were enumerated"))
     for dims in ((7, 7), (7, 3), (9, 9)):
         with pytest.raises(ValueError, match="up to 5"):
@@ -192,6 +239,14 @@ def test_square_augmented_refuses_egg_size_above_five(monkeypatch):
 # ======================================================================
 # hitting numbers
 # ======================================================================
+
+def test_hitting_number_checks_the_avoidance_set(monkeypatch):
+    import rookgon.scrambles as scr
+    s = star_scramble(4, 4)
+    monkeypatch.setattr(scr, "_max_avoidance_grid", lambda *a: s.eggs[0])
+    with pytest.raises(RuntimeError, match="containing an egg"):
+        hitting_number(s)
+
 
 def test_hitting_number_empty_scramble():
     g = rook_graph([2, 2])

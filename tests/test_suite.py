@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import rookgon.suite as suite
 from rookgon import run_suite, suite_claims
 from rookgon.suite import SUITE_NAMES
 
@@ -65,3 +66,17 @@ def test_run_suite_seed_changes_params_not_outcome():
     b = run_suite("smoke", seed=2, log=io.StringIO())
     assert a["seed"] == 1 and b["seed"] == 2
     assert all(r["status"] == "pass" for r in a["claims"] + b["claims"])
+
+
+def test_burn_maximal_claim_catches_a_wrong_burn(monkeypatch):
+    claim = next(c for c in suite_claims("smoke") if c.id.startswith("burn-maximal"))
+    assert claim.fn({"seed": 0}) == (True, True)
+    real = suite.divisors.dhar_burn
+
+    def wrong(g, d, source):
+        rep = real(g, d, source)
+        return rep._replace(unburnt=rep.unburnt[1:] if rep.unburnt else (1,))
+
+    monkeypatch.setattr(suite.divisors, "dhar_burn", wrong)
+    ok, computed = claim.fn({"seed": 0})
+    assert ok is True and "burn mismatch" in computed
