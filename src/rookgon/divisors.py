@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .graphs import MultiGraph, _check_subset, neighbour_masks
+from .graphs import MultiGraph, _check_subset, mask_vertices, neighbour_masks
 from .symmetry import iter_degree_vectors
 
 
@@ -16,7 +16,7 @@ class BurnReport(NamedTuple):
     burnt: tuple
     unburnt: tuple
     source: int
-    burning_edges: tuple  # final tally for unburnt vertices; tally at ignition for burnt
+    burning_edges: tuple  # multiplicity of the edges from each vertex into the burnt set
 
 
 class ReductionResult(NamedTuple):
@@ -77,32 +77,20 @@ def dhar_burn(g: MultiGraph, d: Sequence[int], source: int) -> BurnReport:
     without sending any of its members negative.
 
     A vertex ignites when the multiplicity of its burning incident edges
-    exceeds its chips.  The fixed point is independent of examination
-    order, but each burnt vertex reports the tally it had when this
-    stack walk lit it, which is not; so this keeps the walk, while
-    reductions burn on bitmasks in ``_fire_unburnt``."""
+    exceeds its chips.  ``burning_edges[u]`` is the multiplicity of the
+    edges from u into the final burnt set: at most u's chips when u is
+    unburnt, more than them when u is burnt and not the source."""
     chips = _check_divisor(g, d)
     _check_vertex(g, source)
     if not is_effective_away_from(chips, source):
         raise ValueError("divisor must be effective away from the source")
-    n = g.n
-    adj = g.adj
-    burnt = bytearray(n)
-    cnt = [0] * n
-    burnt[source] = 1
-    stack = [source]
-    while stack:
-        u = stack.pop()
-        for v, m in adj[u]:
-            if not burnt[v]:
-                c = cnt[v] + m
-                cnt[v] = c
-                if c > chips[v]:
-                    burnt[v] = 1
-                    stack.append(v)
-    b = tuple(u for u in range(n) if burnt[u])
-    ub = tuple(u for u in range(n) if not burnt[u])
-    return BurnReport(b, ub, source, tuple(cnt))
+    nbr, extra, _ = _burn_masks(g)
+    burnt, unburnt = _burn(g, chips, source)
+    tally = [(x & burnt).bit_count() for x in nbr]
+    for u, xs in enumerate(extra):
+        for x in xs:
+            tally[u] += (x & burnt).bit_count()
+    return BurnReport(mask_vertices(burnt), tuple(unburnt), source, tuple(tally))
 
 
 # ======================================================================
@@ -110,35 +98,28 @@ def dhar_burn(g: MultiGraph, d: Sequence[int], source: int) -> BurnReport:
 # ======================================================================
 
 def _distance_info(g: MultiGraph, v: int):
+    """Distances from v, and for each level l >= 1 the ball of vertices
+    closer to v than l: its firing vector and its vertices."""
     key = ("dist", v)
     info = g._cache.get(key)
     if info is not None:
         return info
     n = g.n
-    dist = [-1] * n
-    dist[v] = 0
-    frontier = [v]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w, _ in g.adj[u]:
-                if dist[w] < 0:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
+    nbr = neighbour_masks(g)
+    dist = [0] * n
     levels = {}
-    for lvl in sorted(set(dist[u] for u in range(n) if u != v)):
-        delta = [0] * n
-        for u in range(n):
-            if dist[u] < lvl:
-                for w, m in g.adj[u]:
-                    if dist[w] >= lvl:
-                        delta[u] -= m
-                        delta[w] += m
-        ball = tuple(u for u in range(n) if dist[u] < lvl)
-        levels[lvl] = (tuple(delta), ball)
+    ball = 1 << v
+    lvl = 0
+    while ball != (1 << n) - 1:
+        lvl += 1
+        verts = mask_vertices(ball)
+        levels[lvl] = (tuple(fire_set(g, [0] * n, verts)), verts)
+        grown = ball
+        for u in verts:
+            grown |= nbr[u]
+        for u in mask_vertices(grown ^ ball):
+            dist[u] = lvl
+        ball = grown
     info = (tuple(dist), levels)
     g._cache[key] = info
     return info
@@ -180,7 +161,7 @@ def _clear_debt(g: MultiGraph, chips: list, v: int, counts: Optional[list]) -> N
 
 
 def _burn_masks(g: MultiGraph) -> tuple:
-    """Bitmasks for the reduction's burn, built once per graph.
+    """Bitmasks for the burn sweep, built once per graph.
 
     Returns (nbr, extra, others).  nbr[u] is the neighbour mask of u, and
     extra[u] holds the masks of the neighbours joined to u by more than
@@ -199,34 +180,41 @@ def _burn_masks(g: MultiGraph) -> tuple:
     return masks
 
 
+def _burn(g: MultiGraph, chips: list, v: int) -> tuple:
+    """The burn from v on chips, effective away from v: returns the burnt
+    set as a bitmask and the unburnt vertices in ascending order.
+
+    Each sweep visits the unburnt vertices in index order and ignites
+    every one whose burning edges outnumber its chips, until a sweep
+    ignites nothing; the fixed point does not depend on the order."""
+    nbr, extra, others = _burn_masks(g)
+    burnt = 1 << v
+    unburnt = others[v]
+    while unburnt:
+        before = burnt
+        left = []
+        for u in unburnt:
+            c = (nbr[u] & burnt).bit_count()
+            if extra[u]:
+                for x in extra[u]:
+                    c += (x & burnt).bit_count()
+            if c > chips[u]:
+                burnt |= 1 << u
+            else:
+                left.append(u)
+        if burnt == before:
+            break
+        unburnt = left
+    return burnt, unburnt
+
+
 def _fire_unburnt(g: MultiGraph, chips: list, v: int, counts: Optional[list]) -> None:
     """Finish a reduction of chips, effective away from v, in place: fire
     the unburnt set once per round until the burn from v reaches every
-    vertex.
-
-    Each burn sweeps the unburnt vertices in index order and ignites
-    every one whose burning edges outnumber its chips, until a sweep
-    ignites nothing; the fixed point does not depend on the order."""
+    vertex."""
     adj = g.adj
-    nbr, extra, others = _burn_masks(g)
     while True:
-        burnt = 1 << v
-        unburnt = others[v]
-        while unburnt:
-            before = burnt
-            left = []
-            for u in unburnt:
-                c = (nbr[u] & burnt).bit_count()
-                if extra[u]:
-                    for x in extra[u]:
-                        c += (x & burnt).bit_count()
-                if c > chips[u]:
-                    burnt |= 1 << u
-                else:
-                    left.append(u)
-            if burnt == before:
-                break
-            unburnt = left
+        burnt, unburnt = _burn(g, chips, v)
         if not unburnt:
             return
         for u in unburnt:
@@ -382,10 +370,6 @@ def verify_rank_at_least(g: MultiGraph, d: Sequence[int], k: int):
     chips = _check_divisor(g, d)
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError("k must be a nonnegative integer")
-    if k == 0:
-        if is_winnable(g, chips):
-            return True, None
-        return False, [0] * g.n
     for e in iter_degree_vectors(k, g.n):
         rem = [a - b for a, b in zip(chips, e)]
         if not is_winnable(g, rem):

@@ -89,36 +89,36 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError("k must be a positive integer")
+    for name, val in (("degree cap", degree_cap), ("lower bound", lower_bound)):
+        if val is not None and (not isinstance(val, int) or isinstance(val, bool)):
+            raise ValueError(f"{name} must be an integer")
     dims = g.dims if symmetry and is_rook_shape(g.dims) else None
-    cap = default_degree_cap(g, k) if degree_cap is None else int(degree_cap)
+    cap = default_degree_cap(g, k) if degree_cap is None else degree_cap
     if cap < k:
         raise ValueError("degree cap below k can never hold a rank-k divisor")
-    if lower_bound is not None and (not isinstance(lower_bound, int) or lower_bound < 0):
+    if lower_bound is not None and lower_bound < 0:
         raise ValueError("lower bound must be a nonnegative integer")
 
     start = k if lower_bound is None else max(k, lower_bound)
-    full_scan = lower_bound is None or lower_bound <= k
     refuted = []
     orbit_counts = {}
+    witness = None
     for deg in range(start, cap + 1):
         count = 0
         for c in iter_orbit_min_vectors(deg, g.n, dims):
             count += 1
             if rank_at_least(g, list(c), k):
-                return GonalityResult(
-                    k=k, value=deg, witness=list(c),
-                    exhaustive=full_scan, degree_cap=cap,
-                    lower_bound=lower_bound,
-                    refuted_degrees=tuple(refuted),
-                    orbit_counts=dict(orbit_counts),
-                    symmetry=dims is not None,
-                )
+                witness = list(c)
+                break
+        if witness is not None:
+            break
         refuted.append(deg)
         orbit_counts[deg] = count
     return GonalityResult(
-        k=k, value=None, witness=None,
-        exhaustive=full_scan, degree_cap=cap, lower_bound=lower_bound,
-        refuted_degrees=tuple(refuted), orbit_counts=dict(orbit_counts),
+        k=k, value=None if witness is None else deg, witness=witness,
+        exhaustive=lower_bound is None or lower_bound <= k,
+        degree_cap=cap, lower_bound=lower_bound,
+        refuted_degrees=tuple(refuted), orbit_counts=orbit_counts,
         symmetry=dims is not None,
     )
 

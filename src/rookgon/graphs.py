@@ -48,7 +48,8 @@ class MultiGraph:
         )
         self.degrees = tuple(sum(m for _, m in nbrs) for nbrs in self.adj)
         self._cache: dict = {}
-        if not is_connected_mask(neighbour_masks(self), (1 << n) - 1):
+        full = (1 << n) - 1
+        if lowest_component(neighbour_masks(self), full) != full:
             raise ValueError("graph must be connected")
         if dims is not None:
             dims = _int_dims(dims)
@@ -185,8 +186,8 @@ def _check_subset(g: MultiGraph, s: Iterable[int]) -> list:
 
 def is_connected_subset(g: MultiGraph, s: Iterable[int]) -> bool:
     """True iff s is nonempty and induces a connected subgraph."""
-    verts = _check_subset(g, s)
-    return is_connected_mask(neighbour_masks(g), sum(1 << v for v in verts))
+    mask = sum(1 << v for v in _check_subset(g, s))
+    return mask != 0 and lowest_component(neighbour_masks(g), mask) == mask
 
 
 def neighbour_masks(g: MultiGraph) -> tuple:
@@ -198,11 +199,11 @@ def neighbour_masks(g: MultiGraph) -> tuple:
     return nbr
 
 
-def is_connected_mask(nbr: Sequence[int], mask: int) -> bool:
-    """True iff the vertex bitmask is nonempty and connected under the
-    neighbour masks nbr; no range checks, for trusted vertex sets."""
-    if not mask:
-        return False
+def lowest_component(nbr: Sequence[int], mask: int) -> int:
+    """The connected component of the lowest vertex of a vertex bitmask,
+    as a bitmask, under the neighbour masks nbr; 0 for an empty mask.  A
+    nonempty mask is connected iff this returns it.  No range checks,
+    for trusted vertex sets."""
     seen = frontier = mask & -mask
     while frontier and seen != mask:
         low = frontier & -frontier
@@ -210,7 +211,7 @@ def is_connected_mask(nbr: Sequence[int], mask: int) -> bool:
         fresh = nbr[low.bit_length() - 1] & (mask ^ seen)  # seen is inside mask
         seen |= fresh
         frontier |= fresh
-    return seen == mask
+    return seen
 
 
 def cut_weight(g: MultiGraph, a: Iterable[int]) -> int:

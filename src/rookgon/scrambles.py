@@ -61,7 +61,7 @@ class Scramble:
         for idx, (egg, mask) in enumerate(zip(eggs, masks)):
             if not egg:
                 problems.append(f"egg {idx} is empty")
-            elif not graphs.is_connected_mask(nbr, mask):
+            elif graphs.lowest_component(nbr, mask) != mask:
                 problems.append(f"egg {idx} is not connected: {list(egg)}")
         if problems:
             raise ValueError("invalid scramble: " + "; ".join(problems))
@@ -82,7 +82,7 @@ class Scramble:
         for mask in masks:
             if not isinstance(mask, int) or isinstance(mask, bool) or not 0 < mask < full:
                 raise ValueError(f"egg mask {mask!r} is not a nonempty vertex set")
-            if not graphs.is_connected_mask(nbr, mask):
+            if graphs.lowest_component(nbr, mask) != mask:
                 raise ValueError(f"invalid scramble: egg is not connected: "
                                  f"{list(graphs.mask_vertices(mask))}")
         s = cls.__new__(cls)
@@ -527,23 +527,15 @@ def square_augmented_scramble(dims: Sequence[int] = (6, 6)) -> Scramble:
 # ======================================================================
 
 def induced_components(g: MultiGraph, verts: Iterable[int]) -> list:
-    """Connected components of the induced subgraph, as sorted tuples."""
-    vs = set(graphs._check_subset(g, verts))
+    """Connected components of the induced subgraph, as sorted tuples in
+    ascending order."""
+    left = sum(1 << v for v in graphs._check_subset(g, verts))
+    nbr = graphs.neighbour_masks(g)
     comps = []
-    left = set(vs)
     while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w, _ in g.adj[u]:
-                if w in vs and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-        left -= comp
-    comps.sort()
+        comp = graphs.lowest_component(nbr, left)
+        comps.append(graphs.mask_vertices(comp))
+        left ^= comp
     return comps
 
 

@@ -100,7 +100,7 @@ def test_dhar_burn_concrete():
     assert rep.burnt == (1, 2, 3)
     assert rep.unburnt == (0,)
     assert rep.source == 3
-    assert rep.burning_edges == (2, 1, 1, 0)
+    assert rep.burning_edges == (2, 1, 1, 2)
 
 
 def test_dhar_burn_everything_burns_on_zero():
@@ -143,24 +143,40 @@ def test_dhar_burn_unburnt_set_is_firable_random():
             assert all(fired[v] >= 0 for v in rep.unburnt)
 
 
-def test_dhar_burn_pins_stack_order_tallies_on_a_multigraph():
-    # a burnt vertex reports its tally when the stack walk lit it, which
-    # depends on the walk's order: vertex 3 below ignites on 5 of its 7
-    # edges in the first case; these reports are pinned byte for byte
+def test_dhar_burn_pins_burnt_set_tallies_on_a_multigraph():
+    # each tally is the multiplicity of edges into the final burnt set, so
+    # when everything burns it is the degree, whatever the source
     g = MultiGraph([[0, 3, 1, 0, 2],
                     [3, 0, 0, 4, 1],
                     [1, 0, 0, 2, 0],
                     [0, 4, 2, 0, 1],
                     [2, 1, 0, 1, 0]])
     cases = [
-        ([0, 2, 1, 3, 1], 0, ((0, 1, 2, 3, 4), (), 0, (0, 3, 3, 5, 2))),
-        ([5, 0, 1, 2, 0], 3, ((0, 1, 2, 3, 4), (), 3, (6, 4, 2, 0, 1))),
-        ([1, 3, 2, 0, 2], 4, ((0, 1, 2, 3, 4), (), 4, (2, 5, 3, 1, 0))),
-        ([0, 3, 0, 5, 3], 0, ((0, 2), (1, 3, 4), 0, (0, 3, 1, 2, 2))),
-        ([2, 2, 2, 2, 2], 1, ((0, 1, 2, 3, 4), (), 1, (3, 0, 3, 4, 4))),
+        ([0, 2, 1, 3, 1], 0, ((0, 1, 2, 3, 4), (), 0, (6, 8, 3, 7, 4))),
+        ([5, 0, 1, 2, 0], 3, ((0, 1, 2, 3, 4), (), 3, (6, 8, 3, 7, 4))),
+        ([1, 3, 2, 0, 2], 4, ((0, 1, 2, 3, 4), (), 4, (6, 8, 3, 7, 4))),
+        ([0, 3, 0, 5, 3], 0, ((0, 2), (1, 3, 4), 0, (1, 3, 1, 2, 2))),
+        ([2, 2, 2, 2, 2], 1, ((0, 1, 2, 3, 4), (), 1, (6, 8, 3, 7, 4))),
     ]
     for d, src, want in cases:
         assert tuple(dhar_burn(g, d, src)) == want, (d, src)
+
+
+def test_dhar_burn_tallies_match_multiplicities_random():
+    rng = random.Random(5581)
+    for _ in range(80):
+        g = oracles.random_multigraph(rng, max_n=7)
+        d = [rng.randint(0, 5) for _ in range(g.n)]
+        src = rng.randrange(g.n)
+        d[src] = rng.randint(-3, 3)
+        rep = dhar_burn(g, d, src)
+        for u in range(g.n):
+            want = sum(g.mult[u][w] for w in rep.burnt)
+            assert rep.burning_edges[u] == want, (g.mult, d, src, u)
+            if u in rep.unburnt:
+                assert want <= d[u]
+            elif u != src:
+                assert want > d[u]
 
 
 def test_dhar_burn_validation():

@@ -123,6 +123,12 @@ def test_gonality_validation():
         k_gonality(g, lower_bound=-1)
     with pytest.raises(ValueError):
         k_gonality(g, lower_bound=1.5)
+    for bad in ("5", 2.9, 5.0, True, False):
+        with pytest.raises(ValueError):
+            k_gonality(g, degree_cap=bad)
+    for bad in ("2", 2.0, True, False):
+        with pytest.raises(ValueError):
+            k_gonality(g, lower_bound=bad)
     with pytest.raises(TypeError):
         k_gonality(g, sym=None)  # the group hint is gone
 

@@ -1,6 +1,7 @@
 """Scramble tests: hitting numbers, egg cuts, orders, constructions."""
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -569,6 +570,25 @@ def test_induced_components():
     assert induced_components(g, [0, 1, 5]) == [(0, 1), (5,)]
     assert induced_components(g, []) == []
     assert induced_components(g, range(6)) == [(0, 1, 2, 3, 4, 5)]
+
+
+def test_induced_components_match_brute_force_partition():
+    # the component of u is the union of every connected subset of verts
+    # that contains u
+    rng = random.Random(9127)
+    hosts = [rook_graph([3, 4]), rook_graph([2, 2, 3])]
+    hosts += [oracles.random_multigraph(rng, max_n=7) for _ in range(6)]
+    for g in hosts:
+        for _ in range(15):
+            verts = rng.sample(range(g.n), rng.randint(0, min(g.n, 8)))
+            comp = {u: {u} for u in verts}
+            for r in range(2, len(verts) + 1):
+                for sub in itertools.combinations(verts, r):
+                    if oracles.connected(g, sub):
+                        for u in sub:
+                            comp[u].update(sub)
+            want = sorted(set(tuple(sorted(c)) for c in comp.values()))
+            assert induced_components(g, verts + verts[:2]) == want, (g.mult, verts)
 
 
 # ======================================================================
