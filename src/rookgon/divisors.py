@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .graphs import MultiGraph, _check_subset, mask_vertices, neighbour_masks
+from .graphs import MultiGraph, _vertex_mask, mask_vertices, neighbour_masks
 from .symmetry import iter_degree_vectors
 
 
@@ -55,13 +55,10 @@ def is_effective_away_from(d: Sequence[int], v: Optional[int] = None) -> bool:
 def fire_set(g: MultiGraph, d: Sequence[int], a: Iterable[int]) -> list:
     """Fire every vertex of a: one chip crosses each edge leaving a."""
     chips = _check_divisor(g, d)
-    verts = _check_subset(g, a)
-    inside = bytearray(g.n)
-    for v in verts:
-        inside[v] = 1
-    for u in verts:
+    mask = _vertex_mask(g, a)
+    for u in mask_vertices(mask):
         for w, m in g.adj[u]:
-            if not inside[w]:
+            if not mask >> w & 1:
                 chips[u] -= m
                 chips[w] += m
     return chips

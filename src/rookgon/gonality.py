@@ -98,6 +98,8 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
         raise ValueError("degree cap below k can never hold a rank-k divisor")
     if lower_bound is not None and lower_bound < 0:
         raise ValueError("lower bound must be a nonnegative integer")
+    if lower_bound is not None and lower_bound > cap:
+        raise ValueError("lower bound above the degree cap leaves no degree to scan")
 
     start = k if lower_bound is None else max(k, lower_bound)
     refuted = []
@@ -107,7 +109,7 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
         count = 0
         for c in iter_orbit_min_vectors(deg, g.n, dims):
             count += 1
-            if rank_at_least(g, list(c), k):
+            if rank_at_least(g, c, k):
                 witness = list(c)
                 break
         if witness is not None:

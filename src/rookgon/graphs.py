@@ -172,21 +172,22 @@ def rook_graph(dims: Sequence[int]) -> MultiGraph:
 # subsets and cuts
 # ======================================================================
 
-def _check_subset(g: MultiGraph, s: Iterable[int]) -> list:
-    out = []
-    seen = set()
-    for v in s:
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < g.n:
+def _vertex_mask(g: MultiGraph, verts: Iterable[int]) -> int:
+    """A vertex set as a bitmask: the one check for vertex sets entering
+    the package.  Each entry must be an int (bools rejected) in range;
+    repeats and order do not matter."""
+    n = g.n
+    mask = 0
+    for v in verts:
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
             raise ValueError(f"vertex {v!r} out of range")
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+        mask |= 1 << v
+    return mask
 
 
 def is_connected_subset(g: MultiGraph, s: Iterable[int]) -> bool:
     """True iff s is nonempty and induces a connected subgraph."""
-    mask = sum(1 << v for v in _check_subset(g, s))
+    mask = _vertex_mask(g, s)
     return mask != 0 and lowest_component(neighbour_masks(g), mask) == mask
 
 
@@ -216,14 +217,11 @@ def lowest_component(nbr: Sequence[int], mask: int) -> int:
 
 def cut_weight(g: MultiGraph, a: Iterable[int]) -> int:
     """Total multiplicity of edges with exactly one end in a."""
-    verts = _check_subset(g, a)
-    inside = bytearray(g.n)
-    for v in verts:
-        inside[v] = 1
+    mask = _vertex_mask(g, a)
     total = 0
-    for u in verts:
+    for u in mask_vertices(mask):
         for v, m in g.adj[u]:
-            if not inside[v]:
+            if not mask >> v & 1:
                 total += m
     return total
 
@@ -290,21 +288,11 @@ def min_cut_between(g: MultiGraph, s: Iterable[int], t: Iterable[int]) -> FlowRe
 
     Returns the cut value and the minimal source side (every vertex
     reachable from s in the residual graph), which makes the witness
-    deterministic.
+    deterministic.  The side is the set that the flow's last
+    breadth-first search levelled before it failed to reach t.
     """
-    value, cap, nbrs, S = _flow(g, s, t, cutoff=None)
-    n = g.n
-    seen = bytearray(n + 2)
-    seen[S] = 1
-    stack = [S]
-    while stack:
-        u = stack.pop()
-        for v in nbrs[u]:
-            if not seen[v] and cap[u][v] > 0:
-                seen[v] = 1
-                stack.append(v)
-    side = tuple(v for v in range(n) if seen[v])
-    return FlowResult(value, side)
+    value, level = _flow(g, s, t, cutoff=None)
+    return FlowResult(value, tuple(v for v in range(g.n) if level[v] >= 0))
 
 
 def min_cut_value(g: MultiGraph, s: Iterable[int], t: Iterable[int],
@@ -313,17 +301,18 @@ def min_cut_value(g: MultiGraph, s: Iterable[int], t: Iterable[int],
 
     When ``exact`` is False the true min cut is >= the returned value.
     """
-    value, _, _, _ = _flow(g, s, t, cutoff=cutoff)
+    value, _ = _flow(g, s, t, cutoff=cutoff)
     exact = cutoff is None or value < cutoff
     return value, exact
 
 
 def _flow(g: MultiGraph, s: Iterable[int], t: Iterable[int], cutoff: Optional[int]):
-    sv = _check_subset(g, s)
-    tv = _check_subset(g, t)
-    if not sv or not tv:
+    """(flow value, levels) from s to t, as _dinic returns them."""
+    smask = _vertex_mask(g, s)
+    tmask = _vertex_mask(g, t)
+    if not smask or not tmask:
         raise ValueError("source and sink sets must be nonempty")
-    if set(sv) & set(tv):
+    if smask & tmask:
         raise ValueError("source and sink sets must be disjoint")
     n = g.n
     S, T = n, n + 1
@@ -334,19 +323,24 @@ def _flow(g: MultiGraph, s: Iterable[int], t: Iterable[int], cutoff: Optional[in
         for v, m in g.adj[u]:
             cap[u][v] = m
         nbrs[u] = [v for v, _ in g.adj[u]]
-    for u in sorted(sv):
+    for u in mask_vertices(smask):
         cap[S][u] = big
         nbrs[S].append(u)
         nbrs[u].append(S)
-    for u in sorted(tv):
+    for u in mask_vertices(tmask):
         cap[u][T] = big
         nbrs[u].append(T)
         nbrs[T].append(u)
-    value = _dinic(nbrs, cap, S, T, big, cutoff)
-    return value, cap, nbrs, S
+    return _dinic(nbrs, cap, S, T, big, cutoff)
 
 
 def _dinic(nbrs, cap, s, t, big, cutoff):
+    """Max flow from s to t, stopping once it reaches cutoff when given.
+
+    Returns (flow, level).  When the flow runs to the end, level is the
+    last breadth-first search, which failed to reach t: the vertices it
+    levelled (level >= 0) are exactly those residual-reachable from s.
+    When the cutoff stops the flow, level is None."""
     flow = 0
     size = len(nbrs)
     while True:
@@ -361,7 +355,7 @@ def _dinic(nbrs, cap, s, t, big, cutoff):
                     level[v] = lu + 1
                     q.append(v)
         if level[t] < 0:
-            return flow
+            return flow, level
         ptr = [0] * size
 
         def push(u, limit):
@@ -385,7 +379,7 @@ def _dinic(nbrs, cap, s, t, big, cutoff):
                 break
             flow += pushed
             if cutoff is not None and flow >= cutoff:
-                return flow
+                return flow, None
 
 
 # ======================================================================

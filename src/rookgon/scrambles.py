@@ -42,32 +42,29 @@ class Scramble:
             eggs = iter(eggs)
         except TypeError:
             raise ValueError(f"eggs {eggs!r} is not a list of eggs") from None
-        normed = set()
+        masks = set()
         for egg in eggs:
             if isinstance(egg, (str, bytes)):
                 raise ValueError(f"egg {egg!r} is not a list of vertices")
             try:
-                verts = list(egg)
+                verts = iter(egg)
             except TypeError:
                 raise ValueError(f"egg {egg!r} is not a list of vertices") from None
-            for v in verts:
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < host.n:
-                    raise ValueError(f"egg vertex {v!r} out of range")
-            normed.add(tuple(sorted(set(verts))))
-        eggs = tuple(sorted(normed))
-        masks = [sum(1 << v for v in egg) for egg in eggs]
+            masks.add(graphs._vertex_mask(host, verts))
         nbr = graphs.neighbour_masks(host)
         problems = []
-        for idx, (egg, mask) in enumerate(zip(eggs, masks)):
-            if not egg:
+        # indexed in ascending egg order, the order of ``eggs``
+        for idx, mask in enumerate(sorted(masks, key=graphs.mask_vertices)):
+            if not mask:
                 problems.append(f"egg {idx} is empty")
             elif graphs.lowest_component(nbr, mask) != mask:
-                problems.append(f"egg {idx} is not connected: {list(egg)}")
+                problems.append(f"egg {idx} is not connected: "
+                                f"{list(graphs.mask_vertices(mask))}")
         if problems:
             raise ValueError("invalid scramble: " + "; ".join(problems))
         self.host = host
         self.masks = tuple(sorted(masks))
-        self._eggs = eggs
+        self._eggs = None
         self._uniform_size = None
         self._with_squares = False
 
@@ -135,16 +132,15 @@ def hitting_number(s: Scramble):
             )
     if avoid is None:
         avoid = _max_avoidance_branch_bound(s)
-    amask = sum(1 << v for v in set(avoid))
     for mask in s.masks:
-        if mask & amask == mask:
+        if mask & avoid == mask:
             raise RuntimeError("avoidance solver returned a set containing an egg")
-    hit = tuple(v for v in range(n) if not amask >> v & 1)
-    return len(hit), hit, tuple(sorted(avoid))
+    hit = graphs.mask_vertices(((1 << n) - 1) ^ avoid)
+    return len(hit), hit, graphs.mask_vertices(avoid)
 
 
-def _max_avoidance_branch_bound(s: Scramble) -> tuple:
-    """Exact maximum egg-free set by include/exclude search.
+def _max_avoidance_branch_bound(s: Scramble) -> int:
+    """Exact maximum egg-free set, as a bitmask, by include/exclude search.
 
     Vertices are decided in order of descending egg membership; a branch
     dies when even taking every remaining vertex cannot beat the best.
@@ -180,14 +176,14 @@ def _max_avoidance_branch_bound(s: Scramble) -> tuple:
         dfs(pos + 1, mask, count)
 
     dfs(0, 0, 0)
-    return tuple(v for v in range(n) if best_mask >> v & 1)
+    return best_mask
 
 
 def _max_avoidance_grid(nrows: int, ncols: int, maxcomp: int,
-                        no_squares: bool) -> tuple:
+                        no_squares: bool) -> int:
     """Exact maximum vertex set on an nrows x ncols rook graph whose
     induced components all have at most maxcomp vertices (and, when
-    no_squares is set, which contains no full 2x2 square).
+    no_squares is set, which contains no full 2x2 square), as a bitmask.
 
     Column sweep.  The cells picked in one column form a clique, so they
     join exactly one component; a live component is summarized by how
@@ -200,7 +196,7 @@ def _max_avoidance_grid(nrows: int, ncols: int, maxcomp: int,
     row; that one transition is what no_squares forbids.
     """
     if maxcomp <= 0:
-        return ()
+        return 0
     if no_squares and maxcomp > 4:
         raise ValueError("square-free avoidance supports component caps up to 4 only")
 
@@ -303,10 +299,12 @@ def _max_avoidance_grid(nrows: int, ncols: int, maxcomp: int,
         comps.append([new_rows, new_size])
         used_rows |= new_rows
 
-    verts = tuple(sorted(r * ncols + c for r, c in cells_out))
-    if len(verts) != best_val:
+    mask = 0
+    for r, c in cells_out:
+        mask |= 1 << r * ncols + c
+    if mask.bit_count() != best_val:
         raise RuntimeError("avoidance replay dropped cells")
-    return verts
+    return mask
 
 
 # ======================================================================
@@ -529,7 +527,7 @@ def square_augmented_scramble(dims: Sequence[int] = (6, 6)) -> Scramble:
 def induced_components(g: MultiGraph, verts: Iterable[int]) -> list:
     """Connected components of the induced subgraph, as sorted tuples in
     ascending order."""
-    left = sum(1 << v for v in graphs._check_subset(g, verts))
+    left = graphs._vertex_mask(g, verts)
     nbr = graphs.neighbour_masks(g)
     comps = []
     while left:
@@ -632,31 +630,28 @@ def exhaustive_cut_bound_check(n: int, m: int) -> CutBoundReport:
             "check smaller boards or sample cuts instead"
         )
     g = rook_graph([n, m])
+    nbr = graphs.neighbour_masks(g)  # rook hosts are simple
+    deg = g.degrees
     bound = (n - 1) * m
-    inset = bytearray(total)
+    side = 0
     cut = 0
     size = 0
     checked = 0
     violation = None
     for i in range(1, 1 << total):
         v = (i & -i).bit_length() - 1
-        e_in = 0
-        for w, mm in g.adj[v]:
-            if inset[w]:
-                e_in += mm
-        if inset[v]:
-            inset[v] = 0
-            size -= 1
-            cut += 2 * e_in - g.degrees[v]
-        else:
-            inset[v] = 1
+        e_in = (nbr[v] & side).bit_count()
+        side ^= 1 << v
+        if side >> v & 1:
             size += 1
-            cut += g.degrees[v] - 2 * e_in
+            cut += deg[v] - 2 * e_in
+        else:
+            size -= 1
+            cut += 2 * e_in - deg[v]
         if size >= n - 1 and total - size >= n - 1:
             checked += 1
             if cut < bound and violation is None:
-                side = tuple(u for u in range(total) if inset[u])
-                violation = {"side": side, "weight": cut}
+                violation = {"side": graphs.mask_vertices(side), "weight": cut}
     row = tuple(range(m))
     tight = cut_weight(g, row)
     if violation is None and tight != bound:

@@ -61,6 +61,25 @@ def min_cut(g, sources, sinks):
     return best
 
 
+def minimal_min_cut_side(g, sources, sinks):
+    """The intersection of every minimum-weight side that contains the
+    sources and avoids the sinks, as a sorted tuple, by trying every side."""
+    src = set(sources)
+    snk = set(sinks)
+    rest = [v for v in range(g.n) if v not in src and v not in snk]
+    best = None
+    common = None
+    for r in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, r):
+            side = src | set(extra)
+            w = cut_weight(g, side)
+            if best is None or w < best:
+                best, common = w, side
+            elif w == best:
+                common = common & side
+    return tuple(sorted(common))
+
+
 def is_automorphism(g, perm):
     for u in range(g.n):
         for w in range(g.n):

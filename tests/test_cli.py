@@ -325,6 +325,7 @@ def test_usage_errors_exit_two():
     cases = [
         ("gonality",),                                   # no graph given
         ("gonality", "--rook", "1,3"),                   # bad dims
+        ("gonality", "--rook", "2,3", "--lower-bound", "100"),  # above the cap
         ("rank", "--rook", "2,2"),                       # no chips
         ("reduce", "--rook", "2,2", "--chips", "0,0,0,0", "--vertex", "9"),
         ("scramble", "order", "--family", "star", "--dims", "9"),

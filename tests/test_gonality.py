@@ -123,6 +123,13 @@ def test_gonality_validation():
         k_gonality(g, lower_bound=-1)
     with pytest.raises(ValueError):
         k_gonality(g, lower_bound=1.5)
+    # a lower bound above the degree cap leaves nothing to scan; it used
+    # to return value None as if the cap had been exhausted
+    with pytest.raises(ValueError, match="above the degree cap"):
+        k_gonality(g, lower_bound=100)
+    with pytest.raises(ValueError, match="above the degree cap"):
+        k_gonality(g, degree_cap=3, lower_bound=4)
+    assert k_gonality(g, degree_cap=3, lower_bound=3).value == 3  # cap itself is scanned
     for bad in ("5", 2.9, 5.0, True, False):
         with pytest.raises(ValueError):
             k_gonality(g, degree_cap=bad)

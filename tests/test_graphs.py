@@ -7,13 +7,16 @@ import pytest
 import oracles
 from rookgon import (
     MultiGraph,
+    Scramble,
     cartesian_product,
     complete_graph,
     connected_masks,
     connected_subsets,
     cut_weight,
+    fire_set,
     graph_from_json,
     graph_to_json,
+    induced_components,
     is_connected_subset,
     min_cut_between,
     min_cut_value,
@@ -202,6 +205,34 @@ def test_connected_subsets_rejects_bad_k():
 
 
 # ======================================================================
+# vertex sets at the boundary
+# ======================================================================
+
+# every public entry that takes a vertex set, called on the 2x3 rook
+# graph with that set; vertex 5 stays outside it to serve as a sink
+VERTEX_SET_CALLS = {
+    "fire_set": lambda g, vs: fire_set(g, [1] * g.n, vs),
+    "cut_weight": cut_weight,
+    "is_connected_subset": is_connected_subset,
+    "induced_components": induced_components,
+    "min_cut_between source": lambda g, vs: min_cut_between(g, vs, [5]),
+    "min_cut_between sink": lambda g, vs: min_cut_between(g, [5], vs),
+    "min_cut_value": lambda g, vs: min_cut_value(g, vs, [5]),
+    "Scramble": lambda g, vs: Scramble(g, [vs]).eggs,
+}
+
+
+@pytest.mark.parametrize("call", VERTEX_SET_CALLS.values(), ids=VERTEX_SET_CALLS)
+def test_vertex_sets_share_one_check(call):
+    g = rook_graph([2, 3])
+    for bad in (True, 1.5, "0", -1, g.n):
+        with pytest.raises(ValueError, match="out of range"):
+            call(g, [0, 1, bad])
+    # repeats and order do not matter
+    assert call(g, [3, 1, 0, 1, 3]) == call(g, [0, 1, 3])
+
+
+# ======================================================================
 # cuts
 # ======================================================================
 
@@ -237,6 +268,27 @@ def test_min_cut_between_matches_oracle():
         # the witness side is a real cut of the stated weight
         assert s in res.source_side and t not in res.source_side
         assert cut_weight(g, res.source_side) == res.value
+
+
+def test_min_cut_between_side_is_minimal():
+    # the side is the intersection of every minimum cut side that holds
+    # s and avoids t, not just some side of the right weight
+    rng = random.Random(4105)
+    cases = []
+    for _ in range(25):
+        g = oracles.random_multigraph(rng, max_n=7, max_extra=6)
+        s, t = rng.sample(range(g.n), 2)
+        cases.append((g, [s], [t]))
+    for dims in ([2, 3], [3, 3], [2, 2, 2]):
+        g = rook_graph(dims)
+        for _ in range(8):
+            picked = rng.sample(range(g.n), rng.randint(2, 4))
+            cut = rng.randint(1, len(picked) - 1)
+            cases.append((g, picked[:cut], picked[cut:]))
+    for g, s, t in cases:
+        res = min_cut_between(g, s, t)
+        assert res.source_side == oracles.minimal_min_cut_side(g, s, t)
+        assert res.value == oracles.min_cut(g, s, t)
 
 
 def test_min_cut_between_vertex_sets():

@@ -244,7 +244,7 @@ def test_square_augmented_refuses_egg_size_above_five(monkeypatch):
 def test_hitting_number_checks_the_avoidance_set(monkeypatch):
     import rookgon.scrambles as scr
     s = star_scramble(4, 4)
-    monkeypatch.setattr(scr, "_max_avoidance_grid", lambda *a: s.eggs[0])
+    monkeypatch.setattr(scr, "_max_avoidance_grid", lambda *a: s.masks[0])
     with pytest.raises(RuntimeError, match="containing an egg"):
         hitting_number(s)
 
