@@ -51,20 +51,21 @@ class Scramble:
             except TypeError:
                 raise ValueError(f"egg {egg!r} is not a list of vertices") from None
             masks.add(graphs._vertex_mask(host, verts))
+        # ascending egg order, the order of ``eggs``; distinct masks decode
+        # to distinct tuples, so the sort never compares the masks
+        pairs = sorted((graphs.mask_vertices(mask), mask) for mask in masks)
         nbr = graphs.neighbour_masks(host)
         problems = []
-        # indexed in ascending egg order, the order of ``eggs``
-        for idx, mask in enumerate(sorted(masks, key=graphs.mask_vertices)):
+        for idx, (egg, mask) in enumerate(pairs):
             if not mask:
                 problems.append(f"egg {idx} is empty")
             elif graphs.lowest_component(nbr, mask) != mask:
-                problems.append(f"egg {idx} is not connected: "
-                                f"{list(graphs.mask_vertices(mask))}")
+                problems.append(f"egg {idx} is not connected: {list(egg)}")
         if problems:
             raise ValueError("invalid scramble: " + "; ".join(problems))
         self.host = host
         self.masks = tuple(sorted(masks))
-        self._eggs = None
+        self._eggs = tuple(egg for egg, _ in pairs)
         self._uniform_size = None
         self._with_squares = False
 
