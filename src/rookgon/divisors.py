@@ -177,7 +177,7 @@ def _burn_masks(g: MultiGraph) -> tuple:
     return masks
 
 
-def _burn(g: MultiGraph, chips: list, v: int) -> tuple:
+def _burn(g: MultiGraph, chips: Sequence[int], v: int) -> tuple:
     """The burn from v on chips, effective away from v: returns the burnt
     set as a bitmask and the unburnt vertices in ascending order.
 
@@ -341,6 +341,17 @@ def _rank_ge(g: MultiGraph, rd: tuple, k: int, memo: dict) -> bool:
             and all(_rank_ge(g, _reduced_child(g, rd, u), k - 1, memo)
                     for u in range(1, g.n)))
     return val
+
+
+def _refuted_at_poorest(g: MultiGraph, c: Sequence[int], k: int) -> bool:
+    """True when one burn proves rank(c) < k for an effective c of length
+    g.n; False says nothing.  The caller builds c, so nothing is checked.
+
+    Let v be the poorest vertex of c (smallest index on ties).  If
+    c[v] < k and the burn from v reaches every vertex, c is v-reduced, so
+    c - k*e_v is v-reduced and negative at v, hence unwinnable."""
+    low = min(c)
+    return low < k and not _burn(g, c, c.index(low))[1]
 
 
 def _reduced_child(g: MultiGraph, rd: tuple, u: int) -> tuple:

@@ -2,8 +2,9 @@
 
 Degrees are scanned in ascending order; at each degree the effective
 divisors (one representative per automorphism orbit when symmetry is
-asked for on a rook graph) are streamed in lexicographic order and
-tested with the rank recursion.  The scan stops at the first success,
+asked for on a rook graph) are streamed in lexicographic order, and
+each one that a single burn does not refute is tested with the rank
+recursion.  The scan stops at the first success,
 which is therefore the lexicographically smallest witness of the
 smallest degree.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import graphs
-from .divisors import rank_at_least
+from .divisors import _refuted_at_poorest, rank_at_least
 from .symmetry import is_rook_shape, iter_orbit_min_vectors
 
 
@@ -86,6 +87,12 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
     orbit is scanned.  ``MultiGraph`` accepts ``dims`` only when they
     match its edges, so that group is sound; any other graph is scanned
     plainly and the result reports ``symmetry`` False.
+
+    Each streamed divisor c is counted, then refuted by one burn when it
+    can be: if its poorest vertex v (smallest index on ties) holds fewer
+    than k chips and the burn from v reaches every vertex, c is v-reduced,
+    so c - k*e_v is v-reduced and negative at v, hence unwinnable, and
+    rank(c) < k.  Only the survivors reach ``rank_at_least``.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError("k must be a positive integer")
@@ -109,7 +116,7 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
         count = 0
         for c in iter_orbit_min_vectors(deg, g.n, dims):
             count += 1
-            if rank_at_least(g, c, k):
+            if not _refuted_at_poorest(g, c, k) and rank_at_least(g, c, k):
                 witness = list(c)
                 break
         if witness is not None:

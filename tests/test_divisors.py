@@ -14,6 +14,7 @@ from rookgon import (
     dhar_burn,
     divisor_from_json,
     divisor_to_json,
+    divisors,
     equivalent,
     fire_set,
     is_effective_away_from,
@@ -437,6 +438,33 @@ def test_rank_at_least_random_multigraphs():
         hosts += 1
         divisors = [random_divisor(rng, g.n, lo=-1, hi=3) for _ in range(25)]
         _check_rank_at_least(g, divisors, 4)
+
+
+def test_poorest_vertex_burn_refutes_only_low_rank():
+    # the gonality scan drops a divisor on this refutation before any rank
+    # test, so every refutation must leave c reduced at its poorest vertex
+    # and the class oracle must agree that rank(c) < k
+    rng = random.Random(4317)
+    hosts = [(rook_graph([2, 3]), 4), (rook_graph([3, 3]), 4),
+             (rook_graph([2, 2, 2]), 4)]
+    while len(hosts) < 7:
+        g = oracles.random_multigraph(rng, max_n=6)
+        if max(max(row) for row in g.mult) > 1:
+            hosts.append((g, 4))
+    for g, top in hosts:
+        ge = oracles.class_rank_at_least(g)
+        refuted = kept = 0
+        for deg in range(top + 1):
+            for c in oracles.effective_divisors(g.n, deg):
+                v = c.index(min(c))
+                for k in (1, 2, 3):
+                    if divisors._refuted_at_poorest(g, c, k):
+                        refuted += 1
+                        assert oracles.is_reduced(g, c, v), (g.mult, c)
+                        assert not ge(c, k), (g.mult, c, k)
+                    elif not ge(c, k):
+                        kept += 1
+        assert refuted and kept, g.mult
 
 
 def test_class_rank_oracle_matches_definitional_rank():

@@ -1,7 +1,10 @@
 """Gonality search, certificates, and the slice report."""
 
+import math
+
 import pytest
 
+import oracles
 from rookgon import (
     MultiGraph,
     complete_graph,
@@ -67,6 +70,42 @@ def test_gonality_without_symmetry_agrees():
         assert not plain.symmetry and pruned.symmetry
         assert plain.value == pruned.value
         assert plain.exhaustive == pruned.exhaustive
+
+
+def test_plain_scan_counts_every_vector():
+    # most vectors are refuted by one burn before any rank test; each one
+    # must still be counted, and the witness stays the lex-min one
+    res = k_gonality(rook_graph([3, 4]), 1)
+    assert not res.symmetry
+    assert res.value == 8
+    assert res.witness == [0] * 8 + [2] * 4
+    assert res.orbit_counts == {d: math.comb(11 + d, d) for d in range(1, 8)}
+
+
+def test_plain_scan_matches_class_oracle():
+    # value, lex-min witness and per-degree counts of the plain scan,
+    # against the class-rank oracle run over every effective divisor in
+    # lexicographic order; the last host has no dims and double edges
+    hosts = [rook_graph([2, 3]), rook_graph([2, 2, 2]),
+             MultiGraph([[0, 2, 1, 0, 0],
+                         [2, 0, 1, 1, 0],
+                         [1, 1, 0, 3, 1],
+                         [0, 1, 3, 0, 2],
+                         [0, 0, 1, 2, 0]])]
+    for g in hosts:
+        ge = oracles.class_rank_at_least(g)
+        for k in (1, 2, 3):
+            res = k_gonality(g, k)
+            deg = k
+            while True:
+                witness = next((list(c) for c in oracles.effective_divisors(g.n, deg)
+                                if ge(c, k)), None)
+                if witness is not None:
+                    break
+                assert res.orbit_counts[deg] == math.comb(g.n - 1 + deg, deg)
+                deg += 1
+            assert (res.value, res.witness) == (deg, witness), (g.mult, k)
+            assert len(res.orbit_counts) == deg - k
 
 
 def test_gonality_complete_graph():
