@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from . import graphs
 from .divisors import _refuted_at_poorest, rank_at_least
-from .symmetry import is_rook_shape, iter_orbit_min_vectors
+from .symmetry import is_rook_shape, iter_orbit_min_vectors, orbit_count
 
 
 @dataclass
@@ -93,6 +93,11 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
     than k chips and the burn from v reaches every vertex, c is v-reduced,
     so c - k*e_v is v-reduced and negative at v, hence unwinnable, and
     rank(c) < k.  Only the survivors reach ``rank_at_least``.
+
+    On a two-factor rook host every refuted degree's streamed count is
+    checked against the Burnside count (``symmetry.orbit_count``), and a
+    mismatch raises RuntimeError.  Hosts with three or more factors are
+    not checked yet.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError("k must be a positive integer")
@@ -121,6 +126,11 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
                 break
         if witness is not None:
             break
+        if dims is not None and len(dims) == 2:
+            expected = orbit_count(dims, deg)
+            if count != expected:
+                raise RuntimeError(f"degree {deg}: the orbit stream gave {count} "
+                                   f"representatives, Burnside counts {expected}")
         refuted.append(deg)
         orbit_counts[deg] = count
     return GonalityResult(

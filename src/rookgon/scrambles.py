@@ -389,12 +389,24 @@ def egg_cut_floor(s: Scramble) -> Optional[int]:
     return min_side_cut_floor(host.dims, min(m.bit_count() for m in s.masks))
 
 
+# flows an exact pair scan may run while its incumbent is still above
+# the cut floor; every exact query in the tests, suites and README
+# finishes within 8 flows
+_FLOW_BUDGET = 10_000
+
+
 def min_egg_cut(s: Scramble) -> EggCutResult:
     """Minimum over disjoint egg pairs of the min cut separating them.
 
     Flows terminate early at the incumbent, and the pair scan stops as
     soon as the incumbent reaches the certified cut floor.  The witness
     is the first pair (in egg order) attaining the minimum.
+
+    On a host with a cut floor (every rook host) the scan runs at most
+    ``_FLOW_BUDGET`` flows without meeting the floor, then refuses with
+    ValueError: a family scramble can have about 1e9 disjoint pairs (the
+    6x6 star-squares scramble, whose cut 30 sits above its floor 28).
+    Without a floor the scan covers the pairs of the egg list as given.
     """
     floor = egg_cut_floor(s)
     host = s.host
@@ -403,11 +415,19 @@ def min_egg_cut(s: Scramble) -> EggCutResult:
     best = None
     best_pair = None
     done = False
+    flows = 0
     for i in range(len(eggs)):
         mi = masks[i]
         for j in range(i + 1, len(eggs)):
             if mi & masks[j]:
                 continue
+            if floor is not None and flows == _FLOW_BUDGET:
+                raise ValueError(
+                    f"exact egg cut refused: {flows} pair flows left the best "
+                    f"cut at {best}, above the certified floor {floor}; "
+                    f"--cut-mode auto uses the floor when it reaches the "
+                    f"hitting number")
+            flows += 1
             if best is None:
                 value, _ = graphs.min_cut_value(host, eggs[i], eggs[j])
                 best = value

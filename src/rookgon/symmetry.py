@@ -171,8 +171,9 @@ def iter_orbit_min_vectors(total: int, size: int,
     if math.prod(dims) != size:
         raise ValueError("rook dimensions do not match the vector length")
     shape = _rook_shape(dims)
-    yield from _orderly(total, size, shape.prune,
-                        lambda c: _is_min_image(shape, c))
+    accept = (_RowLeafTest(shape, total).accepts if len(dims) == 2
+              else lambda c: _is_min_image(shape, c))
+    yield from _orderly(total, size, shape.prune, accept)
 
 
 def _iter_canonical_explicit(total: int, size: int,
@@ -247,6 +248,89 @@ def _orderly(total: int, size: int, invs: Sequence[Sequence[int]],
         live_at[end] = fresh
         rem_at[end] = rem - v
         pos = end
+
+
+# ======================================================================
+# orbit counts
+# ======================================================================
+
+def _cycle_types(n: int) -> Iterator[tuple]:
+    """Every cycle type of S_n (a partition of n, largest part first)
+    with the number of permutations of that type."""
+    def parts(rest, largest):
+        if rest == 0:
+            yield ()
+            return
+        for a in range(min(rest, largest), 0, -1):
+            for tail in parts(rest - a, a):
+                yield (a,) + tail
+
+    for lam in parts(n, n):
+        z = 1
+        for a, run in itertools.groupby(lam):
+            k = len(list(run))
+            z *= a ** k * math.factorial(k)
+        yield lam, math.factorial(n) // z
+
+
+def _fixed_count(cycles: Iterable[tuple], total: int) -> int:
+    """Vectors summing to ``total`` that are constant on every cycle,
+    given (length, number of cycles of that length) pairs:
+    [x^total] of prod 1/(1 - x^length)."""
+    coef = [1] + [0] * total
+    for length, count in cycles:
+        for _ in range(count):
+            for t in range(length, total + 1):
+                coef[t] += coef[t - length]
+    return coef[total]
+
+
+def orbit_count(dims: Sequence[int], total: int) -> int:
+    """Number of orbits of nonnegative vectors summing to ``total`` under
+    the automorphism group of the two-factor rook graph on ``dims``, by
+    Burnside's lemma without listing the group.
+
+    An element (s, t) of S_n x S_m fixes a vector iff the vector is
+    constant on each of its cycles, and a row cycle of length a with a
+    column cycle of length b gives gcd(a, b) cell cycles of length
+    lcm(a, b), so the sum runs over pairs of cycle types.  On square
+    hosts the transposing coset adds its own term: (s, t)T is conjugate
+    to (1, st)T, whose square is (st, st).  For the cycles of st, one of
+    odd length a gives one cell cycle of length a and (a - 1)/2 of length
+    2a on its own square, one of even length a gives a/2 of length 2a,
+    and each pair of distinct cycles (lengths a, b) gives gcd(a, b) of
+    length 2 lcm(a, b).  Hosts with three or more factors are not
+    covered: they raise ValueError.
+    """
+    dims = tuple(dims)
+    if len(dims) != 2 or not is_rook_shape(dims):
+        raise ValueError("orbit counts cover two-factor rook hosts only")
+    n, m = dims
+    col_types = list(_cycle_types(m))
+    fixed = 0
+    for lam, size_l in _cycle_types(n):
+        for mu, size_m in col_types:
+            cycles = [(a * b // math.gcd(a, b), math.gcd(a, b))
+                      for a in lam for b in mu]
+            fixed += size_l * size_m * _fixed_count(cycles, total)
+    order = math.factorial(n) * math.factorial(m)
+    if n == m:
+        for mu, size in col_types:
+            cycles = []
+            for i, a in enumerate(mu):
+                if a % 2:
+                    cycles += [(a, 1), (2 * a, (a - 1) // 2)]
+                else:
+                    cycles.append((2 * a, a // 2))
+                cycles += [(2 * a * b // math.gcd(a, b), math.gcd(a, b))
+                           for b in mu[i + 1:]]
+            # n! choices of s give each product st
+            fixed += math.factorial(n) * size * _fixed_count(cycles, total)
+        order *= 2
+    count, rem = divmod(fixed, order)
+    if rem:
+        raise RuntimeError("Burnside sum is not a multiple of the group order")
+    return count
 
 
 # ======================================================================
@@ -330,8 +414,11 @@ def _is_min_image(shape: _Shape, x: Sequence[int]) -> bool:
     keys at that depth exactly as the image fiber compares with x's
     fiber, given the earlier fibers tie.  Image fiber 0 is a sorted
     source fiber, so a source fiber that sorts below x's first fiber
-    settles the test before any search.
+    settles the test before any search.  Two factors run the same test
+    as the orbit stream (``_RowLeafTest``).
     """
+    if len(shape.outer) == 1:
+        return _RowLeafTest(shape, sum(x)).accepts(x)
     x = tuple(x)
     sources = shape.sources(x)
     first = list(sources[0][0])
@@ -348,57 +435,157 @@ def _is_min_image(shape: _Shape, x: Sequence[int]) -> bool:
     for row in sources[0][1:]:
         keys = [key * base + v for key, v in zip(keys, row)]
         tkeys.append(keys)
-    improve = _improve_rows if len(shape.outer) == 1 else _improve
     for rows, h in zip(sources, heads):
         # a search starts only from fibers that sort to x's first fiber
-        if first in h and improve(shape, rows, h, tkeys, base):
+        if first in h and _improve(shape, rows, h, tkeys, base):
             return False
     return True
 
 
-def _improve_rows(shape: _Shape, rows: list, heads: list, tkeys: list,
-                  base: int) -> bool:
-    """Two factors: is some ordering of the source ``rows``, with its
-    columns sorted, lexicographically smaller than the target?
-
-    The unplaced rows are kept as a multiset of distinct rows, so equal
-    rows are tried once at each depth.  ``scaled`` holds the column keys
-    of the rows placed so far, times the base.  Only a row whose image
-    fiber ties the target's goes deeper; the first smaller one answers
-    True.
-    """
-    left = dict.fromkeys(rows, 0)
+def _multiset(rows) -> dict:
+    """Distinct rows with their multiplicities."""
+    left = {}
     for row in rows:
-        left[row] += 1
-    last = len(rows) - 1
+        left[row] = left.get(row, 0) + 1
+    return left
 
-    def place(f, scaled):
-        t = tkeys[f]
-        for row, c in left.items():
-            if c:
-                s = sorted(map(add, scaled, row))
-                if s < t:
-                    return True
-                if s == t and f < last:
-                    left[row] = c - 1
-                    hit = place(f + 1, [(key + v) * base
-                                        for key, v in zip(scaled, row)])
-                    left[row] = c
-                    if hit:
-                        return True
-        return False
 
-    # image fiber 0 is a sorted row, and none sorts below the target's
-    first = tkeys[0]
-    for row, head in dict(zip(rows, heads)).items():
-        if head == first:
-            c = left[row]
-            left[row] = c - 1
-            hit = place(1, [v * base for v in row])
-            left[row] = c
-            if hit:
+def _row_image_smaller(left: dict, f: int, scaled: list, tkeys: list,
+                       base: int) -> bool:
+    """Two factors: with image fibers 0..f-1 tying the target, is some
+    ordering of the unplaced rows ``left`` (a multiset of distinct rows),
+    with its columns sorted, lexicographically smaller than the target?
+
+    ``scaled`` holds the column keys of the rows placed so far, times the
+    base.  Equal rows are tried once at each depth, only a row whose
+    image fiber ties the target's goes deeper, and the first smaller one
+    answers True.
+    """
+    t = tkeys[f]
+    deeper = f < len(tkeys) - 1
+    for row, c in left.items():
+        if c:
+            s = list(map(add, scaled, row))
+            s.sort()
+            if s < t:
                 return True
+            if s == t and deeper:
+                left[row] = c - 1
+                hit = _row_image_smaller(
+                    left, f + 1, [(key + v) * base for key, v in zip(scaled, row)],
+                    tkeys, base)
+                left[row] = c
+                if hit:
+                    return True
     return False
+
+
+def _row_tie_nodes(left: dict, f: int, scaled: list, tkeys: list, base: int,
+                   nodes: list) -> bool:
+    """The identity source's row search over the first n-1 rows alone.
+
+    ``tkeys`` holds the target's column keys after each of those rows.
+    Every node reached by ties is appended to ``nodes`` as (depth,
+    scaled keys, unplaced rows): the last row may be placed there.
+    True means an image built from those rows alone is smaller, which
+    holds whatever the last row is.
+    """
+    nodes.append((f, scaled, dict(left)))
+    if f == len(tkeys):
+        return False  # every one of the first n-1 rows is placed
+    t = tkeys[f]
+    for row, c in left.items():
+        if c:
+            s = list(map(add, scaled, row))
+            s.sort()
+            if s < t:
+                return True
+            if s == t:
+                left[row] = c - 1
+                hit = _row_tie_nodes(
+                    left, f + 1, [(key + v) * base for key, v in zip(scaled, row)],
+                    tkeys, base, nodes)
+                left[row] = c
+                if hit:
+                    return True
+    return False
+
+
+class _RowLeafTest:
+    """The exact leaf test on a two-factor host, for vectors summing to
+    ``total``: ``accepts(x)`` says whether x is the lexicographically
+    smallest vector in its orbit.
+
+    It is ``_is_min_image`` with the work on the first n-1 rows (the
+    prefix) done once per prefix.  Column keys use the fixed base
+    ``total + 1``.  When the prefix changes, the tester rebuilds the
+    prefix rows, the target's column keys after each of them, and every
+    tie node of the identity source's row search that uses prefix rows
+    only; a prefix-only image smaller than the target rejects every
+    vector with that prefix.  Any other image of the identity source
+    places the last row at one of those tie nodes, so per vector the
+    last row is tried there, and searched past only where it ties.  On
+    square hosts the transposed source (the columns) is then searched
+    whole.  The orbit stream meets the vectors in ascending order, so
+    consecutive vectors share their prefix; any order gives the same
+    answers.
+    """
+
+    def __init__(self, shape: _Shape, total: int):
+        self.m = shape.m
+        self.cut = shape.n - shape.m
+        self.square = bool(shape.axis_perms)
+        self.base = total + 1
+        self.prefix = None
+        self.rows = None
+        self.tkeys = None
+        self.scaled = None
+        self.nodes = None  # None: a prefix-only image is smaller
+
+    def _load(self, prefix: Sequence[int]) -> None:
+        m = self.m
+        base = self.base
+        rows = [tuple(prefix[i:i + m]) for i in range(0, self.cut, m)]
+        tkeys = [list(rows[0])]
+        for row in rows[1:]:
+            tkeys.append([key * base + v for key, v in zip(tkeys[-1], row)])
+        nodes = []
+        if _row_tie_nodes(_multiset(rows), 0, [0] * m, tkeys, base, nodes):
+            nodes = None
+        self.scaled = [key * base for key in tkeys[-1]]
+        tkeys.append(None)  # the last row's keys, filled per vector
+        self.prefix = prefix
+        self.rows = rows
+        self.tkeys = tkeys
+        self.nodes = nodes
+
+    def accepts(self, x: Sequence[int]) -> bool:
+        cut = self.cut
+        prefix = x[:cut]
+        if prefix != self.prefix:
+            self._load(prefix)
+        nodes = self.nodes
+        if nodes is None:
+            return False
+        last = x[cut:]
+        base = self.base
+        tkeys = self.tkeys
+        final = len(tkeys) - 1
+        tkeys[final] = list(map(add, self.scaled, last))
+        for f, scaled, left in nodes:
+            s = list(map(add, scaled, last))
+            s.sort()
+            t = tkeys[f]
+            if s < t:
+                return False
+            if s == t and f < final and _row_image_smaller(
+                    left, f + 1, [(key + v) * base for key, v in zip(scaled, last)],
+                    tkeys, base):
+                return False
+        if self.square and _row_image_smaller(
+                _multiset(zip(*self.rows, last)), 0, [0] * self.m, tkeys, base):
+            return False
+        return True
 
 
 def _improve(shape: _Shape, rows: list, heads: list, tkeys: list,

@@ -193,6 +193,20 @@ def test_scramble_order_star_squares_floor():
     assert data["egg_count"] == 50697
 
 
+def test_scramble_order_exact_refuses_past_the_flow_budget():
+    # the cut floor (28) lies below the best pair cut (30), so without a
+    # budget the exact scan would try all ~1.28e9 disjoint egg pairs
+    proc = run_cli("scramble", "order", "--family", "star-squares",
+                   "--dims", "6,6", "--cut-mode", "exact", check=False,
+                   timeout=120)
+    assert proc.returncode == 2
+    assert b"best cut at 30" in proc.stderr
+    assert b"floor 28" in proc.stderr
+    assert b"--cut-mode auto" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert proc.stdout == b""
+
+
 def test_scramble_order_from_file(tmp_path):
     sfile = tmp_path / "s.json"
     sfile.write_text(json.dumps(

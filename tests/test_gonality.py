@@ -193,6 +193,24 @@ def test_gonality_symmetry_needs_a_rook_shape():
         assert pruned == plain
 
 
+def test_gonality_checks_the_stream_against_burnside(monkeypatch):
+    # a stream that loses one representative of a refuted degree is caught
+    from rookgon import gonality
+
+    stream = gonality.iter_orbit_min_vectors
+
+    def lossy(total, size, dims):
+        reps = list(stream(total, size, dims))
+        return iter(reps[:-1] if total == 3 else reps)
+
+    monkeypatch.setattr(gonality, "iter_orbit_min_vectors", lossy)
+    with pytest.raises(RuntimeError, match="degree 3"):
+        gon([3, 3])
+    # plain scans and three-factor hosts are not checked
+    assert k_gonality(rook_graph([3, 3])).orbit_counts[3] == math.comb(11, 8) - 1
+    assert gon([2, 2, 2]).value == 4
+
+
 def test_default_degree_cap_values():
     assert default_degree_cap(rook_graph([2, 2]), 1) == 2
     assert default_degree_cap(rook_graph([3, 4]), 1) == 8

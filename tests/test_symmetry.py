@@ -15,7 +15,13 @@ from rookgon import (
     rook_graph,
     rook_symmetry,
 )
-from rookgon.symmetry import _is_min_image, _iter_canonical_explicit, _rook_shape
+from rookgon.symmetry import (
+    _is_min_image,
+    _iter_canonical_explicit,
+    _rook_shape,
+    _RowLeafTest,
+    orbit_count,
+)
 
 # every rook host whose group the explicit closure lists quickly (at most
 # 1,152 elements); the closure is the oracle for the product engine
@@ -142,13 +148,32 @@ def test_orbit_min_vectors_counts_match_burnside():
         [1, 3, 7, 21, 47, 128, 303, 754, 1735, 3989, 8712]
     # 2x3x3 up to degree 8 is matched against the explicit closure below
     for dims, degrees in (([2, 3], range(7)), ([3, 4], range(13)),
-                          ([2, 5], range(13)), ([2, 3, 3], (9,))):
+                          ([2, 5], range(13)), ([4, 5], range(11)),
+                          ([2, 3, 3], (9,))):
         n = math.prod(dims)
         els = rook_symmetry(dims).elements()
         for total in degrees:
             got = sum(1 for _ in iter_orbit_min_vectors(total, n, dims))
             assert got == oracles.burnside_orbit_count(els, n, total), \
                 (dims, total)
+
+
+def test_orbit_count_matches_listed_group():
+    # the partition-pair sum, with the transpose coset on square hosts,
+    # against Burnside over every listed element
+    for dims in ([2, 2], [2, 3], [3, 3], [3, 4], [2, 5], [4, 4]):
+        n = math.prod(dims)
+        els = rook_symmetry(dims).elements()
+        for total in range(13):
+            assert orbit_count(dims, total) == \
+                oracles.burnside_orbit_count(els, n, total), (dims, total)
+    # the 4x5 degree-14 and 5x5 degree-18/19 level sizes
+    assert orbit_count((4, 5), 14) == 361_716
+    assert orbit_count((5, 5), 18) == 14_197_066
+    assert orbit_count((5, 5), 19) == 31_395_053
+    for dims in ((2, 2, 2), (5,), (1, 3)):
+        with pytest.raises(ValueError):
+            orbit_count(dims, 3)
 
 
 def test_orbit_min_vectors_partition_all_vectors():
@@ -219,6 +244,57 @@ def test_leaf_test_matches_orbit_minimum():
                 x = tuple(x)
             assert _is_min_image(shape, x) == (x == min(orbit_of(x, els))), \
                 (dims, x)
+
+
+def _composition(rng, total, parts):
+    cuts = sorted(rng.randint(0, total) for _ in range(parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def test_row_leaf_test_keeps_prefix_state_across_vectors():
+    # one tester per host sees vectors in ascending order, as the orbit
+    # stream gives them, and then shuffled.  Vectors come in groups that
+    # share their first n-1 rows (a random vector's, or an orbit
+    # minimum's, so prefixes are both rejected and accepted), and each
+    # group holds pairs that differ only in the last row.  In every
+    # third group the last row reorders a prefix row, so it ties where
+    # that row did and the search runs past it.
+    rng = random.Random(16)
+    for dims, total in (([3, 3], 8), ([3, 4], 8), ([4, 4], 8), ([2, 5], 8)):
+        n = math.prod(dims)
+        m = dims[-1]
+        cut = n - m
+        els = rook_symmetry(dims).elements()
+        vecs = set()
+        for group in range(90):
+            if group % 3 == 2:
+                share = total // 2 if cut == m else rng.randint(0, total // 2)
+                row = _composition(rng, share, m)
+                x = _composition(rng, total - 2 * share, cut - m) if cut > m else []
+                at = m * rng.randint(0, len(x) // m)
+                x = x[:at] + row + x[at:] + rng.sample(row, m)
+            else:
+                x = _composition(rng, total, n)
+            if group % 2:
+                x = list(min(orbit_of(tuple(x), els)))
+            prefix = x[:cut]
+            last = x[cut:]
+            vecs.add(tuple(x))
+            vecs.add(tuple(prefix + last[::-1]))
+            for _ in range(4):
+                vecs.add(tuple(prefix + _composition(rng, total - sum(prefix), m)))
+        expected = {x: x == min(orbit_of(x, els)) for x in vecs}
+        ordered = sorted(vecs)
+        shuffled = ordered[:]
+        rng.shuffle(shuffled)
+        test = _RowLeafTest(_rook_shape(tuple(dims)), total)
+        after_rejected = 0
+        for x in ordered + shuffled:
+            shared = list(x[:cut]) == test.prefix and test.nodes is None
+            assert test.accepts(list(x)) == expected[x], (dims, x)
+            after_rejected += shared
+        assert after_rejected >= 10, dims
+        assert 0 < sum(expected.values()) < len(vecs), dims
 
 
 def test_rook_paths_never_list_the_group(monkeypatch):
