@@ -414,8 +414,8 @@ def _is_min_image(shape: _Shape, x: Sequence[int]) -> bool:
     keys at that depth exactly as the image fiber compares with x's
     fiber, given the earlier fibers tie.  Image fiber 0 is a sorted
     source fiber, so a source fiber that sorts below x's first fiber
-    settles the test before any search.  Two factors run the same test
-    as the orbit stream (``_RowLeafTest``).
+    settles the test before any search.  Two factors run the orbit
+    stream's tester (``_RowLeafTest``, base ``sum(x) + 1``) instead.
     """
     if len(shape.outer) == 1:
         return _RowLeafTest(shape, sum(x)).accepts(x)
