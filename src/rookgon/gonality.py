@@ -59,19 +59,11 @@ def rook_certificate_divisor(dims: Sequence[int], k: int = 1) -> list:
     dims = graphs._int_dims(dims)
     if not is_rook_shape(dims):
         raise ValueError("invalid rook dimensions")
-    n = math.prod(dims)
     if k == 1:
         axis = dims.index(min(dims))
-        size = 1
-        for b in range(axis + 1, len(dims)):
-            size *= dims[b]
-        chips = []
-        for v in range(n):
-            coord = (v // size) % dims[axis]
-            chips.append(0 if coord == 0 else 1)
-        return chips
+        return [0 if c[axis] == 0 else 1 for c in graphs._vertex_coords(dims)]
     if k == 3:
-        return [1] * n
+        return [1] * math.prod(dims)
     raise ValueError("certificate families exist only for ranks 1 and 3")
 
 

@@ -7,6 +7,7 @@ graphs carry a ``dims`` tuple and coordinate labels laid out row-major
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -32,15 +33,14 @@ class MultiGraph:
             if len(row) != n:
                 raise ValueError("multiplicity matrix must be square")
             rows.append(row)
-        for u in range(n):
-            if rows[u][u] != 0:
-                raise ValueError("loops are not allowed")
-            for v in range(u + 1, n):
-                m = rows[u][v]
+        for u, row in enumerate(rows):
+            for v, m in enumerate(row):
                 if not isinstance(m, int) or isinstance(m, bool) or m < 0:
                     raise ValueError("multiplicities must be nonnegative integers")
                 if m != rows[v][u]:
                     raise ValueError("multiplicity matrix must be symmetric")
+            if row[u] != 0:
+                raise ValueError("loops are not allowed")
         self.n = n
         self.mult = tuple(rows)
         self.adj = tuple(
@@ -63,7 +63,7 @@ class MultiGraph:
             raise ValueError("dims entries must be positive")
         if math.prod(dims) != self.n:
             raise ValueError("dims do not match the vertex count")
-        labels = [self._unravel(v, dims) for v in range(self.n)]
+        labels = _vertex_coords(dims)
         for u in range(self.n):
             for v in range(u + 1, self.n):
                 hamming = sum(1 for a, b in zip(labels[u], labels[v]) if a != b)
@@ -71,21 +71,12 @@ class MultiGraph:
                 if self.mult[u][v] != want:
                     raise ValueError("dims are inconsistent with the adjacency structure")
 
-    @staticmethod
-    def _unravel(v: int, dims: tuple) -> tuple:
-        coords = []
-        for d in reversed(dims):
-            coords.append(v % d)
-            v //= d
-        return tuple(reversed(coords))
-
     def vertex_label(self, v: int) -> tuple:
         """Coordinate tuple of a vertex; requires product dims."""
-        if self.dims is None:
-            raise ValueError("graph has no coordinate labels")
+        labels = self.labels()
         if not 0 <= v < self.n:
             raise ValueError("vertex out of range")
-        return self._unravel(v, self.dims)
+        return labels[v]
 
     def label_to_index(self, coords: Sequence[int]) -> int:
         if self.dims is None:
@@ -101,10 +92,11 @@ class MultiGraph:
 
     def labels(self) -> tuple:
         """All coordinate labels in vertex order."""
+        if self.dims is None:
+            raise ValueError("graph has no coordinate labels")
         lab = self._cache.get("labels")
         if lab is None:
-            lab = tuple(self.vertex_label(v) for v in range(self.n))
-            self._cache["labels"] = lab
+            lab = self._cache["labels"] = _vertex_coords(self.dims)
         return lab
 
     def edge_count(self) -> int:
@@ -153,6 +145,12 @@ def _int_dims(dims: Sequence[int]) -> tuple:
     if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
         raise ValueError("dims must be integers")
     return dims
+
+
+def _vertex_coords(dims: Sequence[int]) -> tuple:
+    """Every vertex's coordinate tuple on a product of the given sizes,
+    in vertex order: the last coordinate varies fastest."""
+    return tuple(itertools.product(*map(range, dims)))
 
 
 def rook_graph(dims: Sequence[int]) -> MultiGraph:

@@ -25,7 +25,8 @@ class Scramble:
     """Eggs over a host graph, stored as sorted, deduplicated vertex
     bitmasks in ``masks``; building one with an empty or disconnected egg
     raises ValueError.  ``eggs`` holds the same eggs as ascending vertex
-    tuples in ascending order, decoded from the masks on first read.
+    tuples in ascending order, decoded from the masks on first read; the
+    same decode keeps each egg's mask in egg order.
 
     ``uniform_size`` / ``with_squares`` are read-only fast-path hints.
     Only the family constructors in this module set them, because they
@@ -35,7 +36,8 @@ class Scramble:
     DP to a wrong hitting number.
     """
 
-    __slots__ = ("host", "masks", "_eggs", "_uniform_size", "_with_squares")
+    __slots__ = ("host", "masks", "_eggs", "_egg_masks", "_uniform_size",
+                 "_with_squares")
 
     def __init__(self, host: MultiGraph, eggs: Iterable[Iterable[int]]):
         try:
@@ -51,12 +53,11 @@ class Scramble:
             except TypeError:
                 raise ValueError(f"egg {egg!r} is not a list of vertices") from None
             masks.add(graphs._vertex_mask(host, verts))
-        # ascending egg order, the order of ``eggs``; distinct masks decode
-        # to distinct tuples, so the sort never compares the masks
-        pairs = sorted((graphs.mask_vertices(mask), mask) for mask in masks)
+        self.masks = tuple(sorted(masks))
+        self._decode()
         nbr = graphs.neighbour_masks(host)
         problems = []
-        for idx, (egg, mask) in enumerate(pairs):
+        for idx, (egg, mask) in enumerate(zip(self._eggs, self._egg_masks)):
             if not mask:
                 problems.append(f"egg {idx} is empty")
             elif graphs.lowest_component(nbr, mask) != mask:
@@ -64,8 +65,6 @@ class Scramble:
         if problems:
             raise ValueError("invalid scramble: " + "; ".join(problems))
         self.host = host
-        self.masks = tuple(sorted(masks))
-        self._eggs = tuple(egg for egg, _ in pairs)
         self._uniform_size = None
         self._with_squares = False
 
@@ -91,10 +90,17 @@ class Scramble:
         s._with_squares = with_squares
         return s
 
+    def _decode(self) -> None:
+        """Decode the masks into ``eggs``, and keep each egg's mask in egg
+        order; distinct masks decode to distinct tuples."""
+        mask_of = dict(zip(map(graphs.mask_vertices, self.masks), self.masks))
+        self._eggs = tuple(sorted(mask_of))
+        self._egg_masks = tuple(map(mask_of.__getitem__, self._eggs))
+
     @property
     def eggs(self) -> tuple:
         if self._eggs is None:
-            self._eggs = tuple(sorted(map(graphs.mask_vertices, self.masks)))
+            self._decode()
         return self._eggs
 
     @property
@@ -370,11 +376,14 @@ def min_side_cut_floor(dims: Sequence[int], min_side: int) -> Optional[int]:
     deg*|X| - 2*e(X) and the induced-edge bound gives the floor.  A cut
     and its complement weigh the same, so sides up to half suffice.
     """
+    dims = graphs._int_dims(dims)
+    if not isinstance(min_side, int) or isinstance(min_side, bool):
+        raise ValueError("min_side must be an integer")
     total = math.prod(dims)
     if min_side < 1 or 2 * min_side > total:
         return None
     deg = sum(d - 1 for d in dims)
-    edges = _max_induced_edges(tuple(dims))
+    edges = _max_induced_edges(dims)
     return min(deg * size - 2 * edges[size]
                for size in range(min_side, total // 2 + 1))
 
@@ -411,7 +420,7 @@ def min_egg_cut(s: Scramble) -> EggCutResult:
     floor = egg_cut_floor(s)
     host = s.host
     eggs = s.eggs
-    masks = [sum(1 << v for v in e) for e in eggs]
+    masks = s._egg_masks
     best = None
     best_pair = None
     done = False
@@ -428,15 +437,11 @@ def min_egg_cut(s: Scramble) -> EggCutResult:
                     f"--cut-mode auto uses the floor when it reaches the "
                     f"hitting number")
             flows += 1
-            if best is None:
-                value, _ = graphs.min_cut_value(host, eggs[i], eggs[j])
+            # with no incumbent the flow is exact; with one, exact means smaller
+            value, exact = graphs.min_cut_value(host, eggs[i], eggs[j], cutoff=best)
+            if exact:
                 best = value
                 best_pair = (i, j)
-            else:
-                value, exact = graphs.min_cut_value(host, eggs[i], eggs[j], cutoff=best)
-                if exact and value < best:
-                    best = value
-                    best_pair = (i, j)
             if floor is not None and best <= floor:
                 done = True
                 break
@@ -569,6 +574,7 @@ def staircase_avoidance(n: int, m: int) -> tuple:
     last full run gives up its final cell, and the freed column takes a
     vertical pair in the two rows below the runs.
     """
+    n, m = graphs._int_dims((n, m))
     if n < 4:
         raise ValueError("staircase avoidance needs n >= 4")
     if not (n - 1 <= m < (n - 2) * (n - 1)):

@@ -17,7 +17,7 @@ from functools import lru_cache
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .graphs import _int_dims
+from .graphs import _int_dims, _vertex_coords
 
 
 class GroupTooLarge(RuntimeError):
@@ -348,19 +348,17 @@ class _Shape:
         self.n = math.prod(dims)
         self.m = dims[-1]
         self.outer = outer = dims[:-1]
-        self.nfibers = nf = self.n // self.m
+        self.nfibers = self.n // self.m
         k = len(outer)
-        self.fstride = fstride = _strides(outer)
-        self.coords = tuple(tuple((f // fstride[a]) % outer[a] for a in range(k))
-                            for f in range(nf))
+        self.fstride = _strides(outer)
+        self.coords = _vertex_coords(outer)
         # outer axes whose next index first appears at each fiber
         self.pending = tuple(
             tuple(a for a in range(k)
                   if all(cf[b] == 0 for b in range(k) if b != a))
             for cf in self.coords)
         strides = _strides(dims)
-        flat = [tuple((v // strides[a]) % dims[a] for a in range(len(dims)))
-                for v in range(self.n)]
+        flat = _vertex_coords(dims)
         orders = list(_axis_orders(dims))
         self.axis_perms = tuple(
             itemgetter(*(sum(cv[order[b]] * strides[b] for b in range(len(dims)))
@@ -451,48 +449,21 @@ def _multiset(rows) -> dict:
 
 
 def _row_image_smaller(left: dict, f: int, scaled: list, tkeys: list,
-                       base: int) -> bool:
+                       base: int, nodes: list) -> bool:
     """Two factors: with image fibers 0..f-1 tying the target, is some
     ordering of the unplaced rows ``left`` (a multiset of distinct rows),
     with its columns sorted, lexicographically smaller than the target?
 
     ``scaled`` holds the column keys of the rows placed so far, times the
-    base.  Equal rows are tried once at each depth, only a row whose
-    image fiber ties the target's goes deeper, and the first smaller one
-    answers True.
-    """
-    t = tkeys[f]
-    deeper = f < len(tkeys) - 1
-    for row, c in left.items():
-        if c:
-            s = list(map(add, scaled, row))
-            s.sort()
-            if s < t:
-                return True
-            if s == t and deeper:
-                left[row] = c - 1
-                hit = _row_image_smaller(
-                    left, f + 1, [(key + v) * base for key, v in zip(scaled, row)],
-                    tkeys, base)
-                left[row] = c
-                if hit:
-                    return True
-    return False
-
-
-def _row_tie_nodes(left: dict, f: int, scaled: list, tkeys: list, base: int,
-                   nodes: list) -> bool:
-    """The identity source's row search over the first n-1 rows alone.
-
-    ``tkeys`` holds the target's column keys after each of those rows.
-    Every node reached by ties is appended to ``nodes`` as (depth,
-    scaled keys, unplaced rows): the last row may be placed there.
-    True means an image built from those rows alone is smaller, which
-    holds whatever the last row is.
+    base, and ``tkeys`` the target's column keys after each row.  Equal
+    rows are tried once at each depth, only a row whose image fiber ties
+    the target's goes deeper, and the first smaller one answers True.
+    Every node reached by ties is appended to ``nodes`` as (depth, scaled
+    keys, unplaced rows); the search stops once every row is placed.
     """
     nodes.append((f, scaled, dict(left)))
     if f == len(tkeys):
-        return False  # every one of the first n-1 rows is placed
+        return False  # every row is placed
     t = tkeys[f]
     for row, c in left.items():
         if c:
@@ -502,7 +473,7 @@ def _row_tie_nodes(left: dict, f: int, scaled: list, tkeys: list, base: int,
                 return True
             if s == t:
                 left[row] = c - 1
-                hit = _row_tie_nodes(
+                hit = _row_image_smaller(
                     left, f + 1, [(key + v) * base for key, v in zip(scaled, row)],
                     tkeys, base, nodes)
                 left[row] = c
@@ -550,7 +521,7 @@ class _RowLeafTest:
         for row in rows[1:]:
             tkeys.append([key * base + v for key, v in zip(tkeys[-1], row)])
         nodes = []
-        if _row_tie_nodes(_multiset(rows), 0, [0] * m, tkeys, base, nodes):
+        if _row_image_smaller(_multiset(rows), 0, [0] * m, tkeys, base, nodes):
             nodes = None
         self.scaled = [key * base for key in tkeys[-1]]
         tkeys.append(None)  # the last row's keys, filled per vector
@@ -580,10 +551,10 @@ class _RowLeafTest:
                 return False
             if s == t and f < final and _row_image_smaller(
                     left, f + 1, [(key + v) * base for key, v in zip(scaled, last)],
-                    tkeys, base):
+                    tkeys, base, []):
                 return False
         if self.square and _row_image_smaller(
-                _multiset(zip(*self.rows, last)), 0, [0] * self.m, tkeys, base):
+                _multiset(zip(*self.rows, last)), 0, [0] * self.m, tkeys, base, []):
             return False
         return True
 

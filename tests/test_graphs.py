@@ -111,6 +111,11 @@ def test_multigraph_validation():
         MultiGraph([[0, -1], [-1, 0]])  # negative multiplicity
     with pytest.raises(ValueError):
         MultiGraph([[0, True], [True, 0]])  # bools are not counts
+    # every entry is type-checked, not only the upper triangle
+    with pytest.raises(ValueError):
+        MultiGraph([[0, 1, 1], [1.0, 0, 1], [1, 1, 0]])  # float below the diagonal
+    with pytest.raises(ValueError):
+        MultiGraph([[0.0, 1], [1, 0]])  # float on the diagonal
     with pytest.raises(ValueError):
         MultiGraph([[0, 1, 0], [1, 0, 0], [0, 0, 0]])  # disconnected
     with pytest.raises(ValueError):

@@ -360,6 +360,9 @@ def test_cut_floor_values():
     assert min_side_cut_floor((3, 3, 3), 3) == 12
     assert min_side_cut_floor((3, 3), 5) is None
     assert min_side_cut_floor((3, 3), 0) is None
+    for dims, min_side in (((2, 2.5), 1), ((3, 3), 1.5), ((3, 3), True)):
+        with pytest.raises(ValueError):
+            min_side_cut_floor(dims, min_side)
 
 
 def _min_cut_by_size(g):
@@ -543,6 +546,9 @@ def test_staircase_avoidance_bounds():
         staircase_avoidance(4, 2)    # too few columns
     with pytest.raises(ValueError):
         staircase_avoidance(4, 6)    # board too wide for the construction
+    for n, m in ((4.0, 5), (4, 5.0), ("4", 5), (True, 5)):
+        with pytest.raises(ValueError):
+            staircase_avoidance(n, m)  # sizes must be integers
     # the narrowest legal board
     assert len(staircase_avoidance(4, 3)) == 4
 
