@@ -68,4 +68,4 @@ from .scrambles import (
 )
 from .suite import run_suite, suite_claims
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

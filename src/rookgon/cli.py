@@ -13,7 +13,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import sys
 import time
 from typing import Optional
@@ -179,17 +178,6 @@ def _threads(text: str) -> int:
     return n
 
 
-def _budget_secs(text: str) -> float:
-    try:
-        secs = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not math.isfinite(secs) or secs < 0:
-        raise argparse.ArgumentTypeError("must be a finite number of seconds, "
-                                         "at least 0")
-    return secs
-
-
 def _add_threads(p) -> None:
     # Accepted and validated so existing command lines keep working; the
     # worker pool it selected lost to the serial scan on a 2-vCPU machine
@@ -347,8 +335,7 @@ def cmd_scramble_avoidance(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = suite.run_suite(args.suite, seed=args.seed,
-                             budget_secs=args.budget_secs)
+    report = suite.run_suite(args.suite, seed=args.seed)
     _write_output(args, canonical_json(report))
     return 1 if report["counts"]["fail"] else 0
 
@@ -442,10 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0,
                        help="seed for the randomized property claims")
     _add_threads(p_ver)
-    p_ver.add_argument("--budget-secs", type=_budget_secs,
-                       help="skip claims whose declared cost exceeds the "
-                            "remaining wall-clock budget (skips depend on the "
-                            "machine; leave unset for deterministic reports)")
     _add_common(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 

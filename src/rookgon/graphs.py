@@ -74,8 +74,7 @@ class MultiGraph:
     def vertex_label(self, v: int) -> tuple:
         """Coordinate tuple of a vertex; requires product dims."""
         labels = self.labels()
-        if not 0 <= v < self.n:
-            raise ValueError("vertex out of range")
+        _vertex_mask(self, (v,))
         return labels[v]
 
     def label_to_index(self, coords: Sequence[int]) -> int:
@@ -85,8 +84,8 @@ class MultiGraph:
             raise ValueError("coordinate arity mismatch")
         v = 0
         for c, d in zip(coords, self.dims):
-            if not 0 <= c < d:
-                raise ValueError("coordinate out of range")
+            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < d:
+                raise ValueError(f"coordinate {c!r} out of range")
             v = v * d + c
         return v
 

@@ -611,6 +611,7 @@ def cube_diagonal_avoidance(n: int) -> tuple:
     """A (n+2)(n-1)-vertex set on the n x n x n rook graph splitting into
     n+2 components of n-1 vertices each: two axis runs off a corner plus
     a diagonal wall of runs."""
+    (n,) = graphs._int_dims((n,))
     if n < 3:
         raise ValueError("cube diagonal avoidance needs n >= 3")
     host = rook_graph([n, n, n])

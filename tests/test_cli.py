@@ -267,12 +267,6 @@ def test_verify_smoke():
     assert b"[suite] PASS" in proc.stderr
 
 
-def test_verify_budget_skips_exit_zero():
-    proc = run_cli("verify", "--suite", "smoke", "--budget-secs", "0")
-    data = out_json(proc)
-    assert data["counts"]["skipped"] == len(data["claims"])
-
-
 # ======================================================================
 # output handling and determinism
 # ======================================================================
@@ -365,20 +359,14 @@ def test_threads_below_one_exits_two(command):
     assert proc.stdout == b""
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "-inf", "abc"])
-def test_verify_budget_must_be_finite_and_nonnegative(value):
-    # nan and inf used to run and print NaN/Infinity, which is not JSON
-    proc = run_cli("verify", "--suite", "smoke", f"--budget-secs={value}",
+@pytest.mark.parametrize("value", ["0", "nan", "inf", "-1", "-inf", "abc"])
+def test_verify_has_no_budget_flag(value):
+    # the wall-clock budget skipped claims on guessed costs and was removed
+    proc = run_cli("verify", "--suite", "smoke", "--budget-secs", value,
                    check=False)
     assert proc.returncode == 2
     assert b"--budget-secs" in proc.stderr
     assert proc.stdout == b""
-
-
-def test_verify_budget_zero_is_accepted():
-    report = out_json(run_cli("verify", "--suite", "smoke",
-                              "--budget-secs", "0"))
-    assert report["budget_secs"] == 0
 
 
 def test_malformed_scramble_file_exits_two(tmp_path):

@@ -60,6 +60,12 @@ def test_rook_graph_2x3_structure():
     assert g.labels() == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
     for v in range(6):
         assert g.label_to_index(g.vertex_label(v)) == v
+    for v in (True, 1.5, -1, 6):
+        with pytest.raises(ValueError):
+            g.vertex_label(v)      # vertices must be ints in range
+    for coords in ((0.5, 1), (True, 2), (0, 3), (0,)):
+        with pytest.raises(ValueError):
+            g.label_to_index(coords)
     # adjacency: same row or same column
     for u in range(6):
         for v in range(6):

@@ -567,8 +567,9 @@ def test_cube_diagonal_avoidance_4():
     host = rook_graph([4, 4, 4])
     comps = induced_components(host, got)
     assert sorted(len(c) for c in comps) == [3] * 6
-    with pytest.raises(ValueError):
-        cube_diagonal_avoidance(2)
+    for n in (2, "3", 3.0, True):
+        with pytest.raises(ValueError):
+            cube_diagonal_avoidance(n)
 
 
 def test_induced_components():
