@@ -5,8 +5,12 @@ last axis varies fastest in the vertex numbering).  Its automorphism
 group reorders axes of equal size and relabels the values along each
 axis independently.  The orbit stream uses that product structure and
 never lists the group; it reads the group from the rook dimensions
-alone.  ``SymmetryGroup`` closes a generator set explicitly and is the
-reference the tests compare the engine against.
+alone.  Its leaf test sorts the columns for the last axis.  On two
+factors it searches the row orders once per shared prefix
+(``_RowLeafTest``); on three or more it tries the relabelings of the
+outer axes, listed once per shape as fiber orders.  ``SymmetryGroup``
+closes a generator set explicitly and is the reference the tests
+compare the engine against.
 """
 
 from __future__ import annotations
@@ -143,13 +147,18 @@ def _axis_orders(dims: tuple) -> Iterator[tuple]:
 # composition streams
 # ======================================================================
 
+def _check_total(total: int) -> None:
+    """A degree must be an int (bools rejected) and at least 0."""
+    if not isinstance(total, int) or isinstance(total, bool) or total < 0:
+        raise ValueError("total must be a nonnegative integer")
+
+
 def iter_degree_vectors(total: int, size: int) -> Iterator[tuple]:
     """All nonnegative integer vectors of the given length summing to total,
     in ascending lexicographic order."""
     if size < 1:
         raise ValueError("vector length must be positive")
-    if total < 0:
-        raise ValueError("total must be nonnegative")
+    _check_total(total)
     yield from _orderly(total, size, ())
 
 
@@ -165,7 +174,8 @@ def iter_orbit_min_vectors(total: int, size: int,
     if dims is None:
         yield from iter_degree_vectors(total, size)
         return
-    dims = tuple(dims)
+    _check_total(total)
+    dims = _int_dims(dims)
     if not is_rook_shape(dims):
         raise ValueError("invalid rook dimensions")
     if math.prod(dims) != size:
@@ -302,7 +312,8 @@ def orbit_count(dims: Sequence[int], total: int) -> int:
     length 2 lcm(a, b).  Hosts with three or more factors are not
     covered: they raise ValueError.
     """
-    dims = tuple(dims)
+    _check_total(total)
+    dims = _int_dims(dims)
     if len(dims) != 2 or not is_rook_shape(dims):
         raise ValueError("orbit counts cover two-factor rook hosts only")
     n, m = dims
@@ -348,15 +359,19 @@ class _Shape:
         self.n = math.prod(dims)
         self.m = dims[-1]
         self.outer = outer = dims[:-1]
-        self.nfibers = self.n // self.m
-        k = len(outer)
-        self.fstride = _strides(outer)
-        self.coords = _vertex_coords(outer)
-        # outer axes whose next index first appears at each fiber
-        self.pending = tuple(
-            tuple(a for a in range(k)
-                  if all(cf[b] == 0 for b in range(k) if b != a))
-            for cf in self.coords)
+        # three or more factors: every relabeling of the outer axes as a
+        # fiber order, grouped by the source fiber it puts first (two
+        # factors would need n! of them and use _RowLeafTest instead)
+        self.orders = ()
+        if len(outer) > 1:
+            # each axis's relabelings as old index times fiber stride
+            axes = [[[i * s for i in p] for p in itertools.permutations(range(d))]
+                    for d, s in zip(outer, _strides(outer))]
+            groups = [[] for _ in range(self.n // self.m)]
+            for offs in itertools.product(*axes):
+                order = list(map(sum, itertools.product(*offs)))
+                groups[order[0]].append(itemgetter(*order))
+            self.orders = tuple(map(tuple, groups))
         strides = _strides(dims)
         flat = _vertex_coords(dims)
         orders = list(_axis_orders(dims))
@@ -387,13 +402,11 @@ class _Shape:
         self.prune = tuple(sorted(prune))
 
     def sources(self, x: tuple) -> list:
-        """The fibers of x under each axis order, identity first."""
+        """The fibers of x under each axis order, identity first; axis
+        orders that give the same vector give one source."""
         m = self.m
-        out = [[x[i:i + m] for i in range(0, self.n, m)]]
-        for perm in self.axis_perms:
-            y = perm(x)
-            out.append([y[i:i + m] for i in range(0, self.n, m)])
-        return out
+        ys = dict.fromkeys([x] + [perm(x) for perm in self.axis_perms])
+        return [[y[i:i + m] for i in range(0, self.n, m)] for y in ys]
 
 
 @lru_cache(maxsize=None)
@@ -404,39 +417,34 @@ def _rook_shape(dims: tuple) -> _Shape:
 def _is_min_image(shape: _Shape, x: Sequence[int]) -> bool:
     """True iff x is the lexicographically smallest vector in its orbit.
 
-    Every image of x is some axis order of x (a source) with each axis's
-    values relabeled.  For a fixed image of the outer axes the best order
-    of the last axis is to sort the columns, so the search packs each
-    column, read down the fibers placed so far, into one int key (base
-    ``max(x) + 1``).  The sorted keys compare with the target's column
-    keys at that depth exactly as the image fiber compares with x's
-    fiber, given the earlier fibers tie.  Image fiber 0 is a sorted
-    source fiber, so a source fiber that sorts below x's first fiber
-    settles the test before any search.  Two factors run the orbit
-    stream's tester (``_RowLeafTest``, base ``sum(x) + 1``) instead.
+    Every image of x is some axis order of x (a source) with its fibers
+    reordered by one relabeling of the outer axes and the values along
+    the last axis relabeled; for a fixed fiber order the best relabeling
+    of the last axis sorts the columns.  Image fiber 0 is a sorted source
+    fiber, so a source fiber that sorts below x's first fiber rejects x,
+    and only the fiber orders that put a fiber sorting to x's first
+    fiber in front are tried.  Two factors run the orbit stream's tester
+    (``_RowLeafTest``, whose column keys use the base ``sum(x) + 1``)
+    instead.
     """
     if len(shape.outer) == 1:
         return _RowLeafTest(shape, sum(x)).accepts(x)
-    x = tuple(x)
-    sources = shape.sources(x)
-    first = list(sources[0][0])
-    heads = []
-    for rows in sources:
-        h = list(map(sorted, rows))
-        if min(h) < first:
+    sources = shape.sources(tuple(x))
+    rows = sources[0]
+    first = list(rows[0])
+    starts = []
+    for fibers in sources:
+        heads = list(map(sorted, fibers))
+        if min(heads) < first:
             return False
-        heads.append(h)
-    base = max(x) + 1
-    # x's own packed column keys after each fiber
-    tkeys = [first]
-    keys = first
-    for row in sources[0][1:]:
-        keys = [key * base + v for key, v in zip(keys, row)]
-        tkeys.append(keys)
-    for rows, h in zip(sources, heads):
-        # a search starts only from fibers that sort to x's first fiber
-        if first in h and _improve(shape, rows, h, tkeys, base):
-            return False
+        starts.append((fibers, heads))
+    orders = shape.orders
+    for fibers, heads in starts:
+        for i, head in enumerate(heads):
+            if head == first:
+                for order in orders[i]:
+                    if list(zip(*sorted(zip(*order(fibers))))) < rows:
+                        return False
     return True
 
 
@@ -557,86 +565,3 @@ class _RowLeafTest:
                 _multiset(zip(*self.rows, last)), 0, [0] * self.m, tkeys, base, []):
             return False
         return True
-
-
-def _improve(shape: _Shape, rows: list, heads: list, tkeys: list,
-             base: int) -> bool:
-    """Three or more factors: is some image of the source ``rows`` under
-    per-axis value relabelings lexicographically smaller than the
-    target?
-
-    Outer axes are mapped one new index at a time by backtracking, so
-    the image takes its fibers from a chosen sequence of source fibers;
-    ``offs[a][new]`` holds the chosen old index of axis a times its
-    fiber stride.  A fiber smaller than the target answers True, a
-    larger one prunes the branch, and only ties go deeper.
-    """
-    outer = shape.outer
-    coords = shape.coords
-    pending = shape.pending
-    fstride = shape.fstride
-    k = len(outer)
-    offs = [[0] * s for s in outer]
-    used = [[False] * s for s in outer]
-    last = shape.nfibers - 1
-
-    def place(f, scaled):
-        axes = pending[f]
-        while not axes:  # every outer index of fiber f is mapped already
-            cf = coords[f]
-            old = 0
-            for a in range(k):
-                old += offs[a][cf[a]]
-            row = rows[old]
-            s = sorted(map(add, scaled, row))
-            t = tkeys[f]
-            if s != t:
-                return s < t
-            if f == last:
-                return False
-            scaled = [(key + v) * base for key, v in zip(scaled, row)]
-            f += 1
-            axes = pending[f]
-        (a,) = axes  # past fiber 0, one axis at a time takes a new index
-        t = tkeys[f]
-        ua = used[a]
-        oa = offs[a]
-        new = coords[f][a]
-        stride = fstride[a]
-        start = 0  # the other outer coordinates are 0 here
-        for b in range(k):
-            if b != a:
-                start += offs[b][0]
-        for o in range(outer[a]):
-            if ua[o]:
-                continue
-            row = rows[start + o * stride]
-            s = sorted(map(add, scaled, row))
-            if s < t:
-                return True
-            if s == t and f < last:
-                oa[new] = o * stride
-                ua[o] = True
-                hit = place(f + 1, [(key + v) * base
-                                    for key, v in zip(scaled, row)])
-                ua[o] = False
-                if hit:
-                    return True
-        return False
-
-    # image fiber 0 maps every outer axis at once, to a source fiber
-    # that sorts to the target's first fiber
-    first = tkeys[0]
-    for old, head in enumerate(heads):
-        if head != first:
-            continue
-        cf = coords[old]
-        for a in range(k):
-            offs[a][0] = cf[a] * fstride[a]
-            used[a][cf[a]] = True
-        hit = place(1, [v * base for v in rows[old]])
-        for a in range(k):
-            used[a][cf[a]] = False
-        if hit:
-            return True
-    return False

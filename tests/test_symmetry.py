@@ -23,14 +23,17 @@ from rookgon.symmetry import (
     orbit_count,
 )
 
-# every rook host whose group the explicit closure lists quickly (at most
-# 1,152 elements); the closure is the oracle for the product engine
-ENGINE_DIMS = ([2, 2], [2, 3], [3, 3], [2, 4], [3, 4], [4, 4],
-               [2, 2, 2], [2, 2, 3], [2, 3, 3])
+# rook hosts whose group the explicit closure lists quickly (at most
+# 1,296 elements), each with the top degree of its stream check; the
+# closure is the oracle for the product engine.  Two, three and four
+# factors, with one and two outer axes of size 3.
+ENGINE_DIMS = (([2, 2], 8), ([2, 3], 8), ([3, 3], 8), ([2, 4], 8),
+               ([3, 4], 8), ([4, 4], 8), ([2, 2, 2], 8), ([2, 2, 3], 8),
+               ([2, 3, 3], 8), ([2, 2, 2, 2], 6), ([3, 3, 3], 4))
 
 
 def orbit_of(d, elements):
-    return {tuple(d[p[i]] for i in range(len(d))) for p in elements}
+    return {tuple(map(d.__getitem__, p)) for p in elements}
 
 
 # ======================================================================
@@ -120,8 +123,10 @@ def test_iter_degree_vectors_counts():
 def test_iter_degree_vectors_validation():
     with pytest.raises(ValueError):
         list(iter_degree_vectors(1, 0))
-    with pytest.raises(ValueError):
-        list(iter_degree_vectors(-1, 2))
+    # a degree is a nonnegative int: 1.5 used to yield (0, 1.5), (1, 0.5)
+    for total in (-1, 1.5, True, "2"):
+        with pytest.raises(ValueError):
+            list(iter_degree_vectors(total, 2))
 
 
 def test_orbit_min_vectors_no_group():
@@ -174,6 +179,12 @@ def test_orbit_count_matches_listed_group():
     for dims in ((2, 2, 2), (5,), (1, 3)):
         with pytest.raises(ValueError):
             orbit_count(dims, 3)
+    # -1 used to count 1 orbit and -2 to raise IndexError; float dims
+    # and degrees raised TypeError
+    for dims, total in (((2, 2), -1), ((3, 4), -2), ((2.0, 2), 1),
+                        ((2, 2), 1.5), ((2, 2), True)):
+        with pytest.raises(ValueError):
+            orbit_count(dims, total)
 
 
 def test_orbit_min_vectors_partition_all_vectors():
@@ -208,6 +219,14 @@ def test_orbit_min_vectors_rejects_non_rook_dims():
     for dims, size in (((5,), 5), ((1, 3), 3), ((2, 1), 2), ((), 1)):
         with pytest.raises(ValueError):
             list(iter_orbit_min_vectors(1, size, dims))
+    # dims that are not ints, and degrees that are not nonnegative ints,
+    # with or without dims (-1 used to yield nothing and True (0, 0, 0, 1))
+    for total, size, dims in ((2, 4, (2.0, 2)), (2, 4, (2, True)),
+                              (-1, 4, (2, 2)), (True, 4, (2, 2)),
+                              (1.5, 4, (2, 2)), (-1, 4, None), (1.5, 4, None),
+                              (-1, 8, (2, 2, 2))):
+        with pytest.raises(ValueError):
+            list(iter_orbit_min_vectors(total, size, dims))
 
 
 # ======================================================================
@@ -215,10 +234,10 @@ def test_orbit_min_vectors_rejects_non_rook_dims():
 # ======================================================================
 
 def test_engine_orbit_stream_matches_explicit_closure():
-    for dims in ENGINE_DIMS:
+    for dims, top in ENGINE_DIMS:
         n = math.prod(dims)
         els = rook_symmetry(dims).elements()
-        for total in range(9):
+        for total in range(top + 1):
             assert list(iter_orbit_min_vectors(total, n, dims)) == \
                 list(_iter_canonical_explicit(total, n, els)), (dims, total)
 
@@ -226,10 +245,10 @@ def test_engine_orbit_stream_matches_explicit_closure():
 def test_leaf_test_matches_orbit_minimum():
     # the exact leaf test alone, without the orderly search's prune set.
     # Entries come from a small random palette up to 9, so sums go far
-    # past the degree-8 stream above, and half the vectors are orbit
+    # past the streams above, and half the vectors are orbit
     # minima or one swap away from one, so fibers tie often.
     rng = random.Random(8)
-    for dims in ENGINE_DIMS:
+    for dims, _ in ENGINE_DIMS:
         n = math.prod(dims)
         els = rook_symmetry(dims).elements()
         shape = _rook_shape(tuple(dims))
@@ -304,3 +323,6 @@ def test_rook_paths_never_list_the_group(monkeypatch):
 
     monkeypatch.setattr(SymmetryGroup, "elements", listed)
     assert sum(1 for _ in iter_orbit_min_vectors(2, 36, (6, 6))) == 3
+    # nor the outer relabelings: on two factors they would be n! fiber
+    # orders (40,320 on 8x8), and the row tester needs none
+    assert _rook_shape((8, 8)).orders == ()
