@@ -11,11 +11,10 @@ recursively, and is exact on two factors.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import graphs
 from .graphs import MultiGraph, connected_masks, cut_weight, rook_graph
@@ -33,7 +32,7 @@ class Scramble:
     build the egg list themselves: every connected subset of that size
     (plus every 2x2 square).  A scramble built directly or loaded from
     JSON never carries them, so an unchecked hint cannot steer the grid
-    DP to a wrong hitting number.
+    knapsack to a wrong hitting number.
     """
 
     __slots__ = ("host", "masks", "_eggs", "_egg_masks", "_uniform_size",
@@ -120,24 +119,20 @@ def hitting_number(s: Scramble):
     """Exact minimum hitting set size with witnesses.
 
     Returns (number, hitting set, maximum avoidance set).  The avoidance
-    maximum comes from a column-sweep DP when the scramble is all
-    connected k-subsets of a two-factor rook graph (optionally plus all
-    2x2 squares), else from branch and bound over vertex inclusion.
+    maximum comes from a knapsack over component shapes when the scramble
+    is all connected k-subsets of a two-factor rook graph (optionally
+    plus all 2x2 squares), else from branch and bound over vertex
+    inclusion.
     """
     host = s.host
     n = host.n
     if not s.masks:
         return 0, (), tuple(range(n))
-    avoid = None
     if (s._uniform_size is not None and host.dims is not None
             and len(host.dims) == 2):
-        maxcomp = s._uniform_size - 1
-        if not s._with_squares or maxcomp <= 4:
-            avoid = _max_avoidance_grid(
-                host.dims[0], host.dims[1], maxcomp,
-                s._with_squares and maxcomp == 4,
-            )
-    if avoid is None:
+        avoid = _max_avoidance_grid(host.dims[0], host.dims[1],
+                                    s._uniform_size - 1, s._with_squares)
+    else:
         avoid = _max_avoidance_branch_bound(s)
     for mask in s.masks:
         if mask & avoid == mask:
@@ -192,125 +187,53 @@ def _max_avoidance_grid(nrows: int, ncols: int, maxcomp: int,
     induced components all have at most maxcomp vertices (and, when
     no_squares is set, which contains no full 2x2 square), as a bitmask.
 
-    Column sweep.  The cells picked in one column form a clique, so they
-    join exactly one component; a live component is summarized by how
-    many rows it owns and its cell count, and rows are interchangeable,
-    so a DP state is the sorted multiset of (rowcount, size) pairs.
+    Read cell (r, c) as the edge r-c of the complete bipartite graph on
+    the rows and columns: two cells are adjacent exactly when their edges
+    share an end, so components use disjoint rows and columns, and one on
+    a rows and b columns holds from a+b-1 to a*b cells.  The maximum is
+    then an unbounded knapsack over component shapes (a, b) with
+    a+b-1 <= maxcomp, each worth min(a*b, maxcomp); ``best[i][j]`` is the
+    most cells on i rows and j columns.  With maxcomp 4 the only 4-cell
+    component on 2 x 2 is the full square, so no_squares caps that shape
+    at 3 cells.
 
-    A component with two cells in two rows is necessarily a single
-    column's pair, so with maxcomp 4 a 2x2 square appears exactly when a
-    (2,2) component alone takes two cells in both its rows and no fresh
-    row; that one transition is what no_squares forbids.
+    The witness places each chosen shape in its own block of rows and
+    columns and fills the block's first row, then its first column, then
+    the rest row by row: the first a+b-1 cells span the block, so each
+    block is connected.
     """
     if maxcomp <= 0:
         return 0
     if no_squares and maxcomp > 4:
         raise ValueError("square-free avoidance supports component caps up to 4 only")
-
-    dp = {(): 0}
-    parents = []
-    for _col in range(ncols):
-        ndp = {}
-        npar = {}
-        for state in sorted(dp):
-            val = dp[state]
-            old = ndp.get(state)
-            if old is None or val > old:
-                ndp[state] = val
-                npar[state] = (state, None)
-            free = nrows - sum(rc for rc, _ in state)
-            seen_groups = set()
-            for r in range(len(state) + 1):
-                for idxs in itertools.combinations(range(len(state)), r):
-                    chosen = tuple(sorted(state[i] for i in idxs))
-                    if chosen in seen_groups:
-                        continue
-                    seen_groups.add(chosen)
-                    rc_sum = sum(e[0] for e in chosen)
-                    sz_sum = sum(e[1] for e in chosen)
-                    a_range = range(len(idxs), rc_sum + 1) if idxs else (0,)
-                    rest = [state[i] for i in range(len(state)) if i not in idxs]
-                    for a_tot in a_range:
-                        for u in range(free + 1):
-                            cells = a_tot + u
-                            if cells == 0:
-                                continue
-                            new_sz = sz_sum + cells
-                            if new_sz > maxcomp:
-                                continue
-                            if (no_squares and len(chosen) == 1
-                                    and chosen[0] == (2, 2)
-                                    and a_tot == 2 and u == 0):
-                                continue
-                            new_state = tuple(sorted(rest + [(rc_sum + u, new_sz)]))
-                            nv = val + cells
-                            old = ndp.get(new_state)
-                            if old is None or nv > old:
-                                ndp[new_state] = nv
-                                npar[new_state] = (state, (chosen, a_tot, u))
-        dp = ndp
-        parents.append(npar)
-
-    best_state = None
-    best_val = -1
-    for state in sorted(dp):
-        if dp[state] > best_val:
-            best_val = dp[state]
-            best_state = state
-
-    # walk parents back, then replay forward with concrete rows
-    trail = []
-    cur = best_state
-    for col in range(ncols - 1, -1, -1):
-        prev, move = parents[col][cur]
-        trail.append(move)
-        cur = prev
-    trail.reverse()
-
-    comps: List[list] = []  # [rowset, size]
-    used_rows = set()
-    cells_out = []
-    for col, move in enumerate(trail):
-        if move is None:
-            continue
-        chosen, a_tot, u = move
-        picked = []
-        taken = set()
-        for rc, sz in chosen:
-            for ci in range(len(comps)):
-                if ci not in taken and len(comps[ci][0]) == rc and comps[ci][1] == sz:
-                    picked.append(ci)
-                    taken.add(ci)
-                    break
-            else:
-                raise RuntimeError("avoidance replay lost a component")
-        rows_sel = []
-        remaining = a_tot
-        for pos, ci in enumerate(picked):
-            later = len(picked) - pos - 1
-            take = min(len(comps[ci][0]), remaining - later)
-            rows_sel.extend(sorted(comps[ci][0])[:take])
-            remaining -= take
-        if remaining:
-            raise RuntimeError("avoidance replay mis-split a merge")
-        fresh = [r for r in range(nrows) if r not in used_rows][:u]
-        rows_sel.extend(fresh)
-        for rr in rows_sel:
-            cells_out.append((rr, col))
-        new_rows = set(fresh)
-        new_size = a_tot + u
-        for ci in picked:
-            new_rows |= comps[ci][0]
-            new_size += comps[ci][1]
-        comps = [c for i, c in enumerate(comps) if i not in taken]
-        comps.append([new_rows, new_size])
-        used_rows |= new_rows
+    shapes = [(a, b, min(a * b, 3 if no_squares and a == b == 2 else maxcomp))
+              for a in range(1, min(nrows, maxcomp) + 1)
+              for b in range(1, min(ncols, maxcomp + 1 - a) + 1)]
+    best = [[0] * (ncols + 1) for _ in range(nrows + 1)]
+    for i in range(1, nrows + 1):
+        for j in range(1, ncols + 1):
+            best[i][j] = max([best[i - 1][j], best[i][j - 1]]
+                             + [worth + best[i - a][j - b]
+                                for a, b, worth in shapes if a <= i and b <= j])
 
     mask = 0
-    for r, c in cells_out:
-        mask |= 1 << r * ncols + c
-    if mask.bit_count() != best_val:
-        raise RuntimeError("avoidance replay dropped cells")
+    i, j = nrows, ncols
+    while best[i][j]:
+        for a, b, worth in shapes:
+            if a <= i and b <= j and worth + best[i - a][j - b] == best[i][j]:
+                i -= a
+                j -= b
+                cells = ([(i, j + t) for t in range(b)]
+                         + [(i + s, j) for s in range(1, a)]
+                         + [(i + s, j + t) for s in range(1, a) for t in range(1, b)])
+                for r, c in cells[:worth]:
+                    mask |= 1 << r * ncols + c
+                break
+        else:
+            if best[i - 1][j] == best[i][j]:
+                i -= 1
+            else:
+                j -= 1
     return mask
 
 
@@ -524,9 +447,9 @@ def square_augmented_scramble(dims: Sequence[int] = (6, 6)) -> Scramble:
 
     The interesting host is 6x6, where the squares raise the hitting
     number without lowering the cut floor; other sizes are accepted but
-    experimental.  Egg sizes n-1 above 5 are refused: the grid DP cannot
-    take the squares there, and branch and bound runs for minutes on 7x7
-    without an answer.
+    experimental.  Egg sizes n-1 above 5 are refused: the grid knapsack
+    takes the squares only for components of up to 4 cells, and branch
+    and bound runs for minutes on 7x7 without an answer.
     """
     dims = graphs._int_dims(dims)
     if len(dims) != 2 or any(d < 2 for d in dims):

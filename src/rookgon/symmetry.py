@@ -156,8 +156,8 @@ def _check_total(total: int) -> None:
 def iter_degree_vectors(total: int, size: int) -> Iterator[tuple]:
     """All nonnegative integer vectors of the given length summing to total,
     in ascending lexicographic order."""
-    if size < 1:
-        raise ValueError("vector length must be positive")
+    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+        raise ValueError("vector length must be a positive integer")
     _check_total(total)
     yield from _orderly(total, size, ())
 

@@ -30,7 +30,8 @@ from rookgon import (
     star_scramble,
     uniform_scramble,
 )
-from rookgon.scrambles import _max_induced_edges
+from rookgon import graphs
+from rookgon.scrambles import _max_avoidance_grid, _max_induced_edges
 
 
 def check_order_report(s, rep):
@@ -92,8 +93,8 @@ def test_scramble_rejects_malformed_eggs():
 
 def test_scramble_hints_stay_private():
     # The hints promise that the eggs are every connected subset of one
-    # size, which sends the hitting number through the grid DP.  Only the
-    # family constructors may make that promise.  Taken on trust, the hint
+    # size, which sends the hitting number through the grid knapsack.  Only
+    # the family constructors may make that promise.  Taken on trust, the hint
     # gave hitting number 4 for the single egg {0, 1} and order 3 (true
     # order 2) for two disjoint 2-eggs: an overestimated lower bound.
     g = rook_graph([2, 3])
@@ -186,7 +187,7 @@ def test_family_scrambles_match_vertex_list_construction():
     # a family scramble stores masks and decodes eggs on demand; the
     # vertex-list constructor on its eggs holds the same eggs and answers
     # the same order query.  It carries no fast-path hints, so branch and
-    # bound may pick another maximum avoidance set than the grid DP.
+    # bound may pick another maximum avoidance set than the grid knapsack.
     families = [star_scramble(4, 4), uniform_scramble(rook_graph([3, 3]), 2),
                 uniform_scramble(rook_graph([2, 2, 3]), 2),
                 square_augmented_scramble((4, 4))]
@@ -275,15 +276,57 @@ def test_hitting_number_matches_brute_force():
 
 
 def test_hitting_grid_dp_matches_branch_and_bound():
-    # same egg lists, hints stripped so the general solver runs
-    for build in (lambda: star_scramble(3, 5),
-                  lambda: star_scramble(4, 4),
-                  lambda: uniform_scramble(rook_graph([3, 4]), 3),
-                  lambda: square_augmented_scramble((4, 4)),
-                  lambda: square_augmented_scramble((5, 4))):
-        s = build()
+    # same egg lists, hints stripped so the general solver runs: every
+    # uniform scramble up to k = 6 and every square-augmented scramble on
+    # the two-factor hosts of at most 16 vertices
+    cases = [star_scramble(3, 5), star_scramble(4, 4),
+             square_augmented_scramble((5, 4))]
+    for n in range(2, 5):
+        for m in range(n, 16 // n + 1):
+            host = rook_graph([n, m])
+            cases += [uniform_scramble(host, k)
+                      for k in range(1, min(6, n * m) + 1)]
+            cases.append(square_augmented_scramble((n, m)))
+    assert len(cases) == 78
+    for s in cases:
         plain = Scramble(s.host, s.eggs)
+        assert plain.uniform_size is None
         assert hitting_number(s)[0] == hitting_number(plain)[0]
+
+
+def _has_full_square(mask, n, m):
+    """Whether mask holds all four cells of some 2x2 square of the n x m
+    grid."""
+    return any(all(mask >> r * m + c & 1 for r in rows for c in cols)
+               for rows in itertools.combinations(range(n), 2)
+               for cols in itertools.combinations(range(m), 2))
+
+
+def test_grid_avoidance_sets_are_valid():
+    # every returned set keeps its components within the cap, holds no
+    # full square when squares are eggs, and is as large as the one on the
+    # transposed grid
+    for n in range(2, 9):
+        for m in range(2, 9):
+            g = rook_graph([n, m])
+            for cap in range(8):
+                for no_squares in (False, True) if cap <= 4 else (False,):
+                    mask = _max_avoidance_grid(n, m, cap, no_squares)
+                    comps = induced_components(g, graphs.mask_vertices(mask))
+                    assert all(len(c) <= cap for c in comps)
+                    assert not (no_squares and _has_full_square(mask, n, m))
+                    assert mask.bit_count() == _max_avoidance_grid(
+                        m, n, cap, no_squares).bit_count()
+    with pytest.raises(ValueError, match="up to 4"):
+        _max_avoidance_grid(6, 6, 5, True)
+
+
+def test_grid_avoidance_sizes_beyond_branch_and_bound():
+    # sizes from an independent solver (the column sweep that 0.9.0
+    # replaced) on hosts branch and bound cannot reach
+    for args, size in (((6, 8, 4, False), 12), ((7, 7, 5, False), 14),
+                       ((8, 8, 6, False), 18), ((6, 6, 4, True), 9)):
+        assert _max_avoidance_grid(*args).bit_count() == size
 
 
 def test_star_hitting_values():

@@ -121,8 +121,11 @@ def test_iter_degree_vectors_counts():
 
 
 def test_iter_degree_vectors_validation():
-    with pytest.raises(ValueError):
-        list(iter_degree_vectors(1, 0))
+    # the length is a positive int: True used to yield (2,), and 1.5 and
+    # "3" raised TypeError
+    for size in (0, -1, True, 1.5, "3", None):
+        with pytest.raises(ValueError):
+            list(iter_degree_vectors(2, size))
     # a degree is a nonnegative int: 1.5 used to yield (0, 1.5), (1, 0.5)
     for total in (-1, 1.5, True, "2"):
         with pytest.raises(ValueError):
