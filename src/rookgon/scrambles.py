@@ -121,8 +121,10 @@ def hitting_number(s: Scramble):
     Returns (number, hitting set, maximum avoidance set).  The avoidance
     maximum comes from a knapsack over component shapes when the scramble
     is all connected k-subsets of a two-factor rook graph (optionally
-    plus all 2x2 squares), else from branch and bound over vertex
-    inclusion.
+    plus all 2x2 squares), else from an include/exclude search over the
+    vertices bounded by the exact optima of its suffixes (Russian-doll
+    search), which returns the same set as that search without the
+    bound.
     """
     host = s.host
     n = host.n
@@ -142,25 +144,31 @@ def hitting_number(s: Scramble):
 
 
 def _max_avoidance_branch_bound(s: Scramble) -> int:
-    """Exact maximum egg-free set, as a bitmask, by include/exclude search.
+    """Exact maximum egg-free set, as a bitmask, by include/exclude search
+    with a Russian-doll bound (Verfaillie, Lemaitre and Schiex, 1996).
 
-    Vertices are decided in order of descending egg membership; a branch
-    dies when even taking every remaining vertex cannot beat the best.
+    Vertices are decided in order of descending egg membership, include
+    before exclude.  ``cap[p]`` is the exact optimum over the suffix
+    ``order[p:]``, solved from the shortest suffix up, and a node at
+    position p dies when its count plus ``cap[p]`` cannot beat the best.
+    A suffix's optimum is ``cap[p + 1]`` or one more, so each suffix
+    solve starts from ``cap[p + 1]`` and stops at its first larger leaf.
+    The full solve starts below its optimum, and the bound never cuts a
+    leaf that beats the best, so it returns the first maximum set in
+    include-first order: the set the search without the bound returns.
     """
-    host = s.host
-    n = host.n
-    egg_masks = s.masks
+    n = s.host.n
     member = [[] for _ in range(n)]
-    for ei, mask in enumerate(egg_masks):
+    for mask in s.masks:
         for v in graphs.mask_vertices(mask):
-            member[v].append(ei)
+            member[v].append(mask)
     order = sorted(range(n), key=lambda v: (-len(member[v]), v))
-    best_size = -1
-    best_mask = 0
+    cap = [0] * (n + 1)
+    best_size = best_mask = top = 0
 
     def dfs(pos, mask, count):
         nonlocal best_size, best_mask
-        if count + (n - pos) <= best_size:
+        if count + cap[pos] <= best_size or best_size == top:
             return
         if pos == n:
             best_size = count
@@ -168,16 +176,20 @@ def _max_avoidance_branch_bound(s: Scramble) -> int:
             return
         v = order[pos]
         newmask = mask | (1 << v)
-        ok = True
-        for ei in member[v]:
-            if egg_masks[ei] & ~newmask == 0:
-                ok = False
+        for egg in member[v]:
+            if egg & ~newmask == 0:
                 break
-        if ok:
+        else:
             dfs(pos + 1, newmask, count + 1)
         dfs(pos + 1, mask, count)
 
-    dfs(0, 0, 0)
+    for p in range(n - 1, -1, -1):
+        # cap[p] is an upper bound until its solve ends; the full solve
+        # (p == 0) starts one below its least possible optimum
+        top = cap[p] = cap[p + 1] + 1
+        best_size = cap[p + 1] - (p == 0)
+        dfs(p, 0, 0)
+        cap[p] = best_size
     return best_mask
 
 
@@ -448,8 +460,8 @@ def square_augmented_scramble(dims: Sequence[int] = (6, 6)) -> Scramble:
     The interesting host is 6x6, where the squares raise the hitting
     number without lowering the cut floor; other sizes are accepted but
     experimental.  Egg sizes n-1 above 5 are refused: the grid knapsack
-    takes the squares only for components of up to 4 cells, and branch
-    and bound runs for minutes on 7x7 without an answer.
+    takes the squares only for components of up to 4 cells, and 7x7 alone
+    would hand 1.26M eggs to the general search.
     """
     dims = graphs._int_dims(dims)
     if len(dims) != 2 or any(d < 2 for d in dims):

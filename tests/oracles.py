@@ -315,6 +315,44 @@ def max_avoidance(host, eggs):
     return best, best_set
 
 
+def max_avoidance_plain_search(s):
+    """Largest egg-free set of scramble s, as a bitmask, by the plain
+    include/exclude search that the package used before its suffix
+    bound: vertices in order of descending egg membership (ties by
+    index), include before exclude, and a branch dies when taking every
+    undecided vertex cannot beat the best.  Returns the first maximum
+    set in that order."""
+    n = s.host.n
+    egg_masks = s.masks
+    member = [[ei for ei, mask in enumerate(egg_masks) if mask >> v & 1]
+              for v in range(n)]
+    order = sorted(range(n), key=lambda v: (-len(member[v]), v))
+    best_size = -1
+    best_mask = 0
+
+    def dfs(pos, mask, count):
+        nonlocal best_size, best_mask
+        if count + (n - pos) <= best_size:
+            return
+        if pos == n:
+            best_size = count
+            best_mask = mask
+            return
+        v = order[pos]
+        newmask = mask | (1 << v)
+        ok = True
+        for ei in member[v]:
+            if egg_masks[ei] & ~newmask == 0:
+                ok = False
+                break
+        if ok:
+            dfs(pos + 1, newmask, count + 1)
+        dfs(pos + 1, mask, count)
+
+    dfs(0, 0, 0)
+    return best_mask
+
+
 def min_egg_cut(host, eggs):
     """Minimum cut separating two eggs, by scanning all bipartitions."""
     n = host.n

@@ -31,7 +31,8 @@ from rookgon import (
     uniform_scramble,
 )
 from rookgon import graphs
-from rookgon.scrambles import _max_avoidance_grid, _max_induced_edges
+from rookgon.scrambles import (_max_avoidance_branch_bound, _max_avoidance_grid,
+                                _max_induced_edges)
 
 
 def check_order_report(s, rep):
@@ -229,7 +230,8 @@ def test_square_augmented_shapes():
 
 
 def test_square_augmented_refuses_egg_size_above_five(monkeypatch):
-    # 7x7 used to enumerate 1.26M eggs and then never finish branch and bound
+    # the grid knapsack takes squares only for components of at most 4
+    # cells; 7x7 used to enumerate 1.26M eggs before refusing
     import rookgon.scrambles as scr
     monkeypatch.setattr(scr, "connected_masks",
                         lambda *a: pytest.fail("eggs were enumerated"))
@@ -275,10 +277,10 @@ def test_hitting_number_matches_brute_force():
         check_order_report(s, scramble_order(s))
 
 
-def test_hitting_grid_dp_matches_branch_and_bound():
-    # same egg lists, hints stripped so the general solver runs: every
-    # uniform scramble up to k = 6 and every square-augmented scramble on
-    # the two-factor hosts of at most 16 vertices
+def _small_grid_family_scrambles():
+    """Every uniform scramble up to k = 6 and every square-augmented
+    scramble on the two-factor hosts of at most 16 vertices, plus three
+    more family scrambles: 78 in all."""
     cases = [star_scramble(3, 5), star_scramble(4, 4),
              square_augmented_scramble((5, 4))]
     for n in range(2, 5):
@@ -288,10 +290,57 @@ def test_hitting_grid_dp_matches_branch_and_bound():
                       for k in range(1, min(6, n * m) + 1)]
             cases.append(square_augmented_scramble((n, m)))
     assert len(cases) == 78
-    for s in cases:
+    return cases
+
+
+def _random_connected_masks(rng, g, count, sizes):
+    """count random connected vertex sets of g, each grown from a random
+    vertex by random neighbours to a size drawn from sizes."""
+    nbr = graphs.neighbour_masks(g)
+    masks = []
+    for _ in range(count):
+        mask = 1 << rng.randrange(g.n)
+        for _ in range(rng.choice(sizes) - 1):
+            frontier = 0
+            for v in graphs.mask_vertices(mask):
+                frontier |= nbr[v]
+            mask |= 1 << rng.choice(graphs.mask_vertices(frontier & ~mask))
+        masks.append(mask)
+    return masks
+
+
+def test_hitting_grid_dp_matches_branch_and_bound():
+    # same egg lists, hints stripped so the general solver runs
+    for s in _small_grid_family_scrambles():
         plain = Scramble(s.host, s.eggs)
         assert plain.uniform_size is None
         assert hitting_number(s)[0] == hitting_number(plain)[0]
+
+
+def test_branch_bound_matches_plain_search():
+    # the suffix bound returns the very set of the search without it
+    cases = [uniform_scramble(rook_graph([3, 3, 3]), k) for k in (2, 3, 4)]
+    cases += [uniform_scramble(rook_graph([2, 3, 4]), 3),
+              uniform_scramble(rook_graph([2, 2, 2, 2]), 3)]
+    cases += _small_grid_family_scrambles()
+    rng = random.Random(2106)
+    for dims in ((3, 3, 3), (2, 3, 4), (5, 5)):
+        host = rook_graph(list(dims))
+        for count in (3, 20, 80, 300):
+            masks = _random_connected_masks(rng, host, count, (2, 3, 4))
+            cases.append(Scramble(host, map(graphs.mask_vertices, masks)))
+    host = rook_graph([4, 4, 4])
+    masks = _random_connected_masks(rng, host, 20, (2, 3, 4))
+    cases.append(Scramble(host, map(graphs.mask_vertices, masks)))
+    for s in cases:
+        assert _max_avoidance_branch_bound(s) == oracles.max_avoidance_plain_search(s)
+
+
+def test_uniform_hitting_three_factors():
+    # each equals the plain search's answer
+    for dims, k, want in (((3, 3, 4), 3, 24), ((3, 3, 3), 4, 16),
+                          ((2, 3, 4), 3, 16)):
+        assert hitting_number(uniform_scramble(rook_graph(list(dims)), k))[0] == want
 
 
 def _has_full_square(mask, n, m):
