@@ -86,10 +86,9 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
     so c - k*e_v is v-reduced and negative at v, hence unwinnable, and
     rank(c) < k.  Only the survivors reach ``rank_at_least``.
 
-    On a two-factor rook host every refuted degree's streamed count is
-    checked against the Burnside count (``symmetry.orbit_count``), and a
-    mismatch raises RuntimeError.  Hosts with three or more factors are
-    not checked yet.
+    On a rook host every refuted degree's streamed count is checked
+    against the Burnside count (``symmetry.orbit_count``), and a mismatch
+    raises RuntimeError.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError("k must be a positive integer")
@@ -118,11 +117,9 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
                 break
         if witness is not None:
             break
-        if dims is not None and len(dims) == 2:
-            expected = orbit_count(dims, deg)
-            if count != expected:
-                raise RuntimeError(f"degree {deg}: the orbit stream gave {count} "
-                                   f"representatives, Burnside counts {expected}")
+        if dims is not None and count != (expected := orbit_count(dims, deg)):
+            raise RuntimeError(f"degree {deg}: the orbit stream gave {count} "
+                               f"representatives, Burnside counts {expected}")
         refuted.append(deg)
         orbit_counts[deg] = count
     return GonalityResult(

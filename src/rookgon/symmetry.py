@@ -1,16 +1,16 @@
 """Vertex-permutation symmetry of rook graphs.
 
 A chip vector on a rook graph is a tensor with one axis per factor (the
-last axis varies fastest in the vertex numbering).  Its automorphism
-group reorders axes of equal size and relabels the values along each
-axis independently.  The orbit stream uses that product structure and
-never lists the group; it reads the group from the rook dimensions
-alone.  Its leaf test sorts the columns for the last axis.  On two
-factors it searches the row orders once per shared prefix
-(``_RowLeafTest``); on three or more it tries the relabelings of the
-outer axes, listed once per shape as fiber orders.  ``SymmetryGroup``
-closes a generator set explicitly and is the reference the tests
-compare the engine against.
+last axis varies fastest in the vertex numbering).  The group used here
+relabels the values along each axis independently and reorders axes only
+within runs of adjacent equal sizes: a subgroup of the automorphisms, a
+proper one when equal sizes are apart, as on 2x3x2.  The orbit stream
+never lists it and reads it from the rook dimensions alone.  Its leaf
+test sorts the columns for the last axis.  On two factors it searches the
+row orders once per shared prefix (``_RowLeafTest``); on three or more it
+tries the relabelings of the outer axes, listed once per shape as fiber
+orders.  ``SymmetryGroup`` closes a generator set explicitly and is the
+reference the tests compare the engine against.
 """
 
 from __future__ import annotations
@@ -283,62 +283,64 @@ def _cycle_types(n: int) -> Iterator[tuple]:
         yield lam, math.factorial(n) // z
 
 
-def _fixed_count(cycles: Iterable[tuple], total: int) -> int:
+def _fixed_count(lengths: Iterable[int], total: int) -> int:
     """Vectors summing to ``total`` that are constant on every cycle,
-    given (length, number of cycles of that length) pairs:
-    [x^total] of prod 1/(1 - x^length)."""
+    given the cycle lengths: [x^total] of prod 1/(1 - x^length)."""
     coef = [1] + [0] * total
-    for length, count in cycles:
-        for _ in range(count):
-            for t in range(length, total + 1):
-                coef[t] += coef[t - length]
+    for length in lengths:
+        for t in range(length, total + 1):
+            coef[t] += coef[t - length]
     return coef[total]
+
+
+def _cycles(perm: Sequence[int]) -> list:
+    """The cycles of a permutation of range(len(perm)), as lists."""
+    seen = [False] * len(perm)
+    cycles = []
+    for v in range(len(perm)):
+        cycle = []
+        while not seen[v]:
+            seen[v] = True
+            cycle.append(v)
+            v = perm[v]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
 
 
 def orbit_count(dims: Sequence[int], total: int) -> int:
     """Number of orbits of nonnegative vectors summing to ``total`` under
-    the automorphism group of the two-factor rook graph on ``dims``, by
+    the group the orbit stream uses on the rook host ``dims``, by
     Burnside's lemma without listing the group.
 
-    An element (s, t) of S_n x S_m fixes a vector iff the vector is
-    constant on each of its cycles, and a row cycle of length a with a
-    column cycle of length b gives gcd(a, b) cell cycles of length
-    lcm(a, b), so the sum runs over pairs of cycle types.  On square
-    hosts the transposing coset adds its own term: (s, t)T is conjugate
-    to (1, st)T, whose square is (st, st).  For the cycles of st, one of
-    odd length a gives one cell cycle of length a and (a - 1)/2 of length
-    2a on its own square, one of even length a gives a/2 of length 2a,
-    and each pair of distinct cycles (lengths a, b) gives gcd(a, b) of
-    length 2 lcm(a, b).  Hosts with three or more factors are not
-    covered: they raise ValueError.
+    An element fixes a vector iff the vector is constant on each cell
+    cycle.  On a cycle of r axes of size d in the element's axis order,
+    conjugating moves the cycle's relabelings onto its last axis as their
+    product, and (d!)^(r-1) |class(mu)| tuples give a product of type mu.
+    So the sum runs over the axis orders and one type per axis cycle.
     """
     _check_total(total)
     dims = _int_dims(dims)
-    if len(dims) != 2 or not is_rook_shape(dims):
-        raise ValueError("orbit counts cover two-factor rook hosts only")
-    n, m = dims
-    col_types = list(_cycle_types(m))
+    if not is_rook_shape(dims):
+        raise ValueError("invalid rook dimensions")
+    strides = _strides(dims)
+    orders = list(_axis_orders(dims))
     fixed = 0
-    for lam, size_l in _cycle_types(n):
-        for mu, size_m in col_types:
-            cycles = [(a * b // math.gcd(a, b), math.gcd(a, b))
-                      for a in lam for b in mu]
-            fixed += size_l * size_m * _fixed_count(cycles, total)
-    order = math.factorial(n) * math.factorial(m)
-    if n == m:
-        for mu, size in col_types:
-            cycles = []
-            for i, a in enumerate(mu):
-                if a % 2:
-                    cycles += [(a, 1), (2 * a, (a - 1) // 2)]
-                else:
-                    cycles.append((2 * a, a // 2))
-                cycles += [(2 * a * b // math.gcd(a, b), math.gcd(a, b))
-                           for b in mu[i + 1:]]
-            # n! choices of s give each product st
-            fixed += math.factorial(n) * size * _fixed_count(cycles, total)
-        order *= 2
-    count, rem = divmod(fixed, order)
+    for order in orders:
+        cycles = _cycles(order)
+        for types in itertools.product(*(_cycle_types(dims[c[0]]) for c in cycles)):
+            relabel = [range(d) for d in dims]
+            weight = 1
+            for cycle, (mu, size) in zip(cycles, types):
+                # mu's cycles on consecutive values, each shifted by one
+                relabel[cycle[-1]] = [s + (i + 1) % a for s, a in
+                                      zip(itertools.accumulate((0,) + mu), mu)
+                                      for i in range(a)]
+                weight *= math.factorial(dims[cycle[0]]) ** (len(cycle) - 1) * size
+            perm = [sum(relabel[b][cv[a]] * strides[b] for b, a in enumerate(order))
+                    for cv in _vertex_coords(dims)]
+            fixed += weight * _fixed_count(map(len, _cycles(perm)), total)
+    count, rem = divmod(fixed, math.prod(map(math.factorial, dims)) * len(orders))
     if rem:
         raise RuntimeError("Burnside sum is not a multiple of the group order")
     return count

@@ -204,11 +204,11 @@ def test_gonality_checks_the_stream_against_burnside(monkeypatch):
         return iter(reps[:-1] if total == 3 else reps)
 
     monkeypatch.setattr(gonality, "iter_orbit_min_vectors", lossy)
-    with pytest.raises(RuntimeError, match="degree 3"):
-        gon([3, 3])
-    # plain scans and three-factor hosts are not checked
+    for dims in ([3, 3], [2, 2, 2], [2, 2, 2, 2]):
+        with pytest.raises(RuntimeError, match="degree 3"):
+            gon(dims)
+    # plain scans are not checked
     assert k_gonality(rook_graph([3, 3])).orbit_counts[3] == math.comb(11, 8) - 1
-    assert gon([2, 2, 2]).value == 4
 
 
 def test_default_degree_cap_values():

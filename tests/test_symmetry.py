@@ -167,19 +167,26 @@ def test_orbit_min_vectors_counts_match_burnside():
 
 
 def test_orbit_count_matches_listed_group():
-    # the partition-pair sum, with the transpose coset on square hosts,
-    # against Burnside over every listed element
-    for dims in ([2, 2], [2, 3], [3, 3], [3, 4], [2, 5], [4, 4]):
+    # the sum over axis orders and cycle types against Burnside over
+    # every listed element, on two, three and four factors
+    for dims, top in (([2, 2], 12), ([2, 3], 12), ([3, 3], 12), ([3, 4], 12),
+                      ([2, 5], 12), ([4, 4], 12), ([2, 2, 2], 10), ([2, 2, 3], 9),
+                      ([2, 3, 3], 8), ([2, 3, 2], 6), ([2, 2, 2, 2], 6),
+                      ([3, 3, 3], 4)):
         n = math.prod(dims)
         els = rook_symmetry(dims).elements()
-        for total in range(13):
+        for total in range(top + 1):
             assert orbit_count(dims, total) == \
                 oracles.burnside_orbit_count(els, n, total), (dims, total)
+    # 2x3x2 is the graph 2x2x3, but its group swaps only adjacent equal
+    # axes, so it has more orbits
+    assert [orbit_count((2, 3, 2), t) for t in range(2, 6)] == [8, 20, 78, 204]
+    assert [orbit_count((2, 2, 3), t) for t in range(2, 6)] == [6, 15, 52, 128]
     # the 4x5 degree-14 and 5x5 degree-18/19 level sizes
     assert orbit_count((4, 5), 14) == 361_716
     assert orbit_count((5, 5), 18) == 14_197_066
     assert orbit_count((5, 5), 19) == 31_395_053
-    for dims in ((2, 2, 2), (5,), (1, 3)):
+    for dims in ((5,), (1, 3)):
         with pytest.raises(ValueError):
             orbit_count(dims, 3)
     # -1 used to count 1 orbit and -2 to raise IndexError; float dims
