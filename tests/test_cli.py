@@ -140,6 +140,17 @@ def test_gonality_graph_file_without_rook_shape(tmp_path):
     assert data["symmetry"] is False
 
 
+def test_gonality_refuses_to_list_the_6x6x6_relabelings():
+    # its 518,400 outer relabelings took 226 MB and 4 s before the first
+    # degree-1 vector; the refusal comes before any is built
+    proc = run_cli("gonality", "--rook", "6,6,6", check=False, timeout=20)
+    assert proc.returncode == 2
+    assert b"518,400 outer relabelings" in proc.stderr
+    assert b"--no-symmetry" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert proc.stdout == b""
+
+
 def test_gonality_threads_output_matches_serial():
     serial = run_cli("gonality", "--rook", "3,4", "--threads", "1")
     many = run_cli("gonality", "--rook", "3,4", "--threads", "8")

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from operator import itemgetter
 
 import pytest
 
@@ -280,6 +281,13 @@ def _composition(rng, total, parts):
     return [b - a for a, b in zip([0] + cuts, cuts + [total])]
 
 
+def _column_class(cols, first):
+    """-1 if some column sorts below ``first``, else 0 if one ties it,
+    else 1."""
+    cols = [sorted(col) for col in cols]
+    return -1 if min(cols) < first else 0 if first in cols else 1
+
+
 def test_row_leaf_test_keeps_prefix_state_across_vectors():
     # one tester per host sees vectors in ascending order, as the orbit
     # stream gives them, and then shuffled.  Vectors come in groups that
@@ -287,15 +295,24 @@ def test_row_leaf_test_keeps_prefix_state_across_vectors():
     # minimum's, so prefixes are both rejected and accepted), and each
     # group holds pairs that differ only in the last row.  In every
     # third group the last row reorders a prefix row, so it ties where
-    # that row did and the search runs past it.
+    # that row did and the search runs past it.  On square hosts each
+    # group also holds last rows that put one column below row 0, tied
+    # with it, or above it once sorted, and each of the three runs with
+    # a prefix the row search kept.
     rng = random.Random(16)
-    for dims, total in (([3, 3], 8), ([3, 4], 8), ([4, 4], 8), ([2, 5], 8)):
+    for dims, total, groups in (([3, 3], 9, 90), ([3, 4], 8, 90), ([4, 4], 8, 90),
+                                ([2, 5], 8, 90), ([5, 5], 10, 12)):
         n = math.prod(dims)
         m = dims[-1]
         cut = n - m
-        els = rook_symmetry(dims).elements()
+        square = dims[0] == m
+        getters = [itemgetter(*p) for p in rook_symmetry(dims).elements()]
+
+        def orbit_min(x):
+            return min(g(x) for g in getters)
+
         vecs = set()
-        for group in range(90):
+        for group in range(groups):
             if group % 3 == 2:
                 share = total // 2 if cut == m else rng.randint(0, total // 2)
                 row = _composition(rng, share, m)
@@ -305,25 +322,45 @@ def test_row_leaf_test_keeps_prefix_state_across_vectors():
             else:
                 x = _composition(rng, total, n)
             if group % 2:
-                x = list(min(orbit_of(tuple(x), els)))
+                x = list(orbit_min(x))
             prefix = x[:cut]
             last = x[cut:]
             vecs.add(tuple(x))
             vecs.add(tuple(prefix + last[::-1]))
             for _ in range(4):
                 vecs.add(tuple(prefix + _composition(rng, total - sum(prefix), m)))
-        expected = {x: x == min(orbit_of(x, els)) for x in vecs}
+            if square:
+                # one last row for each class its entry v in column j
+                # gives, the largest such v, so v = rem (the rest 0) is one
+                rem = total - sum(prefix)
+                j = rng.randrange(m)
+                by_class = {}
+                for v in range(rem, -1, -1):
+                    rest = _composition(rng, rem - v, m - 1)
+                    y = prefix + rest[:j] + [v] + rest[j:]
+                    by_class.setdefault(_column_class([prefix[j::m] + [v]], x[:m]), y)
+                vecs.update(map(tuple, by_class.values()))
+        if square:
+            # total/m on the antidiagonal: the tying entry is the last row's sum
+            vecs.add(tuple(total // m if i + j == m - 1 else 0
+                           for i in range(m) for j in range(m)))
+        expected = {x: x == orbit_min(x) for x in vecs}
         ordered = sorted(vecs)
         shuffled = ordered[:]
         rng.shuffle(shuffled)
         test = _RowLeafTest(_rook_shape(tuple(dims)), total)
         after_rejected = 0
+        classes = set()
         for x in ordered + shuffled:
             shared = list(x[:cut]) == test.prefix and test.nodes is None
             assert test.accepts(list(x)) == expected[x], (dims, x)
             after_rejected += shared
+            if square and test.nodes is not None:
+                classes.add(_column_class([list(x[j::m]) for j in range(m)], list(x[:m])))
         assert after_rejected >= 10, dims
         assert 0 < sum(expected.values()) < len(vecs), dims
+        if square:
+            assert classes == {-1, 0, 1}, dims
 
 
 def test_rook_paths_never_list_the_group(monkeypatch):
@@ -336,3 +373,18 @@ def test_rook_paths_never_list_the_group(monkeypatch):
     # nor the outer relabelings: on two factors they would be n! fiber
     # orders (40,320 on 8x8), and the row tester needs none
     assert _rook_shape((8, 8)).orders == ()
+
+
+def test_prune_set_sizes():
+    # two factors: the moves under the identity axis order plus the bare
+    # transpose; three or more: the moves under every axis order
+    sizes = {(4, 5): 19, (4, 4): 16, (5, 5): 25, (2, 2, 2, 3): 143, (3, 3, 3): 161}
+    for dims, size in sizes.items():
+        assert len(_rook_shape(dims).prune) == size, dims
+
+
+def test_outer_relabelings_are_listed_only_below_the_limit():
+    assert sum(map(len, _rook_shape((4, 4, 4)).orders)) == 576
+    for dims in ((6, 6, 6), (2, 6, 6, 2)):
+        with pytest.raises(ValueError, match="outer relabelings"):
+            next(iter_orbit_min_vectors(1, math.prod(dims), dims))
