@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from . import graphs
 from .divisors import _refuted_at_poorest, rank_at_least
-from .symmetry import is_rook_shape, iter_orbit_min_vectors, orbit_count
+from .symmetry import _rook_dims, is_rook_shape, iter_orbit_min_vectors, orbit_count
 
 
 @dataclass
@@ -56,9 +56,7 @@ def rook_certificate_divisor(dims: Sequence[int], k: int = 1) -> list:
     rest).  k=3: one chip on every vertex (rank >= 3 on two-factor
     graphs).  Other ranks have no closed-form family here.
     """
-    dims = graphs._int_dims(dims)
-    if not is_rook_shape(dims):
-        raise ValueError("invalid rook dimensions")
+    dims = _rook_dims(dims)
     if k == 1:
         axis = dims.index(min(dims))
         return [0 if c[axis] == 0 else 1 for c in graphs._vertex_coords(dims)]

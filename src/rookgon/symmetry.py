@@ -2,26 +2,28 @@
 
 A chip vector on a rook graph is a tensor with one axis per factor (the
 last axis varies fastest in the vertex numbering).  The group used here
-relabels the values along each axis independently and reorders axes only
-within runs of adjacent equal sizes: a subgroup of the automorphisms, a
-proper one when equal sizes are apart, as on 2x3x2.  The orbit stream
-never lists it and reads it from the rook dimensions alone.  Its leaf
-test sorts the columns for the last axis.  On two factors it searches the
-row orders once per shared prefix (``_RowLeafTest``); on three or more it
-tries the relabelings of the outer axes, listed once per shape as fiber
-orders.  ``SymmetryGroup`` closes a generator set explicitly and is the
-reference the tests compare the engine against.
+relabels the values along each axis independently and permutes axes of
+equal size: by Sabidussi's theorem (Imrich and Klavzar, Handbook of
+Product Graphs) the whole automorphism group of a product of complete
+graphs.  Every cell permutation comes from ``_cell_perm``.  The orbit
+stream never lists the group and reads it from the rook dimensions
+alone.  Its leaf test sorts the columns for the last axis.  On two
+factors it searches the row orders once per shared prefix
+(``_RowLeafTest``); on three or more it tries the relabelings of the
+outer axes, listed once per shape as fiber orders.  ``SymmetryGroup``
+closes a generator set explicitly and is the reference the tests
+compare the engine against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import add, eq, itemgetter, lt
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .graphs import _int_dims, _vertex_coords
+from .graphs import _int_dims
 
 
 class GroupTooLarge(RuntimeError):
@@ -76,70 +78,75 @@ def is_rook_shape(dims: Optional[Sequence[int]]) -> bool:
     return dims is not None and len(dims) >= 2 and all(d >= 2 for d in dims)
 
 
-def _strides(dims: Sequence[int]) -> list:
-    strides = []
-    acc = 1
-    for d in reversed(dims):
-        strides.append(acc)
-        acc *= d
-    strides.reverse()
-    return strides
-
-
-def rook_symmetry(dims: Sequence[int]) -> SymmetryGroup:
-    """Automorphism generators of a rook graph.
-
-    Adjacent value transpositions within each coordinate factor, plus a
-    swap of neighbouring coordinate axes whenever their sizes agree.
-    """
+def _rook_dims(dims: Sequence[int]) -> tuple:
+    """dims as a tuple, if they are ints that describe a rook graph."""
     dims = _int_dims(dims)
     if not is_rook_shape(dims):
         raise ValueError("invalid rook dimensions")
-    n = math.prod(dims)
-    strides = _strides(dims)
+    return dims
 
-    def decode(v):
-        return tuple((v // strides[a]) % dims[a] for a in range(len(dims)))
 
-    def encode(coords):
-        return sum(c * s for c, s in zip(coords, strides))
+def _cell_perm(dims: Sequence[int], order: Sequence[int],
+               relabel: Sequence[Sequence[int]]) -> tuple:
+    """The cell permutation that puts axis ``order[b]``, relabeled by
+    ``relabel[b]``, in place of axis b: entry v is the cell whose
+    coordinate b is ``relabel[b][c[order[b]]]``, where c is v's
+    coordinates.  ``order`` must keep the sizes."""
+    offsets = [None] * len(dims)
+    stride = math.prod(dims)
+    for b, a in enumerate(order):
+        stride //= dims[b]
+        offsets[a] = [i * stride for i in relabel[b]]
+    return tuple(map(sum, itertools.product(*offsets)))
 
+
+def _moves(d: int) -> list:
+    """The identity of range(d), then each adjacent transposition."""
+    moves = [range(d)]
+    for i in range(d - 1):
+        t = list(range(d))
+        t[i], t[i + 1] = i + 1, i
+        moves.append(t)
+    return moves
+
+
+def rook_symmetry(dims: Sequence[int]) -> SymmetryGroup:
+    """Generators of the automorphism group of a rook graph.
+
+    Adjacent value transpositions within each coordinate factor, plus a
+    swap of every pair of coordinate axes of equal size.  By Sabidussi's
+    theorem (Imrich and Klavzar, Handbook of Product Graphs) they
+    generate every automorphism of the product of complete graphs.
+    """
+    dims = _rook_dims(dims)
+    axes = range(len(dims))
+    ident = tuple(map(range, dims))
     gens = []
     for a, d in enumerate(dims):
-        for i in range(d - 1):
-            perm = []
-            for v in range(n):
-                c = list(decode(v))
-                if c[a] == i:
-                    c[a] = i + 1
-                elif c[a] == i + 1:
-                    c[a] = i
-                perm.append(encode(c))
-            gens.append(tuple(perm))
-    for a in range(len(dims) - 1):
-        if dims[a] == dims[a + 1]:
-            perm = []
-            for v in range(n):
-                c = list(decode(v))
-                c[a], c[a + 1] = c[a + 1], c[a]
-                perm.append(encode(c))
-            gens.append(tuple(perm))
-    return SymmetryGroup(gens, n)
+        for t in _moves(d)[1:]:
+            relabel = list(ident)
+            relabel[a] = t
+            gens.append(_cell_perm(dims, axes, relabel))
+    for a, b in itertools.combinations(axes, 2):
+        if dims[a] == dims[b]:
+            order = list(axes)
+            order[a], order[b] = b, a
+            gens.append(_cell_perm(dims, order, ident))
+    return SymmetryGroup(gens, math.prod(dims))
 
 
 def _axis_orders(dims: tuple) -> Iterator[tuple]:
-    """Axis permutations allowed by the group: reorder only within
-    maximal runs of equal sizes.  The identity comes first."""
-    runs = []
-    start = 0
-    for i in range(1, len(dims) + 1):
-        if i == len(dims) or dims[i] != dims[start]:
-            runs.append(tuple(range(start, i)))
-            start = i
-    for combo in itertools.product(*(itertools.permutations(r) for r in runs)):
-        order = []
-        for block in combo:
-            order.extend(block)
+    """Every axis permutation that keeps the sizes: the axes of each size
+    are reordered among their own places.  The identity comes first."""
+    classes = {}
+    for a, d in enumerate(dims):
+        classes.setdefault(d, []).append(a)
+    classes = list(classes.values())
+    for combo in itertools.product(*map(itertools.permutations, classes)):
+        order = list(range(len(dims)))
+        for places, axes in zip(classes, combo):
+            for b, a in zip(places, axes):
+                order[b] = a
         yield tuple(order)
 
 
@@ -175,15 +182,11 @@ def iter_orbit_min_vectors(total: int, size: int,
         yield from iter_degree_vectors(total, size)
         return
     _check_total(total)
-    dims = _int_dims(dims)
-    if not is_rook_shape(dims):
-        raise ValueError("invalid rook dimensions")
+    dims = _rook_dims(dims)
     if math.prod(dims) != size:
         raise ValueError("rook dimensions do not match the vector length")
     shape = _rook_shape(dims)
-    accept = (_RowLeafTest(shape, total).accepts if len(dims) == 2
-              else lambda c: _is_min_image(shape, c))
-    yield from _orderly(total, size, shape.prune, accept)
+    yield from _orderly(total, size, shape.prune, shape.leaf_test(total))
 
 
 def _iter_canonical_explicit(total: int, size: int,
@@ -320,10 +323,7 @@ def orbit_count(dims: Sequence[int], total: int) -> int:
     So the sum runs over the axis orders and one type per axis cycle.
     """
     _check_total(total)
-    dims = _int_dims(dims)
-    if not is_rook_shape(dims):
-        raise ValueError("invalid rook dimensions")
-    terms, order = _burnside_terms(dims)
+    terms, order = _burnside_terms(_rook_dims(dims))
     fixed = sum(weight * _fixed_count(lengths, total) for lengths, weight in terms)
     count, rem = divmod(fixed, order)
     if rem:
@@ -336,7 +336,6 @@ def _burnside_terms(dims: tuple) -> tuple:
     """The part of ``orbit_count`` that no degree changes: each cell
     cycle-length multiset with the summed weight of its representative
     permutations, and the group order."""
-    strides = _strides(dims)
     orders = list(_axis_orders(dims))
     terms = {}
     for order in orders:
@@ -350,8 +349,7 @@ def _burnside_terms(dims: tuple) -> tuple:
                                       zip(itertools.accumulate((0,) + mu), mu)
                                       for i in range(a)]
                 weight *= math.factorial(dims[cycle[0]]) ** (len(cycle) - 1) * size
-            perm = [sum(relabel[b][cv[a]] * strides[b] for b, a in enumerate(order))
-                    for cv in _vertex_coords(dims)]
+            perm = _cell_perm(dims, order, relabel)
             lengths = tuple(sorted(map(len, _cycles(perm))))
             terms[lengths] = terms.get(lengths, 0) + weight
     return tuple(terms.items()), math.prod(map(math.factorial, dims)) * len(orders)
@@ -388,19 +386,15 @@ class _Shape:
                     f"the symmetric scan on {'x'.join(map(str, dims))} would list "
                     f"{count:,} outer relabelings, above the limit of "
                     f"{_ORDERS_LIMIT:,}; scan without symmetry (--no-symmetry)")
-            # each axis's relabelings as old index times fiber stride
-            axes = [[[i * s for i in p] for p in itertools.permutations(range(d))]
-                    for d, s in zip(outer, _strides(outer))]
+            ident = range(len(outer))
             groups = [[] for _ in range(self.n // self.m)]
-            for offs in itertools.product(*axes):
-                order = list(map(sum, itertools.product(*offs)))
+            for relabel in itertools.product(
+                    *(itertools.permutations(range(d)) for d in outer)):
+                order = _cell_perm(outer, ident, relabel)
                 groups[order[0]].append(itemgetter(*order))
             self.orders = tuple(map(tuple, groups))
-        strides = _strides(dims)
-        flat = _vertex_coords(dims)
         orders = list(_axis_orders(dims))
-        reorders = [tuple(sum(cv[order[b]] * strides[b] for b in range(len(dims)))
-                          for cv in flat)
+        reorders = [_cell_perm(dims, order, tuple(map(range, dims)))
                     for order in orders[1:]]
         self.axis_perms = tuple(itemgetter(*p) for p in reorders)
         # cheap pruning permutations for the orderly search (a set closed
@@ -408,24 +402,21 @@ class _Shape:
         # adjacent transposition per axis under every axis order on three
         # or more factors, under the identity order only on two (on 4x4,
         # 16 permutations per node instead of 31 for 6% more leaf tests)
-        moves = [(None,) + tuple(range(d - 1)) for d in dims]
+        moves = list(map(_moves, dims))
         prune = set(reorders)
         for order in orders if len(dims) > 2 else orders[:1]:
-            for combo in itertools.product(*moves):
-                perm = []
-                for cv in flat:
-                    v = 0
-                    for b, i in enumerate(combo):
-                        x = cv[order[b]]
-                        if x == i:
-                            x += 1
-                        elif i is not None and x == i + 1:
-                            x -= 1
-                        v += x * strides[b]
-                    perm.append(v)
-                prune.add(tuple(perm))
+            for relabel in itertools.product(*moves):
+                prune.add(_cell_perm(dims, order, relabel))
         prune.discard(tuple(range(self.n)))
         self.prune = tuple(sorted(prune))
+
+    def leaf_test(self, total: int) -> Callable[[Sequence[int]], bool]:
+        """The exact leaf test for vectors summing to ``total``: the
+        per-prefix ``_RowLeafTest`` on two factors, ``_is_min_image`` on
+        three or more."""
+        if len(self.outer) == 1:
+            return _RowLeafTest(self, total).accepts
+        return partial(_is_min_image, self)
 
     def sources(self, x: tuple) -> list:
         """The fibers of x under each axis order, identity first; axis
@@ -449,12 +440,9 @@ def _is_min_image(shape: _Shape, x: Sequence[int]) -> bool:
     of the last axis sorts the columns.  Image fiber 0 is a sorted source
     fiber, so a source fiber that sorts below x's first fiber rejects x,
     and only the fiber orders that put a fiber sorting to x's first
-    fiber in front are tried.  Two factors run the orbit stream's tester
-    (``_RowLeafTest``, whose column keys use the base ``sum(x) + 1``)
-    instead.
+    fiber in front are tried.  Three or more factors only: two factors
+    have no listed fiber orders (see ``_Shape.leaf_test``).
     """
-    if len(shape.outer) == 1:
-        return _RowLeafTest(shape, sum(x)).accepts(x)
     sources = shape.sources(tuple(x))
     rows = sources[0]
     first = list(rows[0])
@@ -521,8 +509,8 @@ class _RowLeafTest:
     ``total``: ``accepts(x)`` says whether x is the lexicographically
     smallest vector in its orbit.
 
-    It is ``_is_min_image`` with the work on the first n-1 rows (the
-    prefix) done once per prefix.  Column keys use the fixed base
+    It is the search ``_is_min_image`` makes, with the work on the first
+    n-1 rows (the prefix) done once per prefix.  Column keys use the fixed base
     ``total + 1``.  When the prefix changes, the tester rebuilds the
     prefix rows, the target's column keys after each of them, and every
     tie node of the identity source's row search that uses prefix rows

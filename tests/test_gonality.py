@@ -72,6 +72,18 @@ def test_gonality_without_symmetry_agrees():
         assert plain.exhaustive == pruned.exhaustive
 
 
+def test_gonality_symmetry_on_unsorted_dims():
+    # 2x3x2 is the graph 2x2x3 with its equal-size axes apart: the group
+    # swaps them anyway, so both scan the same number of representatives
+    for k in (1, 2):
+        g = rook_graph([2, 3, 2])
+        pruned = k_gonality(g, k, symmetry=True)
+        plain = k_gonality(g, k)
+        assert (pruned.value, pruned.witness) == (plain.value, plain.witness)
+        assert pruned.orbit_counts == \
+            k_gonality(rook_graph([2, 2, 3]), k, symmetry=True).orbit_counts
+
+
 def test_plain_scan_counts_every_vector():
     # most vectors are refuted by one burn before any rank test; each one
     # must still be counted, and the witness stays the lex-min one

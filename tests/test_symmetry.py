@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from operator import itemgetter
 
 import pytest
@@ -17,7 +18,6 @@ from rookgon import (
     rook_symmetry,
 )
 from rookgon.symmetry import (
-    _is_min_image,
     _iter_canonical_explicit,
     _rook_shape,
     _RowLeafTest,
@@ -27,10 +27,11 @@ from rookgon.symmetry import (
 # rook hosts whose group the explicit closure lists quickly (at most
 # 1,296 elements), each with the top degree of its stream check; the
 # closure is the oracle for the product engine.  Two, three and four
-# factors, with one and two outer axes of size 3.
+# factors, with one and two outer axes of size 3, and 2x3x2, whose
+# equal-size axes are apart.
 ENGINE_DIMS = (([2, 2], 8), ([2, 3], 8), ([3, 3], 8), ([2, 4], 8),
                ([3, 4], 8), ([4, 4], 8), ([2, 2, 2], 8), ([2, 2, 3], 8),
-               ([2, 3, 3], 8), ([2, 2, 2, 2], 6), ([3, 3, 3], 4))
+               ([2, 3, 3], 8), ([2, 3, 2], 6), ([2, 2, 2, 2], 6), ([3, 3, 3], 4))
 
 
 def orbit_of(d, elements):
@@ -58,15 +59,17 @@ def test_rook_symmetry_rejects_non_integer_dims():
 
 
 def test_rook_symmetry_order_matches_enumeration():
-    for dims in ([2, 2], [2, 3], [3, 3], [2, 2, 2], [2, 2, 3], [2, 3, 3]):
+    # prod d_i! times, per size, the factorial of the number of axes of
+    # that size, wherever they stand
+    for dims in ([2, 2], [2, 3], [3, 3], [2, 2, 2], [2, 2, 3], [2, 3, 3],
+                 [2, 3, 2], [3, 2, 3]):
         order = math.prod(math.factorial(d) for d in dims)
-        for _, run in itertools.groupby(dims):
-            order *= math.factorial(len(list(run)))
+        order *= math.prod(map(math.factorial, Counter(dims).values()))
         assert len(rook_symmetry(dims).elements()) == order
 
 
 def test_rook_symmetry_generators_are_automorphisms():
-    for dims in ([2, 3], [3, 3], [2, 2, 3]):
+    for dims in ([2, 3], [3, 3], [2, 2, 3], [2, 3, 2], [3, 2, 3]):
         g = rook_graph(dims)
         sym = rook_symmetry(dims)
         for p in sym.generators:
@@ -179,10 +182,13 @@ def test_orbit_count_matches_listed_group():
         for total in range(top + 1):
             assert orbit_count(dims, total) == \
                 oracles.burnside_orbit_count(els, n, total), (dims, total)
-    # 2x3x2 is the graph 2x2x3, but its group swaps only adjacent equal
-    # axes, so it has more orbits
-    assert [orbit_count((2, 3, 2), t) for t in range(2, 6)] == [8, 20, 78, 204]
+    # the group swaps equal-size axes wherever they stand, so every
+    # ordering of the same sizes has the same orbits
     assert [orbit_count((2, 2, 3), t) for t in range(2, 6)] == [6, 15, 52, 128]
+    for orderings in (((2, 3, 2), (3, 2, 2), (2, 2, 3)), ((3, 2, 3), (2, 3, 3)),
+                      ((2, 3, 2, 3), (2, 2, 3, 3))):
+        counts = {dims: [orbit_count(dims, t) for t in range(7)] for dims in orderings}
+        assert len(set(map(tuple, counts.values()))) == 1, counts
     # the 4x5 degree-14 and 5x5 degree-18/19 level sizes
     assert orbit_count((4, 5), 14) == 361_716
     assert orbit_count((5, 5), 18) == 14_197_066
@@ -272,7 +278,7 @@ def test_leaf_test_matches_orbit_minimum():
                     i, j = rng.sample(range(n), 2)
                     x[i], x[j] = x[j], x[i]
                 x = tuple(x)
-            assert _is_min_image(shape, x) == (x == min(orbit_of(x, els))), \
+            assert shape.leaf_test(sum(x))(x) == (x == min(orbit_of(x, els))), \
                 (dims, x)
 
 
