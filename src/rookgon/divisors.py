@@ -6,9 +6,10 @@ takes the host graph explicitly so copies stay cheap inside searches.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .graphs import MultiGraph, _vertex_mask, mask_vertices, neighbour_masks
+from .graphs import MultiGraph, _vertex_mask, mask_vertices
 from .symmetry import iter_degree_vectors
 
 
@@ -81,12 +82,11 @@ def dhar_burn(g: MultiGraph, d: Sequence[int], source: int) -> BurnReport:
     _check_vertex(g, source)
     if not is_effective_away_from(chips, source):
         raise ValueError("divisor must be effective away from the source")
-    nbr, extra, _ = _burn_masks(g)
     burnt, unburnt = _burn(g, chips, source)
-    tally = [(x & burnt).bit_count() for x in nbr]
-    for u, xs in enumerate(extra):
-        for x in xs:
-            tally[u] += (x & burnt).bit_count()
+    tally = [(x & burnt).bit_count() for x in g.nbr_masks]
+    for u, pairs in enumerate(g.level_masks):
+        for x, w in pairs:
+            tally[u] += w * (x & burnt).bit_count()
     return BurnReport(mask_vertices(burnt), tuple(unburnt), source, tuple(tally))
 
 
@@ -102,7 +102,7 @@ def _distance_info(g: MultiGraph, v: int):
     if info is not None:
         return info
     n = g.n
-    nbr = neighbour_masks(g)
+    nbr = g.nbr_masks
     dist = [0] * n
     levels = {}
     ball = 1 << v
@@ -157,24 +157,10 @@ def _clear_debt(g: MultiGraph, chips: list, v: int, counts: Optional[list]) -> N
                 counts[i] += 1
 
 
-def _burn_masks(g: MultiGraph) -> tuple:
-    """Bitmasks for the burn sweep, built once per graph.
-
-    Returns (nbr, extra, others).  nbr[u] is the neighbour mask of u, and
-    extra[u] holds the masks of the neighbours joined to u by more than
-    1, 2, ... edges, so u has popcount(nbr[u] & B) plus popcount(x & B)
-    over x in extra[u] edges into a vertex set B.  On a simple graph
-    every extra[u] is empty.  others[v] lists every vertex but v."""
-    masks = g._cache.get("burn_masks")
-    if masks is None:
-        n = g.n
-        extra = tuple(
-            tuple(sum(1 << w for w, m in g.adj[u] if m > j)
-                  for j in range(1, max((m for _, m in g.adj[u]), default=1)))
-            for u in range(n))
-        others = tuple(tuple(u for u in range(n) if u != v) for v in range(n))
-        masks = g._cache["burn_masks"] = (neighbour_masks(g), extra, others)
-    return masks
+@lru_cache(maxsize=None)
+def _others(n: int) -> tuple:
+    """others[v] lists every vertex of an n-vertex graph but v."""
+    return tuple(tuple(u for u in range(n) if u != v) for v in range(n))
 
 
 def _burn(g: MultiGraph, chips: Sequence[int], v: int) -> tuple:
@@ -183,18 +169,21 @@ def _burn(g: MultiGraph, chips: Sequence[int], v: int) -> tuple:
 
     Each sweep visits the unburnt vertices in index order and ignites
     every one whose burning edges outnumber its chips, until a sweep
-    ignites nothing; the fixed point does not depend on the order."""
-    nbr, extra, others = _burn_masks(g)
+    ignites nothing; the fixed point does not depend on the order.  A
+    vertex's burning edges are counted from the graph's neighbour and
+    multiplicity-level masks."""
+    nbr = g.nbr_masks
+    levels = g.level_masks
     burnt = 1 << v
-    unburnt = others[v]
+    unburnt = _others(g.n)[v]
     while unburnt:
         before = burnt
         left = []
         for u in unburnt:
             c = (nbr[u] & burnt).bit_count()
-            if extra[u]:
-                for x in extra[u]:
-                    c += (x & burnt).bit_count()
+            if levels[u]:
+                for x, w in levels[u]:
+                    c += w * (x & burnt).bit_count()
             if c > chips[u]:
                 burnt |= 1 << u
             else:
@@ -264,13 +253,6 @@ def equivalent(g: MultiGraph, d1: Sequence[int], d2: Sequence[int]) -> bool:
 # rank
 # ======================================================================
 
-def _genus(g: MultiGraph) -> int:
-    val = g._cache.get("genus")
-    if val is None:
-        val = g._cache["genus"] = g.genus()
-    return val
-
-
 def rank(g: MultiGraph, d: Sequence[int]) -> int:
     """Baker–Norine rank: -1 when unwinnable, else the largest r such
     that d survives the removal of every effective divisor of degree r.
@@ -283,7 +265,7 @@ def rank(g: MultiGraph, d: Sequence[int]) -> int:
     deg = sum(chips)
     if deg < 0:
         return -1
-    genus = _genus(g)
+    genus = g.genus()
     if deg > 2 * genus - 2:
         return deg - genus
     memo = g._cache.setdefault("rank_ge", {})
@@ -310,7 +292,7 @@ def rank_at_least(g: MultiGraph, d: Sequence[int], k: int) -> bool:
     deg = sum(chips)
     if deg < k:
         return False
-    genus = _genus(g)
+    genus = g.genus()
     if deg > 2 * genus - 2:
         return deg - genus >= k  # Riemann–Roch, as in rank()
     memo = g._cache.setdefault("rank_ge", {})

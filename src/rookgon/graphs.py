@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import deque
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -19,9 +20,14 @@ class FlowResult(NamedTuple):
 
 
 class MultiGraph:
-    """Loopless connected undirected multigraph with integer multiplicities."""
+    """Loopless connected undirected multigraph with integer multiplicities.
 
-    __slots__ = ("n", "mult", "dims", "adj", "degrees", "_cache")
+    The constructor builds what searches read (``adj``, ``nbr_masks``,
+    ``level_masks``, the genus and labels); ``_cache`` holds only what
+    searches grow: the rank memo ``"rank_ge"`` and ``("dist", v)`` balls."""
+
+    __slots__ = ("n", "mult", "dims", "adj", "degrees", "nbr_masks", "level_masks",
+                 "_genus", "_labels", "_cache")
 
     def __init__(self, mult: Sequence[Sequence[int]], dims: Optional[Sequence[int]] = None):
         n = len(mult)
@@ -47,29 +53,28 @@ class MultiGraph:
             tuple((v, rows[u][v]) for v in range(n) if rows[u][v] > 0) for u in range(n)
         )
         self.degrees = tuple(sum(m for _, m in nbrs) for nbrs in self.adj)
+        self.nbr_masks = tuple(sum(1 << v for v, _ in nbrs) for nbrs in self.adj)
+        self.level_masks = tuple(map(_level_masks, self.adj))
+        self._genus = self.edge_count() - n + 1
         self._cache: dict = {}
         full = (1 << n) - 1
-        if lowest_component(neighbour_masks(self), full) != full:
+        if lowest_component(self.nbr_masks, full) != full:
             raise ValueError("graph must be connected")
-        if dims is not None:
-            dims = _int_dims(dims)
-            self._check_dims(dims)
-        self.dims = dims
+        self.dims = dims = None if dims is None else _int_dims(dims)
+        self._labels = None if dims is None else self._check_dims(dims)
 
     # -- structure ---------------------------------------------------------
 
-    def _check_dims(self, dims: tuple) -> None:
+    def _check_dims(self, dims: tuple) -> tuple:
+        """The coordinate labels of dims, once dims fit this graph."""
         if any(d < 1 for d in dims):
             raise ValueError("dims entries must be positive")
         if math.prod(dims) != self.n:
             raise ValueError("dims do not match the vertex count")
         labels = _vertex_coords(dims)
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                hamming = sum(1 for a, b in zip(labels[u], labels[v]) if a != b)
-                want = 1 if hamming == 1 else 0
-                if self.mult[u][v] != want:
-                    raise ValueError("dims are inconsistent with the adjacency structure")
+        if self.mult != _rook_mult(labels):
+            raise ValueError("dims are inconsistent with the adjacency structure")
+        return labels
 
     def vertex_label(self, v: int) -> tuple:
         """Coordinate tuple of a vertex; requires product dims."""
@@ -91,12 +96,9 @@ class MultiGraph:
 
     def labels(self) -> tuple:
         """All coordinate labels in vertex order."""
-        if self.dims is None:
+        if self._labels is None:
             raise ValueError("graph has no coordinate labels")
-        lab = self._cache.get("labels")
-        if lab is None:
-            lab = self._cache["labels"] = _vertex_coords(self.dims)
-        return lab
+        return self._labels
 
     def edge_count(self) -> int:
         """Total edge multiplicity."""
@@ -104,7 +106,22 @@ class MultiGraph:
 
     def genus(self) -> int:
         """First Betti number |E| - |V| + 1."""
-        return self.edge_count() - self.n + 1
+        return self._genus
+
+
+def _level_masks(nbrs: Sequence[tuple]) -> tuple:
+    """One vertex's (mask, weight) pair per distinct multiplicity m > 1
+    among its (neighbour, multiplicity) pairs: the neighbours joined by at
+    least m edges, and m less the next lower multiplicity (or 1).  With
+    nbr its neighbour mask, the vertex has popcount(nbr & B) plus weight *
+    popcount(mask & B) over its pairs edges into a vertex set B."""
+    ordered = sorted(nbrs, key=lambda vm: -vm[1])
+    pairs, mask = [], 0
+    for (v, m), (_, below) in zip(ordered, ordered[1:] + [(None, 1)]):
+        mask |= 1 << v
+        if m > below:
+            pairs.append((mask, m - below))
+    return tuple(pairs)
 
 
 # ======================================================================
@@ -152,6 +169,13 @@ def _vertex_coords(dims: Sequence[int]) -> tuple:
     return tuple(itertools.product(*map(range, dims)))
 
 
+def _rook_mult(labels: Sequence[tuple]) -> tuple:
+    """The 0/1 multiplicity matrix of a product of complete graphs: two
+    cells are adjacent iff their labels differ in exactly one coordinate."""
+    return tuple(tuple(1 if sum(map(operator.ne, x, y)) == 1 else 0 for y in labels)
+                 for x in labels)
+
+
 def rook_graph(dims: Sequence[int]) -> MultiGraph:
     """Iterated product of complete graphs; every dim >= 2, at least two dims."""
     dims = _int_dims(dims)
@@ -159,10 +183,7 @@ def rook_graph(dims: Sequence[int]) -> MultiGraph:
         raise ValueError("rook graph needs at least two dimensions")
     if any(d < 2 for d in dims):
         raise ValueError("rook graph dimensions must be at least 2")
-    g = complete_graph(dims[0])
-    for d in dims[1:]:
-        g = cartesian_product(g, complete_graph(d))
-    return g
+    return MultiGraph(_rook_mult(_vertex_coords(dims)), dims=dims)
 
 
 # ======================================================================
@@ -185,16 +206,7 @@ def _vertex_mask(g: MultiGraph, verts: Iterable[int]) -> int:
 def is_connected_subset(g: MultiGraph, s: Iterable[int]) -> bool:
     """True iff s is nonempty and induces a connected subgraph."""
     mask = _vertex_mask(g, s)
-    return mask != 0 and lowest_component(neighbour_masks(g), mask) == mask
-
-
-def neighbour_masks(g: MultiGraph) -> tuple:
-    """Per-vertex neighbour bitmasks, built once per graph."""
-    nbr = g._cache.get("nbr_masks")
-    if nbr is None:
-        nbr = g._cache["nbr_masks"] = tuple(
-            sum(1 << v for v, _ in g.adj[u]) for u in range(g.n))
-    return nbr
+    return mask != 0 and lowest_component(g.nbr_masks, mask) == mask
 
 
 def lowest_component(nbr: Sequence[int], mask: int) -> int:
@@ -241,7 +253,7 @@ def connected_masks(g: MultiGraph, k: int) -> Iterator[int]:
         raise ValueError("k must be an integer between 1 and the vertex count")
     if k == 1:
         return (1 << u for u in range(g.n))
-    return _connected_masks(neighbour_masks(g), g.n, k)
+    return _connected_masks(g.nbr_masks, g.n, k)
 
 
 def _connected_masks(nbr, n, k):
@@ -407,6 +419,8 @@ def graph_from_json(data: dict) -> MultiGraph:
         raise ValueError(f"graph JSON is missing key {exc}") from None
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("vertex_count must be a positive integer")
+    if not isinstance(edges, (list, tuple)):
+        raise ValueError("edges must be a list of [u, v, mult] triples")
     mult = [[0] * n for _ in range(n)]
     seen = set()
     for item in edges:

@@ -54,7 +54,7 @@ class Scramble:
             masks.add(graphs._vertex_mask(host, verts))
         self.masks = tuple(sorted(masks))
         self._decode()
-        nbr = graphs.neighbour_masks(host)
+        nbr = host.nbr_masks
         problems = []
         for idx, (egg, mask) in enumerate(zip(self._eggs, self._egg_masks)):
             if not mask:
@@ -74,7 +74,7 @@ class Scramble:
         nonempty connected vertex set of the host."""
         masks = list(masks)
         full = 1 << host.n
-        nbr = graphs.neighbour_masks(host)
+        nbr = host.nbr_masks
         for mask in masks:
             if not isinstance(mask, int) or isinstance(mask, bool) or not 0 < mask < full:
                 raise ValueError(f"egg mask {mask!r} is not a nonempty vertex set")
@@ -489,7 +489,7 @@ def induced_components(g: MultiGraph, verts: Iterable[int]) -> list:
     """Connected components of the induced subgraph, as sorted tuples in
     ascending order."""
     left = graphs._vertex_mask(g, verts)
-    nbr = graphs.neighbour_masks(g)
+    nbr = g.nbr_masks
     comps = []
     while left:
         comp = graphs.lowest_component(nbr, left)
@@ -584,6 +584,7 @@ def exhaustive_cut_bound_check(n: int, m: int) -> CutBoundReport:
     least n-1 vertices and confirm the weight is at least (n-1)m, with
     tightness witnessed by a full row.  Gray-code order keeps the sweep
     incremental."""
+    n, m = graphs._int_dims((n, m))
     if not 2 <= n <= m:
         raise ValueError("needs 2 <= n <= m")
     total = n * m
@@ -593,7 +594,7 @@ def exhaustive_cut_bound_check(n: int, m: int) -> CutBoundReport:
             "check smaller boards or sample cuts instead"
         )
     g = rook_graph([n, m])
-    nbr = graphs.neighbour_masks(g)  # rook hosts are simple
+    nbr = g.nbr_masks  # rook hosts are simple
     deg = g.degrees
     bound = (n - 1) * m
     side = 0

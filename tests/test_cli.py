@@ -394,6 +394,24 @@ def test_malformed_scramble_file_exits_two(tmp_path):
         assert b"Traceback" not in proc.stderr, data
 
 
+@pytest.mark.parametrize("edges", [5, None, 1.5, True])
+def test_graph_file_with_malformed_edges_exits_two(tmp_path, edges):
+    # a non-list edges value used to end in a TypeError traceback
+    graph = {"vertex_count": 2, "edges": edges}
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps(graph))
+    sfile = tmp_path / "s.json"
+    sfile.write_text(json.dumps({"host": graph, "eggs": [[0]]}))
+    for args in (("gonality", "--graph", str(gfile)),
+                 ("rank", "--graph", str(gfile), "--chips", "0,0"),
+                 ("scramble", "order", "--file", str(sfile))):
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 2, args
+        assert proc.stderr.startswith(b"error:"), args
+        assert b"edges must be a list" in proc.stderr, args
+        assert proc.stdout == b"", args
+
+
 @pytest.mark.parametrize("args, message", [
     (("graph", "gen", "--rook", ""), b"could not parse dims ''"),
     (("gonality", "--rook", ""), b"could not parse dims ''"),

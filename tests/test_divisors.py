@@ -180,6 +180,44 @@ def test_dhar_burn_tallies_match_multiplicities_random():
                 assert want > d[u]
 
 
+def test_dhar_burn_tallies_on_skipped_and_huge_multiplicities():
+    # multiplicities 1, 3 and 7 at one vertex, and one edge of 10**9
+    skipped = MultiGraph([[0, 1, 3, 7], [1, 0, 0, 3], [3, 0, 0, 1], [7, 3, 1, 0]])
+    huge = MultiGraph([[0, 10**9, 0], [10**9, 0, 1], [0, 1, 0]])
+    rng = random.Random(5582)
+    for g in (skipped, huge):
+        for _ in range(60):
+            d = [rng.choice([0, 1, 2, 3, 5, 8, 10**9 - 1, 10**9]) for _ in range(g.n)]
+            src = rng.randrange(g.n)
+            rep = dhar_burn(g, d, src)
+            for u in range(g.n):
+                want = sum(g.mult[u][w] for w in rep.burnt)
+                assert rep.burning_edges[u] == want, (g.mult, d, src, u)
+                if u in rep.unburnt:
+                    assert want <= d[u]
+                elif u != src:
+                    assert want > d[u]
+
+
+def test_rank_leaves_only_search_memos_in_the_graph_cache():
+    rng = random.Random(5583)
+    hosts = [rook_graph([2, 3]), complete_graph(4)]
+    hosts += [oracles.random_multigraph(rng, max_n=5) for _ in range(6)]
+    for g in hosts:
+        assert g._cache == {}
+        for _ in range(4):
+            d = random_divisor(rng, g.n, lo=-1, hi=2)
+            rank(g, d)
+            v_reduce(g, d, rng.randrange(g.n))
+        assert all(key == "rank_ge" or (isinstance(key, tuple) and key[0] == "dist")
+                   for key in g._cache), sorted(map(repr, g._cache))
+    g = rook_graph([2, 3])
+    assert rank(g, [1, 0, 0, 0, 0, 0]) == 0
+    assert "rank_ge" in g._cache
+    v_reduce(g, [-1, 0, 0, 0, 0, 1], 5)
+    assert ("dist", 5) in g._cache
+
+
 def test_dhar_burn_validation():
     g = rook_graph([2, 2])
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Graph construction, subset enumeration, and min-cut tests."""
 
+import itertools
 import random
 
 import pytest
@@ -139,6 +140,61 @@ def test_complete_graph_labels():
     g = complete_graph(3)
     assert g.dims == (3,)
     assert g.labels() == ((0,), (1,), (2,))
+
+
+def _level_graphs(rng):
+    """Random multigraphs, and hand-built ones whose multiplicities skip
+    levels (1, 3, 7) or reach 10**9."""
+    gs = [oracles.random_multigraph(rng, max_n=7, max_extra=14) for _ in range(40)]
+    gs.append(MultiGraph([[0, 1, 3, 7], [1, 0, 0, 3], [3, 0, 0, 1], [7, 3, 1, 0]]))
+    gs.append(MultiGraph([[0, 10**9, 0], [10**9, 0, 1], [0, 1, 0]]))
+    return gs
+
+
+def test_graph_masks_count_edges_into_vertex_sets():
+    rng = random.Random(2511)
+    for g in _level_graphs(rng):
+        for u in range(g.n):
+            assert g.nbr_masks[u] == sum(1 << v for v in range(g.n) if g.mult[u][v])
+            # at most one (mask, weight) pair per distinct multiplicity
+            assert len(g.level_masks[u]) <= len({m for m in g.mult[u] if m})
+        for _ in range(12):
+            b = rng.getrandbits(g.n)
+            for u in range(g.n):
+                got = (g.nbr_masks[u] & b).bit_count() + sum(
+                    w * (x & b).bit_count() for x, w in g.level_masks[u])
+                want = sum(g.mult[u][v] for v in range(g.n) if b >> v & 1)
+                assert got == want, (g.mult, u, b)
+    # simple graphs keep no multiplicity levels
+    for g in (rook_graph([3, 4]), complete_graph(5)):
+        assert g.level_masks == ((),) * g.n
+
+
+def test_graph_genus_and_labels_match_their_definitions():
+    rng = random.Random(2512)
+    plain = _level_graphs(rng)
+    labelled = [rook_graph([2, 3]), rook_graph([2, 2, 3]), complete_graph(4),
+                cartesian_product(complete_graph(2), complete_graph(3)),
+                graph_from_json(graph_to_json(rook_graph([3, 3])))]
+    for g in plain + labelled:
+        edges = sum(g.mult[u][v] for u in range(g.n) for v in range(u + 1, g.n))
+        assert g.genus() == edges - g.n + 1
+    for g in labelled:
+        assert g.labels() == tuple(itertools.product(*map(range, g.dims)))
+        for v, label in enumerate(g.labels()):
+            assert g.label_to_index(label) == v
+    for g in plain:
+        with pytest.raises(ValueError):
+            g.labels()
+
+
+def test_graph_cache_is_empty_after_construction():
+    rng = random.Random(2513)
+    for g in _level_graphs(rng) + [
+            rook_graph([3, 3]), complete_graph(3),
+            cartesian_product(complete_graph(2), complete_graph(2)),
+            graph_from_json(graph_to_json(rook_graph([2, 3])))]:
+        assert g._cache == {}
 
 
 def test_label_helpers_require_dims():
@@ -373,3 +429,7 @@ def test_graph_json_rejects_malformed():
         with pytest.raises(ValueError):
             graph_from_json({"vertex_count": 2, "edges": [[0, 1, 1]],
                              "dims": dims})
+    # a non-list edges value used to raise TypeError from the edge loop
+    for edges in (5, None, 1.5, True, "01"):
+        with pytest.raises(ValueError):
+            graph_from_json({"vertex_count": 2, "edges": edges})

@@ -296,7 +296,7 @@ def _small_grid_family_scrambles():
 def _random_connected_masks(rng, g, count, sizes):
     """count random connected vertex sets of g, each grown from a random
     vertex by random neighbours to a size drawn from sizes."""
-    nbr = graphs.neighbour_masks(g)
+    nbr = g.nbr_masks
     masks = []
     for _ in range(count):
         mask = 1 << rng.randrange(g.n)
@@ -728,6 +728,10 @@ def test_cut_bound_check_validation():
         exhaustive_cut_bound_check(3, 2)
     with pytest.raises(ValueError):
         exhaustive_cut_bound_check(3, 7)  # 21 cells: board too large
+    # non-integer sizes used to raise TypeError from the comparison
+    for n, m in (("2", 3), (2, None), (2.0, 3), (True, 3), (2, "3")):
+        with pytest.raises(ValueError):
+            exhaustive_cut_bound_check(n, m)
 
 
 # ======================================================================
