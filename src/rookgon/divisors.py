@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .graphs import MultiGraph, _vertex_mask, mask_vertices
+from .graphs import MultiGraph, _vertex_mask, edges_into, mask_vertices
 from .symmetry import iter_degree_vectors
 
 
@@ -57,12 +57,25 @@ def fire_set(g: MultiGraph, d: Sequence[int], a: Iterable[int]) -> list:
     """Fire every vertex of a: one chip crosses each edge leaving a."""
     chips = _check_divisor(g, d)
     mask = _vertex_mask(g, a)
-    for u in mask_vertices(mask):
+    _fire(g, chips, mask_vertices(mask), mask, None)
+    return chips
+
+
+def _fire(g: MultiGraph, chips: list, verts: Sequence[int], mask: int,
+          counts: Optional[list], times: int = 1) -> None:
+    """Fire the vertex set verts, whose bitmask is mask, times times in
+    place: times chips cross each edge leaving the set, and counts, when
+    given, gains times at each fired vertex.  Every chip move runs here."""
+    for u in verts:
+        if counts is not None:
+            counts[u] += times
+        sent = 0
         for w, m in g.adj[u]:
             if not mask >> w & 1:
-                chips[u] -= m
+                m *= times
                 chips[w] += m
-    return chips
+                sent += m
+        chips[u] -= sent
 
 
 # ======================================================================
@@ -83,78 +96,48 @@ def dhar_burn(g: MultiGraph, d: Sequence[int], source: int) -> BurnReport:
     if not is_effective_away_from(chips, source):
         raise ValueError("divisor must be effective away from the source")
     burnt, unburnt = _burn(g, chips, source)
-    tally = [(x & burnt).bit_count() for x in g.nbr_masks]
-    for u, pairs in enumerate(g.level_masks):
-        for x, w in pairs:
-            tally[u] += w * (x & burnt).bit_count()
-    return BurnReport(mask_vertices(burnt), tuple(unburnt), source, tuple(tally))
+    tally = tuple(edges_into(g, u, burnt) for u in range(g.n))
+    return BurnReport(mask_vertices(burnt), tuple(unburnt), source, tally)
 
 
 # ======================================================================
 # reduction
 # ======================================================================
 
-def _distance_info(g: MultiGraph, v: int):
-    """Distances from v, and for each level l >= 1 the ball of vertices
-    closer to v than l: its firing vector and its vertices."""
-    key = ("dist", v)
-    info = g._cache.get(key)
-    if info is not None:
-        return info
-    n = g.n
-    nbr = g.nbr_masks
-    dist = [0] * n
-    levels = {}
-    ball = 1 << v
-    lvl = 0
-    while ball != (1 << n) - 1:
-        lvl += 1
-        verts = mask_vertices(ball)
-        levels[lvl] = (tuple(fire_set(g, [0] * n, verts)), verts)
-        grown = ball
-        for u in verts:
-            grown |= nbr[u]
-        for u in mask_vertices(grown ^ ball):
-            dist[u] = lvl
-        ball = grown
-    info = (tuple(dist), levels)
-    g._cache[key] = info
-    return info
-
-
 def _reduce(g: MultiGraph, chips: list, v: int, counts: Optional[list]) -> None:
     """Reduce chips toward v in place: clear any debt away from v, then
     fire unburnt sets until the burn from v spreads everywhere."""
-    if min(chips) < 0 and any(chips[u] < 0 for u in range(g.n) if u != v):
+    if min(chips) < 0:
         _clear_debt(g, chips, v, counts)
     _fire_unburnt(g, chips, v, counts)
 
 
 def _clear_debt(g: MultiGraph, chips: list, v: int, counts: Optional[list]) -> None:
-    """Make chips effective away from v in place.
+    """Make chips effective away from v in place, in at most ecc(v) rounds.
 
-    Repeatedly pick an indebted vertex of maximum distance (smallest
-    index on ties) and fire the ball of strictly closer vertices; the
-    farthest-first debt profile strictly decreases lexicographically, so
-    this terminates.
-    """
-    n = g.n
-    dist, levels = _distance_info(g, v)
+    A round fires B, the ball of vertices closer to v than the farthest
+    indebted vertex (distance l), t times.  Firing B moves chips only from
+    B to distance l, and each vertex there has an edge into B, so t, the
+    largest ceil(debt / edges into B) over the debtors at distance l, is
+    the fewest fires that clear them, as firing B once per step would.
+    Later rounds fire smaller balls, which leave distance l alone."""
+    nbr = g.nbr_masks
+    balls = [1 << v]  # balls[i]: the vertices within distance i of v
     while True:
-        worst = -1
-        wd = -1
-        for u in range(n):
-            if u != v and chips[u] < 0 and dist[u] > wd:
-                wd = dist[u]
-                worst = u
-        if worst < 0:
+        debt = sum(1 << u for u, x in enumerate(chips) if x < 0) & ~(1 << v)
+        if not debt:
             return
-        delta, ball = levels[wd]
-        for i in range(n):
-            chips[i] += delta[i]
-        if counts is not None:
-            for i in ball:
-                counts[i] += 1
+        while debt & ~balls[-1]:
+            grown = balls[-1]
+            for u in mask_vertices(grown):
+                grown |= nbr[u]
+            balls.append(grown)
+        while not debt & ~balls[-2]:  # balls[0] never covers the debt
+            balls.pop()
+        ball = balls[-2]
+        t = max(-(chips[u] // edges_into(g, u, ball))
+                for u in mask_vertices(debt & ~ball))
+        _fire(g, chips, mask_vertices(ball), ball, counts, t)
 
 
 @lru_cache(maxsize=None)
@@ -180,6 +163,8 @@ def _burn(g: MultiGraph, chips: Sequence[int], v: int) -> tuple:
         before = burnt
         left = []
         for u in unburnt:
+            # graphs.edges_into, inlined: the rank-nosym queries run 376,878
+            # burns, and calling it here made them about 20% slower
             c = (nbr[u] & burnt).bit_count()
             if levels[u]:
                 for x, w in levels[u]:
@@ -198,18 +183,12 @@ def _fire_unburnt(g: MultiGraph, chips: list, v: int, counts: Optional[list]) ->
     """Finish a reduction of chips, effective away from v, in place: fire
     the unburnt set once per round until the burn from v reaches every
     vertex."""
-    adj = g.adj
+    full = (1 << g.n) - 1
     while True:
         burnt, unburnt = _burn(g, chips, v)
         if not unburnt:
             return
-        for u in unburnt:
-            if counts is not None:
-                counts[u] += 1
-            for w, m in adj[u]:
-                if burnt >> w & 1:
-                    chips[u] -= m
-                    chips[w] += m
+        _fire(g, chips, unburnt, full ^ burnt, counts)
 
 
 def _reduced_tuple(g: MultiGraph, chips: list) -> tuple:
@@ -344,8 +323,7 @@ def _reduced_child(g: MultiGraph, rd: tuple, u: int) -> tuple:
     child = list(rd)
     child[u] -= 1
     if child[u] < 0:
-        _clear_debt(g, child, 0, None)
-        _fire_unburnt(g, child, 0, None)
+        _reduce(g, child, 0, None)
     return tuple(child)
 
 

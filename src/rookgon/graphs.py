@@ -24,7 +24,7 @@ class MultiGraph:
 
     The constructor builds what searches read (``adj``, ``nbr_masks``,
     ``level_masks``, the genus and labels); ``_cache`` holds only what
-    searches grow: the rank memo ``"rank_ge"`` and ``("dist", v)`` balls."""
+    searches grow, the rank memo ``"rank_ge"``."""
 
     __slots__ = ("n", "mult", "dims", "adj", "degrees", "nbr_masks", "level_masks",
                  "_genus", "_labels", "_cache")
@@ -112,9 +112,8 @@ class MultiGraph:
 def _level_masks(nbrs: Sequence[tuple]) -> tuple:
     """One vertex's (mask, weight) pair per distinct multiplicity m > 1
     among its (neighbour, multiplicity) pairs: the neighbours joined by at
-    least m edges, and m less the next lower multiplicity (or 1).  With
-    nbr its neighbour mask, the vertex has popcount(nbr & B) plus weight *
-    popcount(mask & B) over its pairs edges into a vertex set B."""
+    least m edges, and m less the next lower multiplicity (or 1), so that
+    ``edges_into`` can count multiplicities with one popcount per level."""
     ordered = sorted(nbrs, key=lambda vm: -vm[1])
     pairs, mask = [], 0
     for (v, m), (_, below) in zip(ordered, ordered[1:] + [(None, 1)]):
@@ -224,15 +223,21 @@ def lowest_component(nbr: Sequence[int], mask: int) -> int:
     return seen
 
 
+def edges_into(g: MultiGraph, u: int, mask: int) -> int:
+    """Total multiplicity of the edges from vertex u into the vertex bitmask
+    mask: one popcount for u's neighbour mask and one, times its weight,
+    per multiplicity level.  No range checks, for trusted vertices."""
+    count = (g.nbr_masks[u] & mask).bit_count()
+    for x, w in g.level_masks[u]:
+        count += w * (x & mask).bit_count()
+    return count
+
+
 def cut_weight(g: MultiGraph, a: Iterable[int]) -> int:
     """Total multiplicity of edges with exactly one end in a."""
     mask = _vertex_mask(g, a)
-    total = 0
-    for u in mask_vertices(mask):
-        for v, m in g.adj[u]:
-            if not mask >> v & 1:
-                total += m
-    return total
+    rest = ((1 << g.n) - 1) ^ mask
+    return sum(edges_into(g, u, rest) for u in mask_vertices(mask))
 
 
 def connected_subsets(g: MultiGraph, k: int) -> Iterator[tuple]:
@@ -409,7 +414,13 @@ def graph_to_json(g: MultiGraph) -> dict:
     }
 
 
+# The largest vertex_count graph_from_json accepts: loading holds up to three
+# n × n matrices (rows, tuples, rook check), 96 MiB of 8-byte slots at 2048.
+MAX_JSON_VERTICES = 2048
+
+
 def graph_from_json(data: dict) -> MultiGraph:
+    """The graph of a graph_to_json object, checked in full before allocating."""
     if not isinstance(data, dict):
         raise ValueError("graph JSON must be an object")
     try:
@@ -421,7 +432,6 @@ def graph_from_json(data: dict) -> MultiGraph:
         raise ValueError("vertex_count must be a positive integer")
     if not isinstance(edges, (list, tuple)):
         raise ValueError("edges must be a list of [u, v, mult] triples")
-    mult = [[0] * n for _ in range(n)]
     seen = set()
     for item in edges:
         if not (isinstance(item, (list, tuple)) and len(item) == 3):
@@ -436,9 +446,15 @@ def graph_from_json(data: dict) -> MultiGraph:
         if (u, v) in seen:
             raise ValueError(f"duplicate edge [{u}, {v}]")
         seen.add((u, v))
-        mult[u][v] = m
-        mult[v][u] = m
+    if len(edges) < n - 1:
+        raise ValueError("graph must be connected")
+    if n > MAX_JSON_VERTICES:
+        raise ValueError(f"vertex_count {n} is above the limit of "
+                         f"{MAX_JSON_VERTICES} vertices")
     dims = data.get("dims")
     if dims is not None and not isinstance(dims, (list, tuple)):
         raise ValueError("dims must be a list of integers or null")
+    mult = [[0] * n for _ in range(n)]
+    for u, v, m in edges:
+        mult[u][v] = mult[v][u] = m
     return MultiGraph(mult, dims=dims)

@@ -312,6 +312,8 @@ def min_side_cut_floor(dims: Sequence[int], min_side: int) -> Optional[int]:
     and its complement weigh the same, so sides up to half suffice.
     """
     dims = graphs._int_dims(dims)
+    if any(d < 1 for d in dims):
+        raise ValueError("dims entries must be positive")
     if not isinstance(min_side, int) or isinstance(min_side, bool):
         raise ValueError("min_side must be an integer")
     total = math.prod(dims)

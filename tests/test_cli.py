@@ -247,6 +247,37 @@ def test_scramble_order_floor_without_dims_exits_two(tmp_path):
     assert proc.stdout == b""
 
 
+def test_oversized_graph_files_exit_two_under_a_memory_limit(tmp_path):
+    # graph_from_json checks the edges and the size before it builds the
+    # n × n matrix, which for 100,000 vertices ended in a MemoryError
+    # traceback; each run gets a 600 MB address space of its own
+    empty = {"vertex_count": 100000, "edges": []}
+    path = {"vertex_count": 100000,
+            "edges": [[u, u + 1, 1] for u in range(99999)]}
+    files = {}
+    for name, data in (("empty", empty), ("path", path),
+                       ("scramble", {"host": empty, "eggs": [[0], [1]]})):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(data))
+    limited = ("import resource, sys\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))\n"
+               "from rookgon.cli import main\n"
+               "sys.exit(main(sys.argv[1:]))\n")
+    for args, message in (
+            (["rank", "--graph", str(files["empty"]), "--chips", "0"],
+             b"graph must be connected"),
+            (["rank", "--graph", str(files["path"]), "--chips", "0"],
+             b"vertex_count 100000 is above the limit of 2048 vertices"),
+            (["scramble", "order", "--file", str(files["scramble"])],
+             b"graph must be connected")):
+        proc = subprocess.run([sys.executable, "-c", limited, *args],
+                              capture_output=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr.decode()
+        assert proc.stderr.startswith(b"error: ") and message in proc.stderr
+        assert b"Traceback" not in proc.stderr
+        assert proc.stdout == b""
+
+
 def test_scramble_avoidance_staircase():
     data = out_json(run_cli("scramble", "avoidance",
                             "--construction", "staircase", "--dims", "4,5"))

@@ -208,14 +208,16 @@ def test_rank_leaves_only_search_memos_in_the_graph_cache():
         for _ in range(4):
             d = random_divisor(rng, g.n, lo=-1, hi=2)
             rank(g, d)
-            v_reduce(g, d, rng.randrange(g.n))
-        assert all(key == "rank_ge" or (isinstance(key, tuple) and key[0] == "dist")
-                   for key in g._cache), sorted(map(repr, g._cache))
+            for v in range(g.n):
+                v_reduce(g, d, v)
+            is_winnable(g, d)
+            equivalent(g, d, random_divisor(rng, g.n, lo=-1, hi=2))
+        assert set(g._cache) <= {"rank_ge"}, sorted(map(repr, g._cache))
     g = rook_graph([2, 3])
     assert rank(g, [1, 0, 0, 0, 0, 0]) == 0
     assert "rank_ge" in g._cache
     v_reduce(g, [-1, 0, 0, 0, 0, 1], 5)
-    assert ("dist", 5) in g._cache
+    assert set(g._cache) <= {"rank_ge"}
 
 
 def test_dhar_burn_validation():
@@ -302,6 +304,37 @@ def test_reduction_and_rank_on_heavy_multigraphs():
             d = random_divisor(rng, g.n, lo=-1, hi=4)
             for k in range(0, 4):
                 assert rank_at_least(g, d, k) == ge(d, k), (g.mult, d, k)
+
+
+def test_deep_debt_reductions_fire_balls_many_times(monkeypatch):
+    # debt down to -30 on 2x2x2x2 and a 12-cycle (diameters 4 and 6) and
+    # on heavy multigraphs: _clear_debt fires each distance ball as often
+    # as its farthest debt needs in one call
+    rng = random.Random(4319)
+    cycle = [[0] * 12 for _ in range(12)]
+    for u in range(12):
+        w = (u + 1) % 12
+        cycle[u][w] = cycle[w][u] = rng.randint(1, 3)
+    hosts = [(rook_graph([2, 2, 2, 2]), 3), (MultiGraph(cycle), 8)]
+    hosts += [(heavy_multigraph(rng, rng.randint(4, 7)), 4) for _ in range(4)]
+    fire, fired = divisors._fire, []
+
+    def recording(g, chips, verts, mask, counts, times=1):
+        fired.append(times)
+        fire(g, chips, verts, mask, counts, times)
+
+    monkeypatch.setattr(divisors, "_fire", recording)
+    for g, cases in hosts:
+        fired.clear()
+        for _ in range(cases):
+            d = random_divisor(rng, g.n, lo=-30, hi=12)
+            v = rng.randrange(g.n)
+            res = v_reduce(g, d, v)
+            assert res.firing_counts[v] == 0
+            moved = oracles.laplacian_image(g, res.firing_counts)
+            assert res.reduced == [d[i] + moved[i] for i in range(g.n)]
+            assert oracles.is_reduced(g, res.reduced, v), (g.mult, d, v)
+        assert max(fired) > 1, g.mult  # some ball fired more than once
 
 
 def test_v_reduce_unique_per_class():

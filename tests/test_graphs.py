@@ -23,6 +23,7 @@ from rookgon import (
     min_cut_value,
     rook_graph,
 )
+from rookgon.graphs import MAX_JSON_VERTICES
 
 
 # ======================================================================
@@ -321,6 +322,13 @@ def test_cut_weight_matches_oracle():
         r = rng.randint(0, g.n)
         side = rng.sample(range(g.n), r)
         assert cut_weight(g, side) == oracles.cut_weight(g, side)
+    # multiplicities 1, 3 and 7 at one vertex, and one edge of 10**9
+    skipped = MultiGraph([[0, 1, 3, 7], [1, 0, 0, 3], [3, 0, 0, 1], [7, 3, 1, 0]])
+    huge = MultiGraph([[0, 10**9, 0], [10**9, 0, 1], [0, 1, 0]])
+    for g in (skipped, huge):
+        for r in range(g.n + 1):
+            for side in itertools.combinations(range(g.n), r):
+                assert cut_weight(g, side) == oracles.cut_weight(g, side)
 
 
 def test_min_cut_between_matches_oracle():
@@ -433,3 +441,11 @@ def test_graph_json_rejects_malformed():
     for edges in (5, None, 1.5, True, "01"):
         with pytest.raises(ValueError):
             graph_from_json({"vertex_count": 2, "edges": edges})
+    # too few edges to connect, or too many vertices: refused before the
+    # n × n matrix is built
+    with pytest.raises(ValueError, match="connected"):
+        graph_from_json({"vertex_count": 100000, "edges": []})
+    n = MAX_JSON_VERTICES + 1
+    path = [[u, u + 1, 1] for u in range(n - 1)]
+    with pytest.raises(ValueError, match="above the limit"):
+        graph_from_json({"vertex_count": n, "edges": path})

@@ -452,7 +452,8 @@ def test_cut_floor_values():
     assert min_side_cut_floor((3, 3, 3), 3) == 12
     assert min_side_cut_floor((3, 3), 5) is None
     assert min_side_cut_floor((3, 3), 0) is None
-    for dims, min_side in (((2, 2.5), 1), ((3, 3), 1.5), ((3, 3), True)):
+    for dims, min_side in (((2, 2.5), 1), ((3, 3), 1.5), ((3, 3), True),
+                           ((-2, -3), 1), ((2, -3, -1), 1), ((0, 3), 1)):
         with pytest.raises(ValueError):
             min_side_cut_floor(dims, min_side)
 
