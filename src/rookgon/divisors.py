@@ -35,11 +35,6 @@ def _check_divisor(g: MultiGraph, d: Sequence[int]) -> list:
     return chips
 
 
-def _check_vertex(g: MultiGraph, v: int) -> None:
-    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < g.n:
-        raise ValueError(f"vertex {v!r} out of range")
-
-
 def degree(d: Sequence[int]) -> int:
     """Sum of all chip counts."""
     return sum(d)
@@ -92,7 +87,7 @@ def dhar_burn(g: MultiGraph, d: Sequence[int], source: int) -> BurnReport:
     edges from u into the final burnt set: at most u's chips when u is
     unburnt, more than them when u is burnt and not the source."""
     chips = _check_divisor(g, d)
-    _check_vertex(g, source)
+    _vertex_mask(g, (source,))
     if not is_effective_away_from(chips, source):
         raise ValueError("divisor must be effective away from the source")
     burnt, unburnt = _burn(g, chips, source)
@@ -200,7 +195,7 @@ def _reduced_tuple(g: MultiGraph, chips: list) -> tuple:
 def v_reduce(g: MultiGraph, d: Sequence[int], v: int) -> ReductionResult:
     """The unique v-reduced divisor equivalent to d, plus net firing counts."""
     chips = _check_divisor(g, d)
-    _check_vertex(g, v)
+    _vertex_mask(g, (v,))
     counts = [0] * g.n
     _reduce(g, chips, v, counts)
     base = counts[v]

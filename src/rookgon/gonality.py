@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from . import graphs
 from .divisors import _refuted_at_poorest, rank_at_least
-from .symmetry import _rook_dims, is_rook_shape, iter_orbit_min_vectors, orbit_count
+from .symmetry import iter_orbit_min_vectors, orbit_count
 
 
 @dataclass
@@ -37,7 +37,7 @@ def default_degree_cap(g: graphs.MultiGraph, k: int) -> int:
     """Certificate degree for rook graphs where one is known, else a
     degree at which rank >= k is guaranteed."""
     dims = g.dims
-    if is_rook_shape(dims):
+    if graphs.is_rook_shape(dims):
         if k == 1:
             small = min(dims)
             return (small - 1) * (math.prod(dims) // small)
@@ -56,7 +56,7 @@ def rook_certificate_divisor(dims: Sequence[int], k: int = 1) -> list:
     rest).  k=3: one chip on every vertex (rank >= 3 on two-factor
     graphs).  Other ranks have no closed-form family here.
     """
-    dims = _rook_dims(dims)
+    dims = graphs._rook_dims(dims)
     if k == 1:
         axis = dims.index(min(dims))
         return [0 if c[axis] == 0 else 1 for c in graphs._vertex_coords(dims)]
@@ -93,7 +93,7 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
     for name, val in (("degree cap", degree_cap), ("lower bound", lower_bound)):
         if val is not None and (not isinstance(val, int) or isinstance(val, bool)):
             raise ValueError(f"{name} must be an integer")
-    dims = g.dims if symmetry and is_rook_shape(g.dims) else None
+    dims = g.dims if symmetry and graphs.is_rook_shape(g.dims) else None
     cap = default_degree_cap(g, k) if degree_cap is None else degree_cap
     if cap < k:
         raise ValueError("degree cap below k can never hold a rank-k divisor")

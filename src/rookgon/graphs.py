@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import deque
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -23,11 +22,11 @@ class MultiGraph:
     """Loopless connected undirected multigraph with integer multiplicities.
 
     The constructor builds what searches read (``adj``, ``nbr_masks``,
-    ``level_masks``, the genus and labels); ``_cache`` holds only what
+    ``level_masks``, the genus); ``_cache`` holds only what
     searches grow, the rank memo ``"rank_ge"``."""
 
     __slots__ = ("n", "mult", "dims", "adj", "degrees", "nbr_masks", "level_masks",
-                 "_genus", "_labels", "_cache")
+                 "_genus", "_cache")
 
     def __init__(self, mult: Sequence[Sequence[int]], dims: Optional[Sequence[int]] = None):
         n = len(mult)
@@ -60,27 +59,26 @@ class MultiGraph:
         full = (1 << n) - 1
         if lowest_component(self.nbr_masks, full) != full:
             raise ValueError("graph must be connected")
-        self.dims = dims = None if dims is None else _int_dims(dims)
-        self._labels = None if dims is None else self._check_dims(dims)
+        self.dims = None if dims is None else self._check_dims(dims)
 
     # -- structure ---------------------------------------------------------
 
-    def _check_dims(self, dims: tuple) -> tuple:
-        """The coordinate labels of dims, once dims fit this graph."""
-        if any(d < 1 for d in dims):
-            raise ValueError("dims entries must be positive")
+    def _check_dims(self, dims: Sequence[int]) -> tuple:
+        """dims as a tuple, once this graph is simple with the neighbour
+        masks that ``_dims_nbr_masks`` gives them."""
+        dims = _positive_dims(dims)
         if math.prod(dims) != self.n:
             raise ValueError("dims do not match the vertex count")
-        labels = _vertex_coords(dims)
-        if self.mult != _rook_mult(labels):
+        if any(self.level_masks) or self.nbr_masks != _dims_nbr_masks(dims):
             raise ValueError("dims are inconsistent with the adjacency structure")
-        return labels
+        return dims
 
     def vertex_label(self, v: int) -> tuple:
         """Coordinate tuple of a vertex; requires product dims."""
-        labels = self.labels()
+        if self.dims is None:
+            raise ValueError("graph has no coordinate labels")
         _vertex_mask(self, (v,))
-        return labels[v]
+        return tuple(v // math.prod(self.dims[a + 1:]) % d for a, d in enumerate(self.dims))
 
     def label_to_index(self, coords: Sequence[int]) -> int:
         if self.dims is None:
@@ -96,9 +94,9 @@ class MultiGraph:
 
     def labels(self) -> tuple:
         """All coordinate labels in vertex order."""
-        if self._labels is None:
+        if self.dims is None:
             raise ValueError("graph has no coordinate labels")
-        return self._labels
+        return _vertex_coords(self.dims)
 
     def edge_count(self) -> int:
         """Total edge multiplicity."""
@@ -133,8 +131,7 @@ def complete_graph(n: int) -> MultiGraph:
         raise ValueError("complete graph size must be an integer")
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
-    mult = [[0 if u == v else 1 for v in range(n)] for u in range(n)]
-    return MultiGraph(mult, dims=(n,))
+    return _dims_graph((n,))
 
 
 def cartesian_product(g: MultiGraph, h: MultiGraph) -> MultiGraph:
@@ -154,11 +151,28 @@ def cartesian_product(g: MultiGraph, h: MultiGraph) -> MultiGraph:
     return MultiGraph(mult, dims=dims)
 
 
-def _int_dims(dims: Sequence[int]) -> tuple:
-    """dims as a tuple; every entry must be an int (bools rejected)."""
+def _positive_dims(dims: Sequence[int]) -> tuple:
+    """dims as a tuple; every entry must be an int (bools rejected) of at
+    least 1, the size of one complete-graph factor."""
     dims = tuple(dims)
     if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
         raise ValueError("dims must be integers")
+    if any(d < 1 for d in dims):
+        raise ValueError("dims entries must be positive")
+    return dims
+
+
+def is_rook_shape(dims: Optional[Sequence[int]]) -> bool:
+    """Do these dimensions describe a rook graph: at least two factors,
+    each of size at least 2?"""
+    return dims is not None and len(dims) >= 2 and all(d >= 2 for d in dims)
+
+
+def _rook_dims(dims: Sequence[int]) -> tuple:
+    """dims as a tuple, if they are ints that describe a rook graph."""
+    dims = _positive_dims(dims)
+    if not is_rook_shape(dims):
+        raise ValueError("invalid rook dimensions")
     return dims
 
 
@@ -168,21 +182,35 @@ def _vertex_coords(dims: Sequence[int]) -> tuple:
     return tuple(itertools.product(*map(range, dims)))
 
 
-def _rook_mult(labels: Sequence[tuple]) -> tuple:
-    """The 0/1 multiplicity matrix of a product of complete graphs: two
-    cells are adjacent iff their labels differ in exactly one coordinate."""
-    return tuple(tuple(1 if sum(map(operator.ne, x, y)) == 1 else 0 for y in labels)
-                 for x in labels)
+def _dims_nbr_masks(dims: Sequence[int]) -> tuple:
+    """Each vertex's neighbour mask on a product of complete graphs of the
+    given positive sizes: the other cells v + (j - c)*s, j < d, on its line
+    along each axis of size d and stride s, where c is v's coordinate."""
+    n = math.prod(dims)
+    masks = [0] * n
+    stride = n
+    for d in dims:
+        stride //= d
+        line = sum(1 << j * stride for j in range(d))  # the line through cell 0
+        for v in range(n):
+            masks[v] |= (line << (v - v // stride % d * stride)) ^ (1 << v)
+    return tuple(masks)
+
+
+def _dims_graph(dims: tuple) -> MultiGraph:
+    """The product of complete graphs of the given positive sizes, refused
+    above ``MAX_JSON_VERTICES`` vertices before anything is allocated."""
+    n = math.prod(dims)
+    if n > MAX_JSON_VERTICES:
+        raise ValueError(f"dims {list(dims)} give {n} vertices, above the limit "
+                         f"of {MAX_JSON_VERTICES} vertices")
+    rows = [[mask >> v & 1 for v in range(n)] for mask in _dims_nbr_masks(dims)]
+    return MultiGraph(rows, dims=dims)
 
 
 def rook_graph(dims: Sequence[int]) -> MultiGraph:
     """Iterated product of complete graphs; every dim >= 2, at least two dims."""
-    dims = _int_dims(dims)
-    if len(dims) < 2:
-        raise ValueError("rook graph needs at least two dimensions")
-    if any(d < 2 for d in dims):
-        raise ValueError("rook graph dimensions must be at least 2")
-    return MultiGraph(_rook_mult(_vertex_coords(dims)), dims=dims)
+    return _dims_graph(_rook_dims(dims))
 
 
 # ======================================================================
@@ -414,8 +442,8 @@ def graph_to_json(g: MultiGraph) -> dict:
     }
 
 
-# The largest vertex_count graph_from_json accepts: loading holds up to three
-# n × n matrices (rows, tuples, rook check), 96 MiB of 8-byte slots at 2048.
+# The most vertices graph_from_json and the dims constructors accept: a graph
+# holds two n × n matrices while it is built, 64 MiB of 8-byte slots at 2048.
 MAX_JSON_VERTICES = 2048
 
 

@@ -311,9 +311,7 @@ def min_side_cut_floor(dims: Sequence[int], min_side: int) -> Optional[int]:
     deg*|X| - 2*e(X) and the induced-edge bound gives the floor.  A cut
     and its complement weigh the same, so sides up to half suffice.
     """
-    dims = graphs._int_dims(dims)
-    if any(d < 1 for d in dims):
-        raise ValueError("dims entries must be positive")
+    dims = graphs._positive_dims(dims)
     if not isinstance(min_side, int) or isinstance(min_side, bool):
         raise ValueError("min_side must be an integer")
     total = math.prod(dims)
@@ -443,7 +441,7 @@ def scramble_order(s: Scramble, cut_mode: str = "exact") -> OrderReport:
 
 def star_scramble(n: int, m: int) -> Scramble:
     """All connected (n-1)-subsets of the n x m rook graph."""
-    n, m = graphs._int_dims((n, m))
+    n, m = graphs._positive_dims((n, m))
     if not (2 <= n <= m):
         raise ValueError("star scramble needs 2 <= n <= m")
     host = rook_graph([n, m])
@@ -465,7 +463,7 @@ def square_augmented_scramble(dims: Sequence[int] = (6, 6)) -> Scramble:
     takes the squares only for components of up to 4 cells, and 7x7 alone
     would hand 1.26M eggs to the general search.
     """
-    dims = graphs._int_dims(dims)
+    dims = graphs._positive_dims(dims)
     if len(dims) != 2 or any(d < 2 for d in dims):
         raise ValueError("square-augmented scrambles need two dims of at least 2")
     n, m = dims
@@ -511,7 +509,7 @@ def staircase_avoidance(n: int, m: int) -> tuple:
     last full run gives up its final cell, and the freed column takes a
     vertical pair in the two rows below the runs.
     """
-    n, m = graphs._int_dims((n, m))
+    n, m = graphs._positive_dims((n, m))
     if n < 4:
         raise ValueError("staircase avoidance needs n >= 4")
     if not (n - 1 <= m < (n - 2) * (n - 1)):
@@ -548,7 +546,7 @@ def cube_diagonal_avoidance(n: int) -> tuple:
     """A (n+2)(n-1)-vertex set on the n x n x n rook graph splitting into
     n+2 components of n-1 vertices each: two axis runs off a corner plus
     a diagonal wall of runs."""
-    (n,) = graphs._int_dims((n,))
+    (n,) = graphs._positive_dims((n,))
     if n < 3:
         raise ValueError("cube diagonal avoidance needs n >= 3")
     host = rook_graph([n, n, n])
@@ -586,7 +584,7 @@ def exhaustive_cut_bound_check(n: int, m: int) -> CutBoundReport:
     least n-1 vertices and confirm the weight is at least (n-1)m, with
     tightness witnessed by a full row.  Gray-code order keeps the sweep
     incremental."""
-    n, m = graphs._int_dims((n, m))
+    n, m = graphs._positive_dims((n, m))
     if not 2 <= n <= m:
         raise ValueError("needs 2 <= n <= m")
     total = n * m

@@ -42,11 +42,7 @@ def _memo(ctx, key, make):
 
 
 def _host(ctx, *dims) -> graphs.MultiGraph:
-    def make():
-        if len(dims) == 1:
-            return graphs.complete_graph(dims[0])
-        return graphs.rook_graph(list(dims))
-    return _memo(ctx, ("host",) + dims, make)
+    return _memo(ctx, ("host",) + dims, lambda: graphs._dims_graph(dims))
 
 
 def _scramble(ctx, kind, *params) -> scrambles.Scramble:

@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 from operator import add, eq, itemgetter, lt
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .graphs import _int_dims
+from .graphs import _rook_dims
 
 
 class GroupTooLarge(RuntimeError):
@@ -70,20 +70,6 @@ class SymmetryGroup:
             frontier = nxt
         self._elements = tuple(sorted(seen))
         return self._elements
-
-
-def is_rook_shape(dims: Optional[Sequence[int]]) -> bool:
-    """Do these dimensions describe a rook graph: at least two factors,
-    each of size at least 2?"""
-    return dims is not None and len(dims) >= 2 and all(d >= 2 for d in dims)
-
-
-def _rook_dims(dims: Sequence[int]) -> tuple:
-    """dims as a tuple, if they are ints that describe a rook graph."""
-    dims = _int_dims(dims)
-    if not is_rook_shape(dims):
-        raise ValueError("invalid rook dimensions")
-    return dims
 
 
 def _cell_perm(dims: Sequence[int], order: Sequence[int],

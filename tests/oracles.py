@@ -36,6 +36,12 @@ def connected_subsets(g, k):
     return out
 
 
+def rook_adjacent(x, y):
+    """Two cells of a product of complete graphs are adjacent iff their
+    coordinate labels differ in exactly one coordinate."""
+    return sum(a != b for a, b in zip(x, y)) == 1
+
+
 def cut_weight(g, side):
     inside = set(side)
     total = 0

@@ -248,28 +248,33 @@ def test_scramble_order_floor_without_dims_exits_two(tmp_path):
 
 
 def test_oversized_graph_files_exit_two_under_a_memory_limit(tmp_path):
-    # graph_from_json checks the edges and the size before it builds the
-    # n × n matrix, which for 100,000 vertices ended in a MemoryError
-    # traceback; each run gets a 600 MB address space of its own
+    # graph_from_json and the dims constructors check the size before they
+    # build the n × n matrix, which for 90,000 or 100,000 vertices ended in
+    # a MemoryError traceback; each run gets a 600 MB address space of its own
     empty = {"vertex_count": 100000, "edges": []}
     path = {"vertex_count": 100000,
             "edges": [[u, u + 1, 1] for u in range(99999)]}
     files = {}
     for name, data in (("empty", empty), ("path", path),
-                       ("scramble", {"host": empty, "eggs": [[0], [1]]})):
+                       ("scramble", {"host": empty, "eggs": [[0], [1]]}),
+                       ("rook-host", {"host": [300, 300], "eggs": [[0], [1]]})):
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(data))
     limited = ("import resource, sys\n"
                "resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))\n"
                "from rookgon.cli import main\n"
                "sys.exit(main(sys.argv[1:]))\n")
+    too_many = b"dims [300, 300] give 90000 vertices, above the limit of 2048 vertices"
     for args, message in (
             (["rank", "--graph", str(files["empty"]), "--chips", "0"],
              b"graph must be connected"),
             (["rank", "--graph", str(files["path"]), "--chips", "0"],
              b"vertex_count 100000 is above the limit of 2048 vertices"),
             (["scramble", "order", "--file", str(files["scramble"])],
-             b"graph must be connected")):
+             b"graph must be connected"),
+            (["rank", "--rook", "300,300", "--chips", "0"], too_many),
+            (["scramble", "order", "--family", "star", "--dims", "300,300"], too_many),
+            (["scramble", "order", "--file", str(files["rook-host"])], too_many)):
         proc = subprocess.run([sys.executable, "-c", limited, *args],
                               capture_output=True, timeout=60)
         assert proc.returncode == 2, proc.stderr.decode()

@@ -23,7 +23,7 @@ from rookgon import (
     min_cut_value,
     rook_graph,
 )
-from rookgon.graphs import MAX_JSON_VERTICES
+from rookgon.graphs import MAX_JSON_VERTICES, _dims_nbr_masks
 
 
 # ======================================================================
@@ -104,6 +104,41 @@ def test_dims_must_be_integers():
         with pytest.raises(ValueError):
             MultiGraph(mult, dims=dims)
     assert MultiGraph(mult, dims=(2, 3)).dims == (2, 3)
+
+
+def test_dims_masks_match_the_label_pair_rule():
+    # every dims of at most three axes of sizes 1-4, () and unsorted included
+    shapes = [d for k in range(4) for d in itertools.product(range(1, 5), repeat=k)]
+    assert len(shapes) == 85
+    for dims in shapes:
+        labels = list(itertools.product(*map(range, dims)))
+        mult = [[int(oracles.rook_adjacent(x, y)) for y in labels] for x in labels]
+        want = tuple(sum(m << v for v, m in enumerate(row)) for row in mult)
+        assert _dims_nbr_masks(dims) == want, dims
+        assert MultiGraph(mult, dims=dims).dims == dims
+
+
+def test_check_dims_rejects_graphs_near_a_rook_graph():
+    rook = rook_graph([3, 3])
+    doubled = [list(row) for row in rook.mult]
+    doubled[0][1] = doubled[1][0] = 2          # same support, one edge doubled
+    missing = [list(row) for row in rook.mult]
+    missing[0][1] = missing[1][0] = 0          # one edge removed
+    swap = [4, 1, 2, 3, 0, 5, 6, 7, 8]         # vertices 0 and 4 exchanged
+    swapped = [[rook.mult[swap[u]][swap[v]] for v in range(9)] for u in range(9)]
+    for mult in (doubled, missing, swapped):
+        assert MultiGraph(mult).dims is None
+        with pytest.raises(ValueError, match="inconsistent with the adjacency"):
+            MultiGraph(mult, dims=[3, 3])
+    assert MultiGraph([[0]], dims=[]).dims == ()
+
+
+def test_dims_constructors_refuse_more_vertices_than_the_limit():
+    for build, arg in ((rook_graph, [300, 300]), (rook_graph, [2] * 12),
+                       (complete_graph, MAX_JSON_VERTICES + 1)):
+        with pytest.raises(ValueError, match="above the limit"):
+            build(arg)
+    assert rook_graph([2] * 11).n == MAX_JSON_VERTICES
 
 
 def test_multigraph_validation():
