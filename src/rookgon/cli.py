@@ -310,18 +310,15 @@ def cmd_scramble_avoidance(args) -> int:
         if len(dims) != 2:
             raise ValueError("--construction staircase needs exactly two dims")
         n, m = dims
-        verts = scrambles.staircase_avoidance(n, m)
-        host = graphs.rook_graph([n, m])
+        verts, comps = scrambles._staircase(n, m)
         params = {"dims": [n, m]}
     elif args.construction == "cube-diagonal":
         if args.n is None:
             raise ValueError("--construction cube-diagonal needs --n N")
-        verts = scrambles.cube_diagonal_avoidance(args.n)
-        host = graphs.rook_graph([args.n] * 3)
+        verts, comps = scrambles._cube_diagonal(args.n)
         params = {"n": args.n}
     else:
         raise ValueError(f"unknown construction {args.construction!r}")
-    comps = scrambles.induced_components(host, verts)
     _write_output(args, canonical_json({
         "kind": "avoidance",
         "construction": args.construction,

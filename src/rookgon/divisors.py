@@ -300,14 +300,23 @@ def _rank_ge(g: MultiGraph, rd: tuple, k: int, memo: dict) -> bool:
 
 
 def _refuted_at_poorest(g: MultiGraph, c: Sequence[int], k: int) -> bool:
-    """True when one burn proves rank(c) < k for an effective c of length
-    g.n; False says nothing.  The caller builds c, so nothing is checked.
+    """True when the reduction at the poorest vertex proves rank(c) < k
+    for an effective c of length g.n; False says nothing.  The caller
+    builds c, so nothing is checked.
 
-    Let v be the poorest vertex of c (smallest index on ties).  If
-    c[v] < k and the burn from v reaches every vertex, c is v-reduced, so
-    c - k*e_v is v-reduced and negative at v, hence unwinnable."""
+    Let v be the poorest vertex of c (smallest index on ties); nothing is
+    refuted when c[v] >= k.  Otherwise ``_fire_unburnt`` reduces a copy
+    of c at v: its first burn from v reaches every vertex when c is
+    already v-reduced, and each burn that leaves an unburnt set fires
+    it.  rank(c) >= k would make c - k*e_v winnable, and its v-reduced
+    form is red_v(c) - k*e_v, so red_v(c)[v] < k refutes."""
     low = min(c)
-    return low < k and not _burn(g, c, c.index(low))[1]
+    if low >= k:
+        return False
+    v = c.index(low)
+    chips = list(c)
+    _fire_unburnt(g, chips, v, None)
+    return chips[v] < k
 
 
 def _reduced_child(g: MultiGraph, rd: tuple, u: int) -> tuple:

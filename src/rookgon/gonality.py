@@ -3,8 +3,8 @@
 Degrees are scanned in ascending order; at each degree the effective
 divisors (one representative per automorphism orbit when symmetry is
 asked for on a rook graph) are streamed in lexicographic order, and
-each one that a single burn does not refute is tested with the rank
-recursion.  The scan stops at the first success,
+each one that its reduction at the poorest vertex does not refute is
+tested with the rank recursion.  The scan stops at the first success,
 which is therefore the lexicographically smallest witness of the
 smallest degree.
 """
@@ -78,11 +78,13 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
     match its edges, so that group is sound; any other graph is scanned
     plainly and the result reports ``symmetry`` False.
 
-    Each streamed divisor c is counted, then refuted by one burn when it
-    can be: if its poorest vertex v (smallest index on ties) holds fewer
-    than k chips and the burn from v reaches every vertex, c is v-reduced,
-    so c - k*e_v is v-reduced and negative at v, hence unwinnable, and
-    rank(c) < k.  Only the survivors reach ``rank_at_least``.
+    Each streamed divisor c is counted, then refuted at its poorest
+    vertex v (smallest index on ties) when it can be: if c[v] < k, c is
+    reduced at v (one burn from v, then the unburnt sets fire until the
+    burn reaches every vertex), and rank(c) < k when the v-reduced form
+    holds fewer than k chips at v, since rank(c) >= k would make
+    c - k*e_v winnable and its v-reduced form is red_v(c) - k*e_v.  Only
+    the survivors reach ``rank_at_least``.
 
     On a rook host every refuted degree's streamed count is checked
     against the Burnside count (``symmetry.orbit_count``), and a mismatch

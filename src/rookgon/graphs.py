@@ -38,12 +38,17 @@ class MultiGraph:
             if len(row) != n:
                 raise ValueError("multiplicity matrix must be square")
             rows.append(row)
+        # a row of plain nonnegative ints equal to its column passes whole;
+        # any other row is walked entry by entry, so the first faulty entry
+        # picks the message and int subclasses other than bool still pass
+        cols = list(zip(*rows))
         for u, row in enumerate(rows):
-            for v, m in enumerate(row):
-                if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-                    raise ValueError("multiplicities must be nonnegative integers")
-                if m != rows[v][u]:
-                    raise ValueError("multiplicity matrix must be symmetric")
+            if set(map(type, row)) != {int} or min(row) < 0 or row != cols[u]:
+                for v, m in enumerate(row):
+                    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+                        raise ValueError("multiplicities must be nonnegative integers")
+                    if m != rows[v][u]:
+                        raise ValueError("multiplicity matrix must be symmetric")
             if row[u] != 0:
                 raise ValueError("loops are not allowed")
         self.n = n

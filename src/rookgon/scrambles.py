@@ -509,6 +509,12 @@ def staircase_avoidance(n: int, m: int) -> tuple:
     last full run gives up its final cell, and the freed column takes a
     vertical pair in the two rows below the runs.
     """
+    return _staircase(n, m)[0]
+
+
+def _staircase(n: int, m: int) -> tuple:
+    """The staircase construction's vertices and their components on the
+    rook graph that checks it, which is built once."""
     n, m = graphs._positive_dims((n, m))
     if n < 4:
         raise ValueError("staircase avoidance needs n >= 4")
@@ -539,13 +545,19 @@ def staircase_avoidance(n: int, m: int) -> tuple:
     comps = induced_components(host, verts)
     if any(len(c) >= n - 1 for c in comps):
         raise RuntimeError("staircase construction is not egg-free")
-    return verts
+    return verts, comps
 
 
 def cube_diagonal_avoidance(n: int) -> tuple:
     """A (n+2)(n-1)-vertex set on the n x n x n rook graph splitting into
     n+2 components of n-1 vertices each: two axis runs off a corner plus
     a diagonal wall of runs."""
+    return _cube_diagonal(n)[0]
+
+
+def _cube_diagonal(n: int) -> tuple:
+    """The cube diagonal construction's vertices and their components,
+    as ``_staircase`` gives them."""
     (n,) = graphs._positive_dims((n,))
     if n < 3:
         raise ValueError("cube diagonal avoidance needs n >= 3")
@@ -562,7 +574,7 @@ def cube_diagonal_avoidance(n: int) -> tuple:
     if len(verts) != (n + 2) * (n - 1) or len(comps) != n + 2 \
             or any(len(c) != n - 1 for c in comps):
         raise RuntimeError("cube diagonal construction came out malformed")
-    return verts
+    return verts, comps
 
 
 # ======================================================================

@@ -152,7 +152,31 @@ def iter_degree_vectors(total: int, size: int) -> Iterator[tuple]:
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise ValueError("vector length must be a positive integer")
     _check_total(total)
-    yield from _orderly(total, size, ())
+    return _compositions(total, size)
+
+
+def _compositions(total: int, size: int) -> Iterator[tuple]:
+    """The degree vectors of iter_degree_vectors, stepped directly: the
+    successor of c moves one chip from its last nonzero entry k to entry
+    k-1 and puts the rest of entry k's chips on the final entry.  The
+    stream ends when only entry 0 holds chips."""
+    last = size - 1
+    c = [0] * size
+    c[last] = total
+    yield tuple(c)
+    if not total:
+        return
+    while True:
+        k = last
+        while not c[k]:
+            k -= 1
+        if not k:
+            return
+        rest = c[k] - 1
+        c[k] = 0
+        c[k - 1] += 1
+        c[last] += rest
+        yield tuple(c)
 
 
 def iter_orbit_min_vectors(total: int, size: int,

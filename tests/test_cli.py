@@ -305,6 +305,28 @@ def test_scramble_avoidance_cube_diagonal():
     assert data["vertices"] == [1, 2, 3, 6, 9, 13, 17, 18, 22, 26]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--construction", "cube-diagonal", "--n", "4"),
+    ("--construction", "staircase", "--dims", "5,7"),
+])
+def test_scramble_avoidance_builds_its_host_once(argv, monkeypatch, capsys):
+    # the construction's own check builds the host; the report reuses it
+    from rookgon import cli, graphs, scrambles
+
+    built = []
+    rook_graph = graphs.rook_graph
+
+    def counted(dims):
+        built.append(tuple(dims))
+        return rook_graph(dims)
+
+    monkeypatch.setattr(graphs, "rook_graph", counted)
+    monkeypatch.setattr(scrambles, "rook_graph", counted)
+    assert cli.main(["scramble", "avoidance", *argv]) == 0
+    assert len(built) == 1
+    assert json.loads(capsys.readouterr().out)["kind"] == "avoidance"
+
+
 def test_verify_smoke():
     proc = run_cli("verify", "--suite", "smoke")
     data = out_json(proc)

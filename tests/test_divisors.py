@@ -513,8 +513,9 @@ def test_rank_at_least_random_multigraphs():
 
 def test_poorest_vertex_burn_refutes_only_low_rank():
     # the gonality scan drops a divisor on this refutation before any rank
-    # test, so every refutation must leave c reduced at its poorest vertex
-    # and the class oracle must agree that rank(c) < k
+    # test, so every refutation must rest on a reduced form at the poorest
+    # vertex with fewer than k chips there, and the class oracle must agree
+    # that rank(c) < k
     rng = random.Random(4317)
     hosts = [(rook_graph([2, 3]), 4), (rook_graph([3, 3]), 4),
              (rook_graph([2, 2, 2]), 4)]
@@ -522,20 +523,29 @@ def test_poorest_vertex_burn_refutes_only_low_rank():
         g = oracles.random_multigraph(rng, max_n=6)
         if max(max(row) for row in g.mult) > 1:
             hosts.append((g, 4))
+    past_first_burn = 0
     for g, top in hosts:
         ge = oracles.class_rank_at_least(g)
         refuted = kept = 0
         for deg in range(top + 1):
             for c in oracles.effective_divisors(g.n, deg):
                 v = c.index(min(c))
+                red = None
                 for k in (1, 2, 3):
                     if divisors._refuted_at_poorest(g, c, k):
                         refuted += 1
-                        assert oracles.is_reduced(g, c, v), (g.mult, c)
+                        if red is None:
+                            red = v_reduce(g, c, v).reduced
+                            assert oracles.is_reduced(g, red, v), (g.mult, c)
+                            assert oracles.equivalent(g, red, c), (g.mult, c)
+                            past_first_burn += red != list(c)
+                        assert red[v] < k, (g.mult, c, k)
                         assert not ge(c, k), (g.mult, c, k)
                     elif not ge(c, k):
                         kept += 1
         assert refuted and kept, g.mult
+    # some refutations must have needed the reduction past the first burn
+    assert past_first_burn
 
 
 def test_class_rank_oracle_matches_definitional_rank():

@@ -223,6 +223,29 @@ def test_gonality_checks_the_stream_against_burnside(monkeypatch):
     assert k_gonality(rook_graph([3, 3])).orbit_counts[3] == math.comb(11, 8) - 1
 
 
+@pytest.mark.parametrize("dims, k, value, tests", [
+    ([3, 4], 1, 8, 859),
+    ([2, 5], 3, 10, 5298),
+])
+def test_no_symmetry_scan_rank_test_counts(monkeypatch, dims, k, value, tests):
+    # the full reduction at the poorest vertex refutes most divisors before
+    # any rank test
+    from rookgon import gonality
+
+    calls = 0
+    full_test = gonality.rank_at_least
+
+    def counted(g, d, k):
+        nonlocal calls
+        calls += 1
+        return full_test(g, d, k)
+
+    monkeypatch.setattr(gonality, "rank_at_least", counted)
+    res = k_gonality(rook_graph(dims), k=k)
+    assert res.value == value
+    assert calls == tests
+
+
 def test_default_degree_cap_values():
     assert default_degree_cap(rook_graph([2, 2]), 1) == 2
     assert default_degree_cap(rook_graph([3, 4]), 1) == 8

@@ -124,6 +124,13 @@ def test_iter_degree_vectors_counts():
         assert vecs == sorted(vecs)  # ascending lexicographic
 
 
+def test_iter_degree_vectors_match_the_oracle():
+    for total in range(7):
+        for size in range(1, 8):
+            assert list(iter_degree_vectors(total, size)) == \
+                list(oracles.effective_divisors(size, total)), (total, size)
+
+
 def test_iter_degree_vectors_validation():
     # the length is a positive int: True used to yield (2,), and 1.5 and
     # "3" raised TypeError
