@@ -33,9 +33,15 @@ class GonalityResult:
     symmetry: bool = False
 
 
+def _check_k(k) -> None:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError("k must be a positive integer")
+
+
 def default_degree_cap(g: graphs.MultiGraph, k: int) -> int:
-    """Certificate degree for rook graphs where one is known, else a
-    degree at which rank >= k is guaranteed."""
+    """Certificate degree for rook graphs where one is known, else
+    genus + k: every divisor of that degree has rank >= k (Riemann-Roch)."""
+    _check_k(k)
     dims = g.dims
     if graphs.is_rook_shape(dims):
         if k == 1:
@@ -45,7 +51,7 @@ def default_degree_cap(g: graphs.MultiGraph, k: int) -> int:
             return math.prod(dims) - 1
         if len(dims) == 2 and k == 3:
             return math.prod(dims)
-    return g.n + g.genus()
+    return g.genus() + k
 
 
 def rook_certificate_divisor(dims: Sequence[int], k: int = 1) -> list:
@@ -57,6 +63,7 @@ def rook_certificate_divisor(dims: Sequence[int], k: int = 1) -> list:
     graphs).  Other ranks have no closed-form family here.
     """
     dims = graphs._rook_dims(dims)
+    _check_k(k)
     if k == 1:
         axis = dims.index(min(dims))
         return [0 if c[axis] == 0 else 1 for c in graphs._vertex_coords(dims)]
@@ -90,8 +97,7 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
     against the Burnside count (``symmetry.orbit_count``), and a mismatch
     raises RuntimeError.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_k(k)
     for name, val in (("degree cap", degree_cap), ("lower bound", lower_bound)):
         if val is not None and (not isinstance(val, int) or isinstance(val, bool)):
             raise ValueError(f"{name} must be an integer")

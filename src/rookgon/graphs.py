@@ -53,9 +53,7 @@ class MultiGraph:
                 raise ValueError("loops are not allowed")
         self.n = n
         self.mult = tuple(rows)
-        self.adj = tuple(
-            tuple((v, rows[u][v]) for v in range(n) if rows[u][v] > 0) for u in range(n)
-        )
+        self.adj = tuple(tuple((v, m) for v, m in enumerate(row) if m) for row in rows)
         self.degrees = tuple(sum(m for _, m in nbrs) for nbrs in self.adj)
         self.nbr_masks = tuple(sum(1 << v for v, _ in nbrs) for nbrs in self.adj)
         self.level_masks = tuple(map(_level_masks, self.adj))

@@ -22,10 +22,11 @@ from .graphs import MultiGraph, connected_masks, cut_weight, rook_graph
 
 class Scramble:
     """Eggs over a host graph, stored as sorted, deduplicated vertex
-    bitmasks in ``masks``; building one with an empty or disconnected egg
-    raises ValueError.  ``eggs`` holds the same eggs as ascending vertex
-    tuples in ascending order, decoded from the masks on first read; the
-    same decode keeps each egg's mask in egg order.
+    bitmasks in ``masks``; both constructors check the eggs in
+    ``_set_eggs``, and an empty or disconnected egg raises ValueError.
+    ``eggs`` holds the same eggs as ascending vertex tuples in ascending
+    order, decoded from the masks on first read; the same decode keeps
+    each egg's mask in egg order.
 
     ``uniform_size`` / ``with_squares`` are read-only fast-path hints.
     Only the family constructors in this module set them, because they
@@ -43,7 +44,7 @@ class Scramble:
             eggs = iter(eggs)
         except TypeError:
             raise ValueError(f"eggs {eggs!r} is not a list of eggs") from None
-        masks = set()
+        masks = []
         for egg in eggs:
             if isinstance(egg, (str, bytes)):
                 raise ValueError(f"egg {egg!r} is not a list of vertices")
@@ -51,43 +52,37 @@ class Scramble:
                 verts = iter(egg)
             except TypeError:
                 raise ValueError(f"egg {egg!r} is not a list of vertices") from None
-            masks.add(graphs._vertex_mask(host, verts))
-        self.masks = tuple(sorted(masks))
-        self._decode()
-        nbr = host.nbr_masks
-        problems = []
-        for idx, (egg, mask) in enumerate(zip(self._eggs, self._egg_masks)):
-            if not mask:
-                problems.append(f"egg {idx} is empty")
-            elif graphs.lowest_component(nbr, mask) != mask:
-                problems.append(f"egg {idx} is not connected: {list(egg)}")
-        if problems:
-            raise ValueError("invalid scramble: " + "; ".join(problems))
-        self.host = host
-        self._uniform_size = None
-        self._with_squares = False
+            masks.append(graphs._vertex_mask(host, verts))
+        self._set_eggs(host, masks, None, False)
 
     @classmethod
     def _from_masks(cls, host: MultiGraph, masks: Iterable[int],
                     uniform_size: int, with_squares: bool = False) -> "Scramble":
-        """A family scramble over egg bitmasks, each checked to be a
-        nonempty connected vertex set of the host."""
-        masks = list(masks)
-        full = 1 << host.n
-        nbr = host.nbr_masks
-        for mask in masks:
-            if not isinstance(mask, int) or isinstance(mask, bool) or not 0 < mask < full:
-                raise ValueError(f"egg mask {mask!r} is not a nonempty vertex set")
-            if graphs.lowest_component(nbr, mask) != mask:
-                raise ValueError(f"invalid scramble: egg is not connected: "
-                                 f"{list(graphs.mask_vertices(mask))}")
+        """A family scramble over egg bitmasks that this module built."""
         s = cls.__new__(cls)
-        s.host = host
-        s.masks = tuple(sorted(set(masks)))
-        s._eggs = None
-        s._uniform_size = uniform_size
-        s._with_squares = with_squares
+        s._set_eggs(host, masks, uniform_size, with_squares)
         return s
+
+    def _set_eggs(self, host: MultiGraph, masks: Iterable[int],
+                  uniform_size: Optional[int], with_squares: bool) -> None:
+        """Store the eggs and hints; if an egg is empty or disconnected,
+        decode the eggs and raise ValueError naming each bad one in egg order."""
+        self.host = host
+        self.masks = tuple(sorted(set(masks)))
+        self._eggs = self._egg_masks = None
+        self._uniform_size, self._with_squares = uniform_size, with_squares
+        nbr = host.nbr_masks
+
+        def bad(mask):
+            return not mask or graphs.lowest_component(nbr, mask) != mask
+
+        if any(map(bad, self.masks)):
+            self._decode()
+            raise ValueError("invalid scramble: " + "; ".join(
+                f"egg {idx} is not connected: {list(egg)}" if mask
+                else f"egg {idx} is empty"
+                for idx, (egg, mask) in enumerate(zip(self._eggs, self._egg_masks))
+                if bad(mask)))
 
     def _decode(self) -> None:
         """Decode the masks into ``eggs``, and keep each egg's mask in egg

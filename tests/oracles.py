@@ -6,7 +6,6 @@ Keep instances tiny.
 """
 
 import itertools
-import random
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -374,24 +373,6 @@ def min_egg_cut(host, eggs):
             if best is None or w < best:
                 best = w
     return best
-
-
-def random_multigraph(rng: random.Random, max_n=7, max_extra=6):
-    """A random connected multigraph: spanning tree plus extra edges."""
-    from rookgon import MultiGraph
-    n = rng.randint(2, max_n)
-    mult = [[0] * n for _ in range(n)]
-    for v in range(1, n):
-        u = rng.randrange(v)
-        mult[u][v] += 1
-        mult[v][u] += 1
-    for _ in range(rng.randint(0, max_extra)):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u != v:
-            mult[u][v] += 1
-            mult[v][u] += 1
-    return MultiGraph(mult)
 
 
 def max_induced_edges_profile_scan(dims, size):

@@ -33,6 +33,7 @@ from rookgon import (
     v_reduce,
     verify_rank_at_least,
 )
+from rookgon.suite import _random_multigraph as random_multigraph
 
 
 def gon(dims, k=1, **kw):
@@ -222,7 +223,7 @@ def test_criterion_09_divisor_properties():
     # reduction: uniqueness per class, idempotence (100 seeded cases)
     rng = random.Random(900)
     for _ in range(100):
-        g = oracles.random_multigraph(rng)
+        g = random_multigraph(rng)
         d = [rng.randint(-2, 3) for _ in range(g.n)]
         v = rng.randrange(g.n)
         res = v_reduce(g, d, v)
@@ -238,7 +239,7 @@ def test_criterion_09_divisor_properties():
     # firing a set then its complement restores the divisor (100 cases)
     rng = random.Random(901)
     for _ in range(100):
-        g = oracles.random_multigraph(rng)
+        g = random_multigraph(rng)
         d = [rng.randint(-2, 3) for _ in range(g.n)]
         r = rng.randint(1, g.n - 1)
         sub = rng.sample(range(g.n), r)
@@ -262,7 +263,7 @@ def test_criterion_09_divisor_properties():
     # duality identity rank(d) - rank(K-d) = deg(d) - genus + 1 (50 cases)
     rng = random.Random(903)
     for _ in range(50):
-        g = oracles.random_multigraph(rng, max_n=6)
+        g = random_multigraph(rng, max_n=6)
         d = [rng.randint(-2, 3) for _ in range(g.n)]
         kan = [g.degrees[u] - 2 for u in range(g.n)]
         kd = [kan[i] - d[i] for i in range(g.n)]

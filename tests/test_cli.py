@@ -140,6 +140,16 @@ def test_gonality_graph_file_without_rook_shape(tmp_path):
     assert data["symmetry"] is False
 
 
+def test_gonality_default_cap_is_genus_plus_k(tmp_path):
+    # K2 at k = 3 used to get the cap n + genus = 2 and exit 2
+    gfile = tmp_path / "k2.json"
+    run_cli("graph", "gen", "--complete", "2", "-o", str(gfile))
+    data = out_json(run_cli("gonality", "--graph", str(gfile), "--k", "3"))
+    assert (data["value"], data["degree_cap"], data["witness"]) == (3, 3, [0, 3])
+    data = out_json(run_cli("gonality", "--rook", "2,2,3", "--k", "2"))
+    assert (data["value"], data["degree_cap"]) == (9, 15)
+
+
 def test_gonality_refuses_to_list_the_6x6x6_relabelings():
     # its 518,400 outer relabelings took 226 MB and 4 s before the first
     # degree-1 vector; the refusal comes before any is built

@@ -25,6 +25,7 @@ from rookgon import (
     v_reduce,
     verify_rank_at_least,
 )
+from rookgon.suite import _random_multigraph as random_multigraph
 
 
 def canonical_divisor(g):
@@ -62,7 +63,7 @@ def test_fire_set_moves_chips_along_boundary():
 def test_fire_set_matches_laplacian():
     rng = random.Random(4301)
     for _ in range(40):
-        g = oracles.random_multigraph(rng, max_n=6)
+        g = random_multigraph(rng, max_n=6)
         d = random_divisor(rng, g.n)
         r = rng.randint(1, g.n)
         sub = rng.sample(range(g.n), r)
@@ -74,7 +75,7 @@ def test_fire_set_matches_laplacian():
 def test_fire_set_inverse_of_complement():
     rng = random.Random(4302)
     for _ in range(40):
-        g = oracles.random_multigraph(rng, max_n=6)
+        g = random_multigraph(rng, max_n=6)
         d = random_divisor(rng, g.n)
         r = rng.randint(1, g.n - 1)
         sub = rng.sample(range(g.n), r)
@@ -132,7 +133,7 @@ def test_dhar_burn_unburnt_is_union_of_firable_sets():
 def test_dhar_burn_unburnt_set_is_firable_random():
     rng = random.Random(4303)
     for _ in range(60):
-        g = oracles.random_multigraph(rng, max_n=7)
+        g = random_multigraph(rng, max_n=7)
         d = [rng.randint(0, 4) for _ in range(g.n)]
         src = rng.randrange(g.n)
         rep = dhar_burn(g, d, src)
@@ -166,7 +167,7 @@ def test_dhar_burn_pins_burnt_set_tallies_on_a_multigraph():
 def test_dhar_burn_tallies_match_multiplicities_random():
     rng = random.Random(5581)
     for _ in range(80):
-        g = oracles.random_multigraph(rng, max_n=7)
+        g = random_multigraph(rng, max_n=7)
         d = [rng.randint(0, 5) for _ in range(g.n)]
         src = rng.randrange(g.n)
         d[src] = rng.randint(-3, 3)
@@ -202,7 +203,7 @@ def test_dhar_burn_tallies_on_skipped_and_huge_multiplicities():
 def test_rank_leaves_only_search_memos_in_the_graph_cache():
     rng = random.Random(5583)
     hosts = [rook_graph([2, 3]), complete_graph(4)]
-    hosts += [oracles.random_multigraph(rng, max_n=5) for _ in range(6)]
+    hosts += [random_multigraph(rng, max_n=5) for _ in range(6)]
     for g in hosts:
         assert g._cache == {}
         for _ in range(4):
@@ -249,7 +250,7 @@ def test_v_reduce_identity_on_reduced():
 def test_v_reduce_properties_random():
     rng = random.Random(4304)
     for _ in range(60):
-        g = oracles.random_multigraph(rng, max_n=6)
+        g = random_multigraph(rng, max_n=6)
         d = random_divisor(rng, g.n)
         v = rng.randrange(g.n)
         res = v_reduce(g, d, v)
@@ -341,7 +342,7 @@ def test_v_reduce_unique_per_class():
     # equivalent divisors reduce to the same vector, inequivalent do not
     rng = random.Random(4305)
     for _ in range(30):
-        g = oracles.random_multigraph(rng, max_n=5)
+        g = random_multigraph(rng, max_n=5)
         d = random_divisor(rng, g.n)
         v = rng.randrange(g.n)
         counts = [rng.randint(0, 2) for _ in range(g.n)]
@@ -377,7 +378,7 @@ def test_equivalent_concrete():
 def test_equivalent_matches_linear_algebra_oracle():
     rng = random.Random(4306)
     for _ in range(50):
-        g = oracles.random_multigraph(rng, max_n=5)
+        g = random_multigraph(rng, max_n=5)
         d1 = random_divisor(rng, g.n)
         d2 = random_divisor(rng, g.n)
         assert equivalent(g, d1, d2) == oracles.equivalent(g, d1, d2)
@@ -386,7 +387,7 @@ def test_equivalent_matches_linear_algebra_oracle():
 def test_is_winnable_matches_oracle():
     rng = random.Random(4307)
     for _ in range(40):
-        g = oracles.random_multigraph(rng, max_n=4, max_extra=3)
+        g = random_multigraph(rng, max_n=4, max_extra=3)
         d = random_divisor(rng, g.n, lo=-2, hi=2)
         assert is_winnable(g, d) == oracles.winnable(g, d)
 
@@ -416,7 +417,7 @@ def test_rank_concrete():
 def test_rank_matches_definitional_oracle():
     rng = random.Random(4308)
     for _ in range(25):
-        g = oracles.random_multigraph(rng, max_n=4, max_extra=3)
+        g = random_multigraph(rng, max_n=4, max_extra=3)
         d = random_divisor(rng, g.n, lo=-1, hi=2)
         assert rank(g, d) == oracles.rank(g, d)
 
@@ -424,7 +425,7 @@ def test_rank_matches_definitional_oracle():
 def test_rank_riemann_roch_identity():
     rng = random.Random(4309)
     for _ in range(40):
-        g = oracles.random_multigraph(rng, max_n=6)
+        g = random_multigraph(rng, max_n=6)
         d = random_divisor(rng, g.n)
         k = canonical_divisor(g)
         kd = [k[i] - d[i] for i in range(g.n)]
@@ -436,7 +437,7 @@ def test_rank_above_canonical_degree_matches_oracle():
     # Riemann–Roch: past degree 2g - 2 the rank is deg - g, with no search
     rng = random.Random(4314)
     for _ in range(15):
-        g = oracles.random_multigraph(rng, max_n=4, max_extra=2)
+        g = random_multigraph(rng, max_n=4, max_extra=2)
         genus = g.genus()
         d = random_divisor(rng, g.n, lo=-1, hi=2)
         d[rng.randrange(g.n)] += 2 * genus - 1 + rng.randint(0, 1) - degree(d)
@@ -450,7 +451,7 @@ def test_rank_above_canonical_degree_matches_oracle():
 def test_rank_monotone_in_chips():
     rng = random.Random(4310)
     for _ in range(30):
-        g = oracles.random_multigraph(rng, max_n=5)
+        g = random_multigraph(rng, max_n=5)
         d = random_divisor(rng, g.n)
         bumped = list(d)
         bumped[rng.randrange(g.n)] += 1
@@ -460,7 +461,7 @@ def test_rank_monotone_in_chips():
 def test_rank_invariant_under_equivalence():
     rng = random.Random(4311)
     for _ in range(25):
-        g = oracles.random_multigraph(rng, max_n=5)
+        g = random_multigraph(rng, max_n=5)
         d = random_divisor(rng, g.n)
         counts = [rng.randint(0, 2) for _ in range(g.n)]
         moved = oracles.laplacian_image(g, counts)
@@ -471,7 +472,7 @@ def test_rank_invariant_under_equivalence():
 def test_rank_at_least_consistent_with_rank():
     rng = random.Random(4312)
     for _ in range(25):
-        g = oracles.random_multigraph(rng, max_n=5)
+        g = random_multigraph(rng, max_n=5)
         d = random_divisor(rng, g.n, lo=-1, hi=2)
         r = rank(g, d)
         for k in range(0, r + 2):
@@ -503,7 +504,7 @@ def test_rank_at_least_random_multigraphs():
     rng = random.Random(4315)
     hosts = 0
     while hosts < 40:
-        g = oracles.random_multigraph(rng, max_n=7)
+        g = random_multigraph(rng, max_n=7)
         if max(max(row) for row in g.mult) < 2:
             continue
         hosts += 1
@@ -520,7 +521,7 @@ def test_poorest_vertex_burn_refutes_only_low_rank():
     hosts = [(rook_graph([2, 3]), 4), (rook_graph([3, 3]), 4),
              (rook_graph([2, 2, 2]), 4)]
     while len(hosts) < 7:
-        g = oracles.random_multigraph(rng, max_n=6)
+        g = random_multigraph(rng, max_n=6)
         if max(max(row) for row in g.mult) > 1:
             hosts.append((g, 4))
     past_first_burn = 0
@@ -551,7 +552,7 @@ def test_poorest_vertex_burn_refutes_only_low_rank():
 def test_class_rank_oracle_matches_definitional_rank():
     rng = random.Random(4316)
     for _ in range(30):
-        g = oracles.random_multigraph(rng, max_n=4, max_extra=3)
+        g = random_multigraph(rng, max_n=4, max_extra=3)
         ge = oracles.class_rank_at_least(g)
         d = random_divisor(rng, g.n, lo=-1, hi=2)
         r = oracles.rank(g, d)
@@ -578,7 +579,7 @@ def test_rank_at_least_rejects_non_integer_k():
 def test_verify_rank_at_least_agrees_with_rank():
     rng = random.Random(4313)
     for _ in range(20):
-        g = oracles.random_multigraph(rng, max_n=5)
+        g = random_multigraph(rng, max_n=5)
         d = random_divisor(rng, g.n, lo=-1, hi=2)
         r = rank(g, d)
         for k in range(0, min(r, 2) + 2):

@@ -252,7 +252,27 @@ def test_default_degree_cap_values():
     assert default_degree_cap(rook_graph([3, 3]), 2) == 8
     assert default_degree_cap(rook_graph([3, 3]), 3) == 9
     g = complete_graph(3)
-    assert default_degree_cap(g, 2) == g.n + g.genus()
+    assert default_degree_cap(g, 2) == g.genus() + 2
+    for bad in (0, -1, True, 1.0, 2.5, "2"):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            default_degree_cap(rook_graph([3, 3]), bad)
+
+
+def test_default_degree_cap_above_the_vertex_count():
+    # genus + k, not n + genus: a tree has rank deg, so k chips suffice
+    # even when k exceeds the vertex count
+    k2 = complete_graph(2)
+    p3 = MultiGraph([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    for g, k, witness in ((k2, 3, [0, 3]), (p3, 4, [0, 0, 4])):
+        res = k_gonality(g, k=k)
+        assert res.degree_cap == k
+        assert (res.value, res.witness, res.refuted_degrees) == (k, witness, ())
+    # the scan stops at its first witness, so the lower cap moves no result
+    g = complete_graph(4)   # genus 3
+    new, old = k_gonality(g, k=2), k_gonality(g, k=2, degree_cap=g.n + g.genus())
+    assert (new.degree_cap, old.degree_cap) == (5, 7)
+    assert ((new.value, new.witness, new.refuted_degrees, new.orbit_counts)
+            == (old.value, old.witness, old.refuted_degrees, old.orbit_counts))
 
 
 # ======================================================================
@@ -289,6 +309,9 @@ def test_certificate_validation():
         rook_certificate_divisor([1, 3])
     with pytest.raises(ValueError):
         rook_certificate_divisor([3, 3], k=2)
+    for k in (True, 1.0, 3.0, 0, -1):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            rook_certificate_divisor([3, 3], k=k)
     # int() coercion used to build a 2x3 certificate from the first two
     for dims in ((2.5, 3), ("2", "3"), (2, True)):
         with pytest.raises(ValueError):

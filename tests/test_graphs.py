@@ -24,6 +24,7 @@ from rookgon import (
     rook_graph,
 )
 from rookgon.graphs import MAX_JSON_VERTICES, _dims_nbr_masks
+from rookgon.suite import _random_multigraph as random_multigraph
 
 
 # ======================================================================
@@ -181,7 +182,7 @@ def test_complete_graph_labels():
 def _level_graphs(rng):
     """Random multigraphs, and hand-built ones whose multiplicities skip
     levels (1, 3, 7) or reach 10**9."""
-    gs = [oracles.random_multigraph(rng, max_n=7, max_extra=14) for _ in range(40)]
+    gs = [random_multigraph(rng, max_n=7, max_extra=14) for _ in range(40)]
     gs.append(MultiGraph([[0, 1, 3, 7], [1, 0, 0, 3], [3, 0, 0, 1], [7, 3, 1, 0]]))
     gs.append(MultiGraph([[0, 10**9, 0], [10**9, 0, 1], [0, 1, 0]]))
     return gs
@@ -271,7 +272,7 @@ def test_connected_subsets_counts_small():
 def test_connected_subsets_match_oracle():
     rng = random.Random(4101)
     for _ in range(20):
-        g = oracles.random_multigraph(rng, max_n=6, max_extra=4)
+        g = random_multigraph(rng, max_n=6, max_extra=4)
         k = rng.randint(1, g.n)
         got = sorted(connected_subsets(g, k))
         want = sorted(oracles.connected_subsets(g, k))
@@ -353,7 +354,7 @@ def test_cut_weight_examples():
 def test_cut_weight_matches_oracle():
     rng = random.Random(4102)
     for _ in range(25):
-        g = oracles.random_multigraph(rng, max_n=6)
+        g = random_multigraph(rng, max_n=6)
         r = rng.randint(0, g.n)
         side = rng.sample(range(g.n), r)
         assert cut_weight(g, side) == oracles.cut_weight(g, side)
@@ -369,7 +370,7 @@ def test_cut_weight_matches_oracle():
 def test_min_cut_between_matches_oracle():
     rng = random.Random(4103)
     for _ in range(30):
-        g = oracles.random_multigraph(rng, max_n=6, max_extra=5)
+        g = random_multigraph(rng, max_n=6, max_extra=5)
         if g.n < 2:
             continue
         s, t = rng.sample(range(g.n), 2)
@@ -386,7 +387,7 @@ def test_min_cut_between_side_is_minimal():
     rng = random.Random(4105)
     cases = []
     for _ in range(25):
-        g = oracles.random_multigraph(rng, max_n=7, max_extra=6)
+        g = random_multigraph(rng, max_n=7, max_extra=6)
         s, t = rng.sample(range(g.n), 2)
         cases.append((g, [s], [t]))
     for dims in ([2, 3], [3, 3], [2, 2, 2]):

@@ -33,6 +33,7 @@ from rookgon import (
 from rookgon import graphs
 from rookgon.scrambles import (_max_avoidance_branch_bound, _max_avoidance_grid,
                                 _max_induced_edges)
+from rookgon.suite import _random_multigraph as random_multigraph
 
 
 def check_order_report(s, rep):
@@ -131,7 +132,7 @@ def test_scramble_constructor_matches_is_connected_subset():
     # and disconnected eggs
     rng = random.Random(11)
     hosts = [rook_graph([3, 4]), rook_graph([2, 2, 3]), rook_graph([2, 3, 3])]
-    hosts += [oracles.random_multigraph(rng) for _ in range(6)]
+    hosts += [random_multigraph(rng) for _ in range(6)]
     seen = set()
     for g in hosts:
         eggs = [rng.sample(range(g.n), rng.randint(1, g.n)) for _ in range(40)]
@@ -210,11 +211,33 @@ def test_mask_constructor_checks_every_mask():
     ok = Scramble._from_masks(g, [0b11, 0b11, 0b1000], 2)
     assert ok.masks == (0b11, 0b1000)
     assert ok.eggs == ((0, 1), (3,))
-    for bad in (0, True, -1, 1 << 6, 1.0, "3"):
-        with pytest.raises(ValueError, match="not a nonempty vertex set"):
-            Scramble._from_masks(g, [0b11, bad], 2)
-    with pytest.raises(ValueError, match=r"not connected: \[0, 4\]"):
-        Scramble._from_masks(g, [0b11, 0b10001], 2)  # a diagonal pair
+    with pytest.raises(ValueError) as err:
+        Scramble._from_masks(g, [0b11, 0], 2)
+    assert str(err.value) == "invalid scramble: egg 0 is empty"
+    with pytest.raises(ValueError) as err:
+        Scramble._from_masks(g, [0b11, 0b10001, 0b1000], 2)  # a diagonal pair
+    assert str(err.value) == "invalid scramble: egg 1 is not connected: [0, 4]"
+
+
+def test_both_constructors_report_bad_eggs_alike():
+    # every bad egg is named, in egg order, whichever constructor is used
+    g = rook_graph([2, 3])
+    for eggs in ([[0, 4], [1]], [[], [2]], [[], [0, 4], [3, 5], [1, 5], [0, 1]]):
+        masks = [sum(1 << v for v in egg) for egg in eggs]
+        with pytest.raises(ValueError) as from_verts:
+            Scramble(g, eggs)
+        with pytest.raises(ValueError) as from_masks:
+            Scramble._from_masks(g, masks, 2)
+        assert str(from_masks.value) == str(from_verts.value)
+    assert str(from_verts.value) == ("invalid scramble: egg 0 is empty; "
+                                     "egg 2 is not connected: [0, 4]; "
+                                     "egg 3 is not connected: [1, 5]")
+
+
+def test_family_scramble_is_not_decoded_until_read():
+    s = star_scramble(4, 4)
+    assert s._eggs is None and s._egg_masks is None
+    assert len(s.eggs) == len(s._egg_masks) == 176
 
 
 def test_square_augmented_shapes():
@@ -677,7 +700,7 @@ def test_induced_components_match_brute_force_partition():
     # that contains u
     rng = random.Random(9127)
     hosts = [rook_graph([3, 4]), rook_graph([2, 2, 3])]
-    hosts += [oracles.random_multigraph(rng, max_n=7) for _ in range(6)]
+    hosts += [random_multigraph(rng, max_n=7) for _ in range(6)]
     for g in hosts:
         for _ in range(15):
             verts = rng.sample(range(g.n), rng.randint(0, min(g.n, 8)))
