@@ -188,7 +188,10 @@ def _add_threads(p) -> None:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON is nested too deeply") from None
 
 
 def _graph_from_args(args) -> graphs.MultiGraph:
@@ -230,8 +233,6 @@ def cmd_graph_gen(args) -> int:
 def cmd_reduce(args) -> int:
     g = _graph_from_args(args)
     chips = _divisor_from_args(args, g)
-    if not 0 <= args.vertex < g.n:
-        raise ValueError(f"base vertex {args.vertex} out of range")
     res = divisors.v_reduce(g, chips, args.vertex)
     _write_output(args, canonical_json({
         "kind": "reduce",

@@ -207,7 +207,12 @@ def _dims_graph(dims: tuple) -> MultiGraph:
     if n > MAX_JSON_VERTICES:
         raise ValueError(f"dims {list(dims)} give {n} vertices, above the limit "
                          f"of {MAX_JSON_VERTICES} vertices")
-    rows = [[mask >> v & 1 for v in range(n)] for mask in _dims_nbr_masks(dims)]
+    rows = []
+    for mask in _dims_nbr_masks(dims):
+        row = [0] * n
+        for v in mask_vertices(mask):
+            row[v] = 1
+        rows.append(row)
     return MultiGraph(rows, dims=dims)
 
 
@@ -333,98 +338,67 @@ def min_cut_between(g: MultiGraph, s: Iterable[int], t: Iterable[int]) -> FlowRe
 
     Returns the cut value and the minimal source side (every vertex
     reachable from s in the residual graph), which makes the witness
-    deterministic.  The side is the set that the flow's last
-    breadth-first search levelled before it failed to reach t.
+    deterministic: neither depends on the flow algorithm.
     """
-    value, level = _flow(g, s, t, cutoff=None)
-    return FlowResult(value, tuple(v for v in range(g.n) if level[v] >= 0))
+    return FlowResult(*_flow(g, s, t, cutoff=None))
 
 
 def min_cut_value(g: MultiGraph, s: Iterable[int], t: Iterable[int],
                   cutoff: Optional[int] = None) -> tuple:
     """(value, exact) pair; with a cutoff the flow stops once it reaches it.
 
-    When ``exact`` is False the true min cut is >= the returned value.
+    With a cutoff, ``exact`` is True iff the min cut is below it; when it
+    is False the value is a lower bound on the min cut of at least cutoff.
     """
     value, _ = _flow(g, s, t, cutoff=cutoff)
-    exact = cutoff is None or value < cutoff
-    return value, exact
+    return value, cutoff is None or value < cutoff
 
 
 def _flow(g: MultiGraph, s: Iterable[int], t: Iterable[int], cutoff: Optional[int]):
-    """(flow value, levels) from s to t, as _dinic returns them."""
+    """(flow value, source side) from vertex set s to vertex set t, by
+    shortest augmenting paths (Edmonds and Karp) from the whole of s.
+
+    Each edge of multiplicity m is two residual arcs of capacity m.  Each
+    round searches breadth first from every vertex of s at once, stops at
+    the first vertex of t it reaches and pushes that path's bottleneck.
+    When no path is left, the side is the sorted tuple of vertices the last
+    search reached: those residual-reachable from s.  When the flow reaches
+    cutoff first, it stops with side None and a value between cutoff and
+    the min cut."""
     smask = _vertex_mask(g, s)
     tmask = _vertex_mask(g, t)
     if not smask or not tmask:
         raise ValueError("source and sink sets must be nonempty")
     if smask & tmask:
         raise ValueError("source and sink sets must be disjoint")
-    n = g.n
-    S, T = n, n + 1
-    big = sum(g.degrees) + 1
-    cap = [[0] * (n + 2) for _ in range(n + 2)]
-    nbrs = [list() for _ in range(n + 2)]
-    for u in range(n):
-        for v, m in g.adj[u]:
-            cap[u][v] = m
-        nbrs[u] = [v for v, _ in g.adj[u]]
-    for u in mask_vertices(smask):
-        cap[S][u] = big
-        nbrs[S].append(u)
-        nbrs[u].append(S)
-    for u in mask_vertices(tmask):
-        cap[u][T] = big
-        nbrs[u].append(T)
-        nbrs[T].append(u)
-    return _dinic(nbrs, cap, S, T, big, cutoff)
-
-
-def _dinic(nbrs, cap, s, t, big, cutoff):
-    """Max flow from s to t, stopping once it reaches cutoff when given.
-
-    Returns (flow, level).  When the flow runs to the end, level is the
-    last breadth-first search, which failed to reach t: the vertices it
-    levelled (level >= 0) are exactly those residual-reachable from s.
-    When the cutoff stops the flow, level is None."""
+    sources = mask_vertices(smask)
+    residual = [dict(nbrs) for nbrs in g.adj]
     flow = 0
-    size = len(nbrs)
-    while True:
-        level = [-1] * size
-        level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            lu = level[u]
-            for v in nbrs[u]:
-                if level[v] < 0 and cap[u][v] > 0:
-                    level[v] = lu + 1
-                    q.append(v)
-        if level[t] < 0:
-            return flow, level
-        ptr = [0] * size
-
-        def push(u, limit):
-            if u == t:
-                return limit
-            row = nbrs[u]
-            while ptr[u] < len(row):
-                v = row[ptr[u]]
-                if cap[u][v] > 0 and level[v] == level[u] + 1:
-                    got = push(v, min(limit, cap[u][v]))
-                    if got:
-                        cap[u][v] -= got
-                        cap[v][u] += got
-                        return got
-                ptr[u] += 1
-            return 0
-
-        while True:
-            pushed = push(s, big)
-            if not pushed:
-                break
-            flow += pushed
-            if cutoff is not None and flow >= cutoff:
-                return flow, None
+    while cutoff is None or flow < cutoff:
+        parent = dict.fromkeys(sources)
+        queue = deque(sources)
+        end = None
+        while queue and end is None:
+            u = queue.popleft()
+            for v, c in residual[u].items():
+                if c and v not in parent:
+                    parent[v] = u
+                    if tmask >> v & 1:
+                        end = v
+                        break
+                    queue.append(v)
+        if end is None:
+            return flow, tuple(sorted(parent))
+        path = []
+        while parent[end] is not None:
+            path.append((parent[end], end))
+            end = parent[end]
+        push = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= push
+            residual[v][u] += push
+        flow += push
+    return flow, None
 
 
 # ======================================================================

@@ -480,6 +480,22 @@ def test_graph_file_with_malformed_edges_exits_two(tmp_path, edges):
         assert proc.stdout == b"", args
 
 
+@pytest.mark.parametrize("flag", ["--graph", "--divisor", "--file"])
+def test_deeply_nested_json_exits_two(tmp_path, flag):
+    # a RecursionError from the JSON decoder used to end in a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    args = {"--graph": ("gonality", "--graph", str(deep)),
+            "--divisor": ("rank", "--rook", "2,2", "--divisor", str(deep)),
+            "--file": ("scramble", "order", "--file", str(deep))}[flag]
+    proc = run_cli(*args, check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error:")
+    assert b"nested too deeply" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert proc.stdout == b""
+
+
 @pytest.mark.parametrize("args, message", [
     (("graph", "gen", "--rook", ""), b"could not parse dims ''"),
     (("gonality", "--rook", ""), b"could not parse dims ''"),

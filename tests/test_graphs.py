@@ -431,6 +431,30 @@ def test_min_cut_value_cutoff_semantics():
     assert at == (true_cut, False)  # reached the cutoff, so not certified
 
 
+def test_min_cut_value_cutoff_on_multigraphs():
+    # vertex sets on both sides, cutoffs below, at and above the true cut
+    rng = random.Random(4107)
+    cases = []
+    for _ in range(25):
+        g = random_multigraph(rng, max_n=7, max_extra=8)
+        picked = rng.sample(range(g.n), rng.randint(2, g.n))
+        cut = rng.randint(1, len(picked) - 1)
+        cases.append((g, picked[:cut], picked[cut:]))
+    huge = MultiGraph([[0, 10**9, 0], [10**9, 0, 1], [0, 1, 0]])
+    cases += [(huge, [0], [1, 2]), (huge, [0, 1], [2]), (huge, [1], [0, 2])]
+    for g, s, t in cases:
+        true_cut = oracles.min_cut(g, s, t)
+        assert min_cut_value(g, s, t) == (true_cut, True)
+        for cutoff in (1, true_cut // 2, true_cut - 1, true_cut,
+                       true_cut + 1, 2 * true_cut + 5):
+            value, exact = min_cut_value(g, s, t, cutoff=cutoff)
+            assert exact == (true_cut < cutoff), (s, t, cutoff)
+            if exact:
+                assert value == true_cut
+            else:
+                assert cutoff <= value <= true_cut
+
+
 def test_min_cut_parallel_edges():
     g = MultiGraph([[0, 2, 0], [2, 0, 3], [0, 3, 0]])
     assert min_cut_between(g, [0], [2]).value == 2
