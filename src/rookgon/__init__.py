@@ -4,14 +4,12 @@ rook graphs and general multigraphs."""
 from .graphs import (
     FlowResult,
     MultiGraph,
-    cartesian_product,
     complete_graph,
     connected_masks,
     connected_subsets,
     cut_weight,
     graph_from_json,
     graph_to_json,
-    is_connected_subset,
     min_cut_between,
     min_cut_value,
     rook_graph,
@@ -68,4 +66,4 @@ from .scrambles import (
 )
 from .suite import run_suite, suite_claims
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"

@@ -38,20 +38,27 @@ def _check_k(k) -> None:
         raise ValueError("k must be a positive integer")
 
 
+def _rook_gonality(dims: Optional[Sequence[int]], k: int) -> Optional[int]:
+    """The paper's rank-k gonality of the rook graph on dims, else None.
+    k=1, any rook shape: (min-1) * (product of the others), the degree of
+    ``rook_certificate_divisor(dims, 1)``; k=2 and 3 on n x m: nm-1, nm."""
+    if not graphs.is_rook_shape(dims):
+        return None
+    size = math.prod(dims)
+    if k == 1:
+        return (min(dims) - 1) * (size // min(dims))
+    if len(dims) == 2 and k in (2, 3):
+        return size - 1 if k == 2 else size
+    return None
+
+
 def default_degree_cap(g: graphs.MultiGraph, k: int) -> int:
-    """Certificate degree for rook graphs where one is known, else
-    genus + k: every divisor of that degree has rank >= k (Riemann-Roch)."""
+    """The paper's value ``_rook_gonality`` where it has one, else
+    genus + k: every divisor of that degree has rank >= k (Riemann-Roch).
+    k=2 has no certificate divisor: its cap is the paper's nm-1 itself."""
     _check_k(k)
-    dims = g.dims
-    if graphs.is_rook_shape(dims):
-        if k == 1:
-            small = min(dims)
-            return (small - 1) * (math.prod(dims) // small)
-        if len(dims) == 2 and k == 2:
-            return math.prod(dims) - 1
-        if len(dims) == 2 and k == 3:
-            return math.prod(dims)
-    return g.genus() + k
+    cap = _rook_gonality(g.dims, k)
+    return g.genus() + k if cap is None else cap
 
 
 def rook_certificate_divisor(dims: Sequence[int], k: int = 1) -> list:

@@ -137,23 +137,6 @@ def complete_graph(n: int) -> MultiGraph:
     return _dims_graph((n,))
 
 
-def cartesian_product(g: MultiGraph, h: MultiGraph) -> MultiGraph:
-    """Cartesian product: (x1,y1)~(x2,y2) iff equal in one slot, adjacent in the other."""
-    n = g.n * h.n
-    mult = [[0] * n for _ in range(n)]
-    for x1 in range(g.n):
-        for y1 in range(h.n):
-            u = x1 * h.n + y1
-            for y2, m in h.adj[y1]:
-                mult[u][x1 * h.n + y2] = m
-            for x2, m in g.adj[x1]:
-                mult[u][x2 * h.n + y1] = m
-    dims = None
-    if g.dims is not None and h.dims is not None:
-        dims = g.dims + h.dims
-    return MultiGraph(mult, dims=dims)
-
-
 def _positive_dims(dims: Sequence[int]) -> tuple:
     """dims as a tuple; every entry must be an int (bools rejected) of at
     least 1, the size of one complete-graph factor."""
@@ -236,12 +219,6 @@ def _vertex_mask(g: MultiGraph, verts: Iterable[int]) -> int:
             raise ValueError(f"vertex {v!r} out of range")
         mask |= 1 << v
     return mask
-
-
-def is_connected_subset(g: MultiGraph, s: Iterable[int]) -> bool:
-    """True iff s is nonempty and induces a connected subgraph."""
-    mask = _vertex_mask(g, s)
-    return mask != 0 and lowest_component(g.nbr_masks, mask) == mask
 
 
 def lowest_component(nbr: Sequence[int], mask: int) -> int:

@@ -2,8 +2,13 @@
 
 Each claim recomputes one published quantity (a gonality, a certificate
 check, a scramble order, or a bulk property sweep) and compares it with
-the frozen expected value.  Suites nest: standard extends smoke, full
-extends standard.  Reports carry no wall times so that reruns stay
+its expected value.  Expected gonalities and certificate degrees come
+from the paper's closed form ``gonality._rook_gonality``, which is also
+the scan's degree cap.  The check stays a full one: the scan starts at
+degree k, so a form set too high meets a witness below it and reads a
+lower value, and a form set too low exhausts the cap and reads
+``value: None``.  Suites nest: standard extends smoke, full extends
+standard.  Reports carry no wall times so that reruns stay
 byte-identical; timing goes to stderr.
 """
 
@@ -32,111 +37,100 @@ class Claim:
 # shared hosts, scrambles and gonalities (memoized per run)
 # ----------------------------------------------------------------------
 
-def _memo(ctx, key, make):
-    """make() once per key per run: the memo lives in the run's ctx, so
-    no claim reports a value computed by an earlier run."""
+def _memo(ctx, make, *args):
+    """make(*args) once per run: the memo lives in the run's ctx, so no
+    claim reports a value computed by an earlier run.  Hosts are memoized
+    too, so a host argument keys by the one object its run built."""
     memo = ctx.setdefault("memo", {})
-    if key not in memo:
-        memo[key] = make()
-    return memo[key]
+    if (make, args) not in memo:
+        memo[make, args] = make(*args)
+    return memo[make, args]
 
 
-def _host(ctx, *dims) -> graphs.MultiGraph:
-    return _memo(ctx, ("host",) + dims, lambda: graphs._dims_graph(dims))
+def _host(ctx, dims) -> graphs.MultiGraph:
+    return _memo(ctx, graphs._dims_graph, dims)
 
 
-def _scramble(ctx, kind, *params) -> scrambles.Scramble:
-    def make():
-        if kind == "star":
-            return scrambles.star_scramble(*params)
-        if kind == "uniform":
-            dims, k = params
-            return scrambles.uniform_scramble(_host(ctx, *dims), k)
-        if kind == "squares":
-            return scrambles.square_augmented_scramble(params)
-        raise ValueError(kind)
-    return _memo(ctx, (kind,) + params, make)
+def _gon_scan(host, k, lower_bound):
+    return gonality.k_gonality(host, k=k, symmetry=True, lower_bound=lower_bound)
 
 
 def _gon_value(ctx, dims, k, lower_bound=None):
-    return _memo(ctx, ("gon", dims, k, lower_bound),
-                 lambda: gonality.k_gonality(_host(ctx, *dims), k=k,
-                                             symmetry=True,
-                                             lower_bound=lower_bound))
+    return _memo(ctx, _gon_scan, _host(ctx, dims), k, lower_bound)
+
+
+def _tag(dims) -> str:
+    return "x".join(map(str, dims))
 
 
 # ----------------------------------------------------------------------
 # claim bodies
 # ----------------------------------------------------------------------
 
-def _claim_gonality(n, m, expect, k=1):
+def _claim_gonality(dims, k=1):
+    """A full check though the expected value is the scan's cap: a wrong
+    closed form reads a lower value or None (see the module docstring)."""
+    expect = gonality._rook_gonality(dims, k)
     def fn(ctx):
-        res = _gon_value(ctx, (n, m), k)
+        res = _gon_value(ctx, dims, k)
         return ({"value": expect, "exhaustive": True},
                 {"value": res.value, "exhaustive": res.exhaustive})
     kind = {1: "gonality", 2: "second gonality", 3: "third gonality"}[k]
     return Claim(
-        id=f"gon{k if k > 1 else ''}-{n}x{m}",
-        statement=f"{kind} of the {n}x{m} rook graph is {expect}, "
+        id=f"gon{k if k > 1 else ''}-{_tag(dims)}",
+        statement=f"{kind} of the {_tag(dims)} rook graph is {expect}, "
                   f"refuting every smaller degree",
-        params={"dims": [n, m], "k": k},
+        params={"dims": list(dims), "k": k},
         fn=fn,
     )
 
 
-def _claim_gonality_chain(n, m):
+def _claim_gonality_chain(dims):
     def fn(ctx):
-        v1 = _gon_value(ctx, (n, m), 1).value
-        v2 = _gon_value(ctx, (n, m), 2).value
-        v3 = _gon_value(ctx, (n, m), 3).value
-        ok = v1 <= v2 - 1 <= v3 - 2
-        return (True, ok)
+        v1, v2, v3 = (_gon_value(ctx, dims, k).value for k in (1, 2, 3))
+        return (True, v1 <= v2 - 1 <= v3 - 2)
     return Claim(
-        id=f"gon-chain-{n}x{m}",
-        statement=f"on the {n}x{m} rook graph the gonality ladder rises by "
+        id=f"gon-chain-{_tag(dims)}",
+        statement=f"on the {_tag(dims)} rook graph the gonality ladder rises by "
                   f"at least one per rank step",
-        params={"dims": [n, m]},
+        params={"dims": list(dims)},
         fn=fn,
     )
 
 
 def _claim_certificate(dims):
+    expect = gonality._rook_gonality(dims, 1)
     def fn(ctx):
-        host = _host(ctx, *dims)
         d = gonality.rook_certificate_divisor(dims, k=1)
-        ok, _ = divisors.verify_rank_at_least(host, d, 1)
-        low = min(dims)
-        expect_deg = (low - 1) * (host.n // low)
-        return ({"ok": True, "degree": expect_deg},
+        ok, _ = divisors.verify_rank_at_least(_host(ctx, dims), d, 1)
+        return ({"ok": True, "degree": expect},
                 {"ok": ok, "degree": divisors.degree(d)})
-    tag = "x".join(str(d) for d in dims)
     return Claim(
-        id=f"cert-rank1-{tag}",
-        statement=f"the empty-copy certificate on the {tag} rook graph has "
+        id=f"cert-rank1-{_tag(dims)}",
+        statement=f"the empty-copy certificate on the {_tag(dims)} rook graph has "
                   f"rank at least 1 at the gonality degree",
         params={"dims": list(dims)},
         fn=fn,
     )
 
 
-def _claim_all_ones_rank3(n, m):
+def _claim_all_ones_rank3(dims):
     def fn(ctx):
-        host = _host(ctx, n, m)
-        d = gonality.rook_certificate_divisor((n, m), k=3)
-        ok, _ = divisors.verify_rank_at_least(host, d, 3)
+        d = gonality.rook_certificate_divisor(dims, k=3)
+        ok, _ = divisors.verify_rank_at_least(_host(ctx, dims), d, 3)
         return (True, ok)
     return Claim(
-        id=f"allones-rank3-{n}x{m}",
-        statement=f"the all-ones divisor on the {n}x{m} rook graph has rank "
+        id=f"allones-rank3-{_tag(dims)}",
+        statement=f"the all-ones divisor on the {_tag(dims)} rook graph has rank "
                   f"at least 3",
-        params={"dims": [n, m]},
+        params={"dims": list(dims)},
         fn=fn,
     )
 
 
 def _claim_star_order(n, m, expect_order, expect_hit, expect_cut):
     def fn(ctx):
-        rep = scrambles.scramble_order(_scramble(ctx, "star", n, m))
+        rep = scrambles.scramble_order(_memo(ctx, scrambles.star_scramble, n, m))
         return ({"order": expect_order, "hitting": expect_hit,
                  "cut": expect_cut, "cut_exact": True},
                 {"order": rep.order, "hitting": rep.hitting_number,
@@ -152,7 +146,8 @@ def _claim_star_order(n, m, expect_order, expect_hit, expect_cut):
 
 def _claim_star_hitting(n, m, expect):
     def fn(ctx):
-        hn, _, avoid = scrambles.hitting_number(_scramble(ctx, "star", n, m))
+        hn, _, avoid = scrambles.hitting_number(
+            _memo(ctx, scrambles.star_scramble, n, m))
         return ({"hitting": expect, "avoidance": n * m - expect},
                 {"hitting": hn, "avoidance": len(avoid)})
     return Claim(
@@ -165,9 +160,10 @@ def _claim_star_hitting(n, m, expect):
 
 
 def _claim_uniform_order(dims, k, expect):
-    tag = "x".join(str(d) for d in dims)
+    tag = _tag(dims)
     def fn(ctx):
-        rep = scrambles.scramble_order(_scramble(ctx, "uniform", dims, k))
+        rep = scrambles.scramble_order(
+            _memo(ctx, scrambles.uniform_scramble, _host(ctx, dims), k))
         return (expect, rep.order)
     return Claim(
         id=f"uniform{k}-{tag}",
@@ -312,7 +308,7 @@ def _claim_burn_maximal(ns):
     tag = "-".join(str(n) for n in ns)
     def fn(ctx):
         for n in ns:
-            out = _burn_matches_maximal_firable(_host(ctx, n))
+            out = _burn_matches_maximal_firable(_host(ctx, (n,)))
             if out is not True:
                 return (True, f"n={n}: {out}")
         return (True, True)
@@ -349,9 +345,9 @@ def _claim_rank_duality(cases):
 
 
 def _claim_symmetry_agreement(dims, k=1):
-    tag = "x".join(str(d) for d in dims)
+    tag = _tag(dims)
     def fn(ctx):
-        host = _host(ctx, *dims)
+        host = _host(ctx, dims)
         plain = gonality.k_gonality(host, k=k)
         pruned = _gon_value(ctx, dims, k)
         return ({"value": plain.value, "exhaustive": True},
@@ -368,7 +364,7 @@ def _claim_symmetry_agreement(dims, k=1):
 def _claim_staircase(n, m):
     def fn(ctx):
         verts = scrambles.staircase_avoidance(n, m)
-        hn, _, _ = scrambles.hitting_number(_scramble(ctx, "star", n, m))
+        hn, _, _ = scrambles.hitting_number(_memo(ctx, scrambles.star_scramble, n, m))
         bound = n * m - (m + 1)
         return ({"size": m + 1, "hitting_at_most": True},
                 {"size": len(verts), "hitting_at_most": hn <= bound})
@@ -384,7 +380,7 @@ def _claim_staircase(n, m):
 
 def _claim_cube_diagonal(n):
     def fn(ctx):
-        host = _host(ctx, n, n, n)
+        host = _host(ctx, (n, n, n))
         verts = scrambles.cube_diagonal_avoidance(n)
         comps = scrambles.induced_components(host, verts)
         inside = set(verts)
@@ -410,7 +406,8 @@ def _claim_cube_diagonal(n):
 
 def _claim_squares_hitting():
     def fn(ctx):
-        hn, _, avoid = scrambles.hitting_number(_scramble(ctx, "squares", 6, 6))
+        hn, _, avoid = scrambles.hitting_number(
+            _memo(ctx, scrambles.square_augmented_scramble, (6, 6)))
         return ({"hitting": 27, "avoidance": 9},
                 {"hitting": hn, "avoidance": len(avoid)})
     return Claim(
@@ -424,8 +421,8 @@ def _claim_squares_hitting():
 
 def _claim_squares_order():
     def fn(ctx):
-        rep = scrambles.scramble_order(_scramble(ctx, "squares", 6, 6),
-                                       cut_mode="floor")
+        rep = scrambles.scramble_order(
+            _memo(ctx, scrambles.square_augmented_scramble, (6, 6)), cut_mode="floor")
         return ({"order": 27, "cut_at_least": True},
                 {"order": rep.order, "cut_at_least": rep.min_egg_cut >= 27})
     return Claim(
@@ -437,20 +434,25 @@ def _claim_squares_order():
     )
 
 
-def _claim_gonality_refute(n, m, expect, refute):
+def _claim_gonality_refute(dims):
+    """The paper's gonality, the star scramble's order clearing every degree
+    below the value less one and the scan refuting that degree itself."""
+    expect = gonality._rook_gonality(dims, 1)
+    refute = expect - 1
     def fn(ctx):
-        order = scrambles.scramble_order(_scramble(ctx, "star", n, m)).order
-        res = _gon_value(ctx, (n, m), 1, lower_bound=order)
+        star = _memo(ctx, scrambles.star_scramble, *dims)
+        order = scrambles.scramble_order(star).order
+        res = _gon_value(ctx, dims, 1, lower_bound=order)
         return ({"value": expect, "refuted": True, "order": refute},
                 {"value": res.value,
                  "refuted": refute in res.refuted_degrees,
                  "order": order})
     return Claim(
-        id=f"gon-refute-{n}x{m}",
-        statement=f"gonality of the {n}x{m} rook graph is {expect}: the "
+        id=f"gon-refute-{_tag(dims)}",
+        statement=f"gonality of the {_tag(dims)} rook graph is {expect}: the "
                   f"scramble order clears degrees below {refute} and the "
                   f"search refutes {refute} itself",
-        params={"dims": [n, m]},
+        params={"dims": list(dims)},
         fn=fn,
     )
 
@@ -461,7 +463,7 @@ def _claim_gonality_refute(n, m, expect, refute):
 
 def _smoke_claims():
     return [
-        _claim_gonality(2, 2, 2),
+        _claim_gonality((2, 2)),
         _claim_uniform_order((2, 3), 1, 3),
         _claim_burn_maximal((2, 3, 4)),
     ]
@@ -469,29 +471,14 @@ def _smoke_claims():
 
 def _standard_claims():
     claims = _smoke_claims()
-    claims += [
-        _claim_gonality(2, 3, 3),
-        _claim_gonality(2, 4, 4),
-        _claim_gonality(3, 3, 6),
-    ]
-    for n in range(2, 7):
-        for m in range(n, 7):
-            claims.append(_claim_certificate((n, m)))
-    for dims in ((2, 2, 2), (2, 2, 3), (2, 3, 3)):
-        claims.append(_claim_certificate(dims))
-    claims += [
-        _claim_gonality(2, 2, 3, k=2),
-        _claim_gonality(2, 3, 5, k=2),
-        _claim_gonality(3, 3, 8, k=2),
-        _claim_gonality(2, 2, 4, k=3),
-        _claim_gonality(2, 3, 6, k=3),
-        _claim_gonality(3, 3, 9, k=3),
-        _claim_gonality_chain(2, 2),
-        _claim_gonality_chain(2, 3),
-        _claim_gonality_chain(3, 3),
-    ]
-    for n, m in ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)):
-        claims.append(_claim_all_ones_rank3(n, m))
+    claims += [_claim_gonality(dims) for dims in ((2, 3), (2, 4), (3, 3))]
+    claims += [_claim_certificate((n, m)) for n in range(2, 7) for m in range(n, 7)]
+    claims += [_claim_certificate(dims) for dims in ((2, 2, 2), (2, 2, 3), (2, 3, 3))]
+    ladder = ((2, 2), (2, 3), (3, 3))
+    claims += [_claim_gonality(dims, k) for k in (2, 3) for dims in ladder]
+    claims += [_claim_gonality_chain(dims) for dims in ladder]
+    claims += [_claim_all_ones_rank3(dims)
+               for dims in ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4))]
     claims += [
         _claim_star_order(4, 4, 11, 11, 12),
         _claim_star_hitting(6, 6, 24),
@@ -500,12 +487,9 @@ def _standard_claims():
         _claim_star_hitting(4, 6, 18),
         _claim_staircase(4, 5),
     ]
-    for m in range(2, 7):
-        if m == 3:
-            continue  # already registered by the smoke tier
-        claims.append(_claim_uniform_order((2, m), 1, m))
-    for m in (3, 4, 5):
-        claims.append(_claim_uniform_order((3, m), 2, 2 * m))
+    # 2x3 is registered by the smoke tier
+    claims += [_claim_uniform_order((2, m), 1, m) for m in (2, 4, 5, 6)]
+    claims += [_claim_uniform_order((3, m), 2, 2 * m) for m in (3, 4, 5)]
     claims += [
         _claim_uniform_order((2, 2, 2), 2, 4),
         _claim_uniform_order((2, 2, 3), 2, 6),
@@ -519,14 +503,10 @@ def _standard_claims():
         _claim_firing_reversibility(100),
         _claim_burn_maximal((5, 6)),
         _claim_rank_duality(50),
-        _claim_symmetry_agreement((2, 2)),
-        _claim_symmetry_agreement((2, 3)),
-        _claim_symmetry_agreement((2, 4)),
-        _claim_symmetry_agreement((3, 3)),
-        _claim_symmetry_agreement((2, 2, 2)),
-        _claim_symmetry_agreement((2, 2), k=2),
-        _claim_symmetry_agreement((2, 3), k=2),
     ]
+    claims += [_claim_symmetry_agreement(dims)
+               for dims in ((2, 2), (2, 3), (2, 4), (3, 3), (2, 2, 2))]
+    claims += [_claim_symmetry_agreement(dims, k=2) for dims in ((2, 2), (2, 3))]
     return claims
 
 
@@ -534,8 +514,8 @@ def _full_claims():
     claims = _standard_claims()
     claims += [
         _claim_star_order(3, 4, 8, 9, 8),
-        _claim_gonality(3, 4, 8),
-        _claim_gonality_refute(4, 4, 12, 11),
+        _claim_gonality((3, 4)),
+        _claim_gonality_refute((4, 4)),
     ]
     return claims
 

@@ -1,14 +1,16 @@
 """Independent brute-force oracles used to check the library.
 
 Everything here is written from the definitions, in the slowest, most
-obvious way, and touches only the public graph fields (n, mult, adj).
-Keep instances tiny.
+obvious way, and touches only the public graph fields (n, mult, adj,
+and dims for the Cartesian product).  Keep instances tiny.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd
 from operator import mul
+
+from rookgon import MultiGraph
 
 
 def connected(g, verts):
@@ -39,6 +41,23 @@ def rook_adjacent(x, y):
     """Two cells of a product of complete graphs are adjacent iff their
     coordinate labels differ in exactly one coordinate."""
     return sum(a != b for a, b in zip(x, y)) == 1
+
+
+def cartesian_product(g: MultiGraph, h: MultiGraph) -> MultiGraph:
+    """Cartesian product: (x1,y1)~(x2,y2) iff equal in one slot, adjacent in the other."""
+    n = g.n * h.n
+    mult = [[0] * n for _ in range(n)]
+    for x1 in range(g.n):
+        for y1 in range(h.n):
+            u = x1 * h.n + y1
+            for y2, m in h.adj[y1]:
+                mult[u][x1 * h.n + y2] = m
+            for x2, m in g.adj[x1]:
+                mult[u][x2 * h.n + y1] = m
+    dims = None
+    if g.dims is not None and h.dims is not None:
+        dims = g.dims + h.dims
+    return MultiGraph(mult, dims=dims)
 
 
 def cut_weight(g, side):

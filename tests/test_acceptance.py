@@ -302,3 +302,17 @@ def test_criterion_10_determinism():
     assert report["counts"]["pass"] == len(report["claims"])
     ok(10, f"standard suite ({len(report['claims'])} claims, all pass) with "
            "8 workers is byte-identical to the frozen 1-worker report")
+
+
+def test_criterion_10_full_report_matches_the_frozen_bytes():
+    # the full registry, gon-refute-4x4 included, prints the frozen bytes
+    frozen = Path(__file__).parent.parent / "bench" / "frozen" / "verify-full-t2.report"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rookgon.cli", "verify",
+         "--suite", "full", "--threads", "2"],
+        capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == frozen.read_bytes()
+    report = json.loads(proc.stdout.decode())
+    ok(10, f"full suite ({len(report['claims'])} claims) is byte-identical "
+           "to the frozen report")

@@ -16,6 +16,7 @@ from rookgon import (
     rook_graph,
     verify_rank_at_least,
 )
+from rookgon.gonality import _rook_gonality
 
 
 def gon(dims, k=1, **kw):
@@ -256,6 +257,31 @@ def test_default_degree_cap_values():
     for bad in (0, -1, True, 1.0, 2.5, "2"):
         with pytest.raises(ValueError, match="k must be a positive integer"):
             default_degree_cap(rook_graph([3, 3]), bad)
+
+
+def test_rook_gonality_matches_scanned_values():
+    # values measured by exhaustive scans, and unsorted dims
+    scanned = {(2, 4): (4, 7, 8), (2, 5): (5, 9, 10), (3, 4): (8, 11, 12)}
+    for dims, values in scanned.items():
+        assert [_rook_gonality(dims, k) for k in (1, 2, 3)] == list(values)
+    for dims, value in (((2, 2, 4), 8), ((2, 3, 3), 9), ((2, 2, 2, 2), 8),
+                        ((4, 3), 8), ((3, 2, 2), 6)):
+        assert _rook_gonality(dims, 1) == value
+
+
+def test_default_degree_cap_falls_back_exactly_where_no_closed_form():
+    for dims, k in (((3, 3), 4), ((2, 4), 5), ((2, 2, 2), 2), ((2, 2, 3), 3),
+                    (None, 1), ((4,), 1)):
+        assert _rook_gonality(dims, k) is None
+    has_form = {(2, 3): (1, 2, 3), (3, 3): (1, 2, 3), (2, 2, 2): (1,)}
+    hosts = [rook_graph([2, 3]), rook_graph([3, 3]), rook_graph([2, 2, 2]),
+             complete_graph(4), MultiGraph([[0, 2], [2, 0]])]
+    for g in hosts:
+        for k in range(1, 6):
+            form = _rook_gonality(g.dims, k)
+            assert (form is not None) == (k in has_form.get(g.dims, ()))
+            want = g.genus() + k if form is None else form
+            assert default_degree_cap(g, k) == want
 
 
 def test_default_degree_cap_above_the_vertex_count():

@@ -9,7 +9,6 @@ import oracles
 from rookgon import (
     MultiGraph,
     Scramble,
-    cartesian_product,
     complete_graph,
     connected_masks,
     connected_subsets,
@@ -18,7 +17,6 @@ from rookgon import (
     graph_from_json,
     graph_to_json,
     induced_components,
-    is_connected_subset,
     min_cut_between,
     min_cut_value,
     rook_graph,
@@ -79,7 +77,7 @@ def test_rook_graph_2x3_structure():
 
 
 def test_rook_graph_matches_cartesian_product():
-    got = cartesian_product(complete_graph(2), complete_graph(3))
+    got = oracles.cartesian_product(complete_graph(2), complete_graph(3))
     want = rook_graph([2, 3])
     assert got.mult == want.mult
 
@@ -89,9 +87,8 @@ def test_rook_graph_three_factors():
     assert g.n == 12
     assert g.dims == (2, 2, 3)
     assert g.degrees == (1 + 1 + 2,) * 12
-    h = cartesian_product(cartesian_product(complete_graph(2),
-                                            complete_graph(2)),
-                          complete_graph(3))
+    product = oracles.cartesian_product
+    h = product(product(complete_graph(2), complete_graph(2)), complete_graph(3))
     assert g.mult == h.mult
 
 
@@ -211,7 +208,7 @@ def test_graph_genus_and_labels_match_their_definitions():
     rng = random.Random(2512)
     plain = _level_graphs(rng)
     labelled = [rook_graph([2, 3]), rook_graph([2, 2, 3]), complete_graph(4),
-                cartesian_product(complete_graph(2), complete_graph(3)),
+                oracles.cartesian_product(complete_graph(2), complete_graph(3)),
                 graph_from_json(graph_to_json(rook_graph([3, 3])))]
     for g in plain + labelled:
         edges = sum(g.mult[u][v] for u in range(g.n) for v in range(u + 1, g.n))
@@ -229,7 +226,7 @@ def test_graph_cache_is_empty_after_construction():
     rng = random.Random(2513)
     for g in _level_graphs(rng) + [
             rook_graph([3, 3]), complete_graph(3),
-            cartesian_product(complete_graph(2), complete_graph(2)),
+            oracles.cartesian_product(complete_graph(2), complete_graph(2)),
             graph_from_json(graph_to_json(rook_graph([2, 3])))]:
         assert g._cache == {}
 
@@ -246,20 +243,6 @@ def test_label_helpers_require_dims():
 # ======================================================================
 # connected subsets
 # ======================================================================
-
-def test_is_connected_subset_basics():
-    g = rook_graph([2, 3])
-    assert is_connected_subset(g, [0])
-    assert is_connected_subset(g, [0, 1, 2])          # a row
-    assert is_connected_subset(g, [0, 3])             # a column
-    assert not is_connected_subset(g, [0, 4])         # diagonal pair
-    assert not is_connected_subset(g, [])
-    assert is_connected_subset(g, [0, 0, 1])  # duplicates collapse
-    with pytest.raises(ValueError):
-        is_connected_subset(g, [0, 6])
-    with pytest.raises(ValueError):
-        is_connected_subset(g, [0, True])
-
 
 def test_connected_subsets_counts_small():
     g = rook_graph([2, 3])
@@ -317,7 +300,6 @@ def test_connected_subsets_rejects_bad_k():
 VERTEX_SET_CALLS = {
     "fire_set": lambda g, vs: fire_set(g, [1] * g.n, vs),
     "cut_weight": cut_weight,
-    "is_connected_subset": is_connected_subset,
     "induced_components": induced_components,
     "min_cut_between source": lambda g, vs: min_cut_between(g, vs, [5]),
     "min_cut_between sink": lambda g, vs: min_cut_between(g, [5], vs),

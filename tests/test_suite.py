@@ -96,6 +96,25 @@ def test_second_run_recomputes_every_claim(monkeypatch):
     assert rows["gon-2x2"]["computed"]["value"] == 99
 
 
+@pytest.mark.parametrize("shift", [1, -1])
+def test_gonality_claim_fails_on_a_wrong_closed_form(shift, monkeypatch):
+    # the closed form is both the expected value and the scan's degree
+    # cap: one too high meets the true witness below it, one too low
+    # exhausts the cap and finds none
+    real = suite.gonality._rook_gonality
+
+    def wrong(dims, k):
+        value = real(dims, k)
+        return value + shift if (tuple(dims), k) == ((2, 2), 1) else value
+
+    monkeypatch.setattr(suite.gonality, "_rook_gonality", wrong)
+    rows = {r["id"]: r for r in run_suite("smoke", log=io.StringIO())["claims"]}
+    row = rows["gon-2x2"]
+    assert row["status"] == "fail"
+    assert row["expected"]["value"] == 2 + shift
+    assert row["computed"]["value"] == (2 if shift > 0 else None)
+
+
 def test_run_suite_seed_changes_params_not_outcome():
     a = run_suite("smoke", seed=1, log=io.StringIO())
     b = run_suite("smoke", seed=2, log=io.StringIO())
