@@ -84,7 +84,7 @@ def order_record(s: scrambles.Scramble, rep, family: Optional[str] = None,
         "vertex_count": host.n,
         "family": family,
         "k": s.uniform_size,
-        "egg_count": len(s.masks),
+        "egg_count": s.egg_count,
         "hitting_number": rep.hitting_number,
         "hitting_set": list(rep.hitting_set),
         "max_avoidance": list(rep.max_avoidance),

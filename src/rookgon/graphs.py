@@ -259,6 +259,12 @@ def connected_subsets(g: MultiGraph, k: int) -> Iterator[tuple]:
     return map(mask_vertices, connected_masks(g, k))
 
 
+def _check_subset_size(g: MultiGraph, k: int) -> None:
+    """Raise ValueError unless k is an integer from 1 to g's vertex count."""
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= g.n:
+        raise ValueError("k must be an integer between 1 and the vertex count")
+
+
 def connected_masks(g: MultiGraph, k: int) -> Iterator[int]:
     """All connected k-subsets as vertex bitmasks, each exactly once, in
     a fixed order.
@@ -267,8 +273,7 @@ def connected_masks(g: MultiGraph, k: int) -> Iterator[int]:
     only with larger-indexed vertices from exclusive neighborhoods, so no
     subset is produced twice.  A bad k raises ValueError at the call.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= g.n:
-        raise ValueError("k must be an integer between 1 and the vertex count")
+    _check_subset_size(g, k)
     if k == 1:
         return (1 << u for u in range(g.n))
     return _connected_masks(g.nbr_masks, g.n, k)

@@ -11,10 +11,11 @@ recursively, and is exact on two factors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import graphs
 from .graphs import MultiGraph, connected_masks, cut_weight, rook_graph
@@ -22,21 +23,29 @@ from .graphs import MultiGraph, connected_masks, cut_weight, rook_graph
 
 class Scramble:
     """Eggs over a host graph, stored as sorted, deduplicated vertex
-    bitmasks in ``masks``; both constructors check the eggs in
-    ``_set_eggs``, and an empty or disconnected egg raises ValueError.
-    ``eggs`` holds the same eggs as ascending vertex tuples in ascending
-    order, decoded from the masks on first read; the same decode keeps
-    each egg's mask in egg order.
+    bitmasks in ``masks``.  Every egg set passes ``_set_eggs`` before it
+    is stored, and an empty or disconnected egg raises ValueError naming
+    each bad egg in egg order.  ``eggs`` holds the same eggs as ascending
+    vertex tuples in ascending order, decoded from the masks on first
+    read; the same decode keeps each egg's mask in egg order.
 
-    ``uniform_size`` / ``with_squares`` are read-only fast-path hints.
-    Only the family constructors in this module set them, because they
-    build the egg list themselves: every connected subset of that size
-    (plus every 2x2 square).  A scramble built directly or loaded from
-    JSON never carries them, so an unchecked hint cannot steer the grid
+    ``Scramble(host, eggs)`` checks and stores its egg list at once.  A
+    family scramble (``star_scramble``, ``uniform_scramble``,
+    ``square_augmented_scramble``) holds only its host and its read-only
+    hints ``uniform_size`` (every connected subset of that size is an
+    egg) and ``with_squares`` (so is every 2x2 square).  It lists its
+    eggs from ``graphs.connected_masks`` on the first read of ``masks``
+    or ``eggs``, through the same check, so a bad egg raises there.
+    Solvers that need no egg list answer from the definition:
+    ``hitting_number`` certifies the grid knapsack's avoidance set
+    against the family itself, ``egg_cut_floor`` takes the smallest egg
+    size from the hints, and ``egg_count`` counts the connected subsets
+    without storing them.  A scramble built directly or loaded from JSON
+    never carries hints, so an unchecked hint cannot steer the grid
     knapsack to a wrong hitting number.
     """
 
-    __slots__ = ("host", "masks", "_eggs", "_egg_masks", "_uniform_size",
+    __slots__ = ("host", "_masks", "_eggs", "_egg_masks", "_uniform_size",
                  "_with_squares")
 
     def __init__(self, host: MultiGraph, eggs: Iterable[Iterable[int]]):
@@ -53,49 +62,77 @@ class Scramble:
             except TypeError:
                 raise ValueError(f"egg {egg!r} is not a list of vertices") from None
             masks.append(graphs._vertex_mask(host, verts))
-        self._set_eggs(host, masks, None, False)
+        self._start(host, None, False)
+        self._set_eggs(masks)
 
     @classmethod
-    def _from_masks(cls, host: MultiGraph, masks: Iterable[int],
-                    uniform_size: int, with_squares: bool = False) -> "Scramble":
-        """A family scramble over egg bitmasks that this module built."""
+    def _family(cls, host: MultiGraph, k: int,
+                with_squares: bool = False) -> "Scramble":
+        """Every connected k-subset of host (plus every 2x2 square of a
+        two-factor host), listed on first read; a bad k raises here."""
+        graphs._check_subset_size(host, k)
         s = cls.__new__(cls)
-        s._set_eggs(host, masks, uniform_size, with_squares)
+        s._start(host, k, with_squares)
         return s
 
-    def _set_eggs(self, host: MultiGraph, masks: Iterable[int],
-                  uniform_size: Optional[int], with_squares: bool) -> None:
-        """Store the eggs and hints; if an egg is empty or disconnected,
-        decode the eggs and raise ValueError naming each bad one in egg order."""
+    def _start(self, host: MultiGraph, uniform_size: Optional[int],
+               with_squares: bool) -> None:
         self.host = host
-        self.masks = tuple(sorted(set(masks)))
-        self._eggs = self._egg_masks = None
+        self._masks = self._eggs = self._egg_masks = None
         self._uniform_size, self._with_squares = uniform_size, with_squares
-        nbr = host.nbr_masks
+
+    def _family_masks(self) -> Iterator[int]:
+        """The family's eggs as bitmasks, squares after the k-subsets."""
+        yield from connected_masks(self.host, self._uniform_size)
+        if self._with_squares:
+            n, m = self.host.dims
+            for r1, r2 in itertools.combinations(range(n), 2):
+                for c1, c2 in itertools.combinations(range(m), 2):
+                    yield ((1 << r1 * m + c1) | (1 << r1 * m + c2)
+                           | (1 << r2 * m + c1) | (1 << r2 * m + c2))
+
+    def _set_eggs(self, masks: Iterable[int]) -> None:
+        """Store the eggs; if an egg is empty or disconnected, store
+        nothing and raise ValueError naming each bad one in egg order."""
+        masks = tuple(sorted(set(masks)))
+        nbr = self.host.nbr_masks
 
         def bad(mask):
             return not mask or graphs.lowest_component(nbr, mask) != mask
 
-        if any(map(bad, self.masks)):
-            self._decode()
+        if any(map(bad, masks)):
             raise ValueError("invalid scramble: " + "; ".join(
                 f"egg {idx} is not connected: {list(egg)}" if mask
                 else f"egg {idx} is empty"
-                for idx, (egg, mask) in enumerate(zip(self._eggs, self._egg_masks))
+                for idx, (egg, mask) in enumerate(zip(*_decode(masks)))
                 if bad(mask)))
+        self._masks = masks
 
-    def _decode(self) -> None:
-        """Decode the masks into ``eggs``, and keep each egg's mask in egg
-        order; distinct masks decode to distinct tuples."""
-        mask_of = dict(zip(map(graphs.mask_vertices, self.masks), self.masks))
-        self._eggs = tuple(sorted(mask_of))
-        self._egg_masks = tuple(map(mask_of.__getitem__, self._eggs))
+    @property
+    def masks(self) -> tuple:
+        if self._masks is None:
+            self._set_eggs(self._family_masks())
+        return self._masks
 
     @property
     def eggs(self) -> tuple:
         if self._eggs is None:
-            self._decode()
+            self._eggs, self._egg_masks = _decode(self.masks)
         return self._eggs
+
+    @property
+    def egg_count(self) -> int:
+        """The number of eggs; a family not yet listed counts its
+        connected subsets as the enumerator yields them, plus the
+        C(n,2)*C(m,2) squares unless k = 4, where every square is
+        already a connected 4-subset."""
+        if self._masks is not None:
+            return len(self._masks)
+        count = sum(1 for _ in connected_masks(self.host, self._uniform_size))
+        if self._with_squares and self._uniform_size != 4:
+            n, m = self.host.dims
+            count += math.comb(n, 2) * math.comb(m, 2)
+        return count
 
     @property
     def uniform_size(self) -> Optional[int]:
@@ -106,6 +143,14 @@ class Scramble:
         return self._with_squares
 
 
+def _decode(masks: tuple) -> tuple:
+    """The masks as ascending vertex tuples in ascending order, and each
+    egg's mask in egg order; distinct masks decode to distinct tuples."""
+    mask_of = dict(zip(map(graphs.mask_vertices, masks), masks))
+    eggs = tuple(sorted(mask_of))
+    return eggs, tuple(map(mask_of.__getitem__, eggs))
+
+
 # ======================================================================
 # hitting number via maximum avoidance
 # ======================================================================
@@ -113,29 +158,54 @@ class Scramble:
 def hitting_number(s: Scramble):
     """Exact minimum hitting set size with witnesses.
 
-    Returns (number, hitting set, maximum avoidance set).  The avoidance
-    maximum comes from a knapsack over component shapes when the scramble
-    is all connected k-subsets of a two-factor rook graph (optionally
-    plus all 2x2 squares), else from an include/exclude search over the
-    vertices bounded by the exact optima of its suffixes (Russian-doll
-    search), which returns the same set as that search without the
-    bound.
+    Returns (number, hitting set, maximum avoidance set).  When the
+    scramble is a family on a two-factor rook graph (all connected
+    k-subsets, optionally plus all 2x2 squares), the avoidance maximum
+    comes from a knapsack over component shapes, and the set is
+    certified against the family itself without listing its eggs: every
+    induced component has fewer than k vertices, and with squares no
+    2x2 square lies wholly inside.  Otherwise it comes from an
+    include/exclude search over the vertices bounded by the exact optima
+    of its suffixes (Russian-doll search), which returns the same set as
+    that search without the bound, and is checked against every egg.
     """
     host = s.host
     n = host.n
-    if not s.masks:
+    k = s._uniform_size
+    if k is not None and host.dims is not None and len(host.dims) == 2:
+        avoid = _max_avoidance_grid(host.dims[0], host.dims[1], k - 1,
+                                    s._with_squares)
+        if not _avoids_family(s, avoid):
+            raise RuntimeError("avoidance solver returned a set containing an egg")
+    elif not s.masks:
         return 0, (), tuple(range(n))
-    if (s._uniform_size is not None and host.dims is not None
-            and len(host.dims) == 2):
-        avoid = _max_avoidance_grid(host.dims[0], host.dims[1],
-                                    s._uniform_size - 1, s._with_squares)
     else:
         avoid = _max_avoidance_branch_bound(s)
-    for mask in s.masks:
-        if mask & avoid == mask:
-            raise RuntimeError("avoidance solver returned a set containing an egg")
+        for mask in s.masks:
+            if mask & avoid == mask:
+                raise RuntimeError("avoidance solver returned a set containing an egg")
     hit = graphs.mask_vertices(((1 << n) - 1) ^ avoid)
     return len(hit), hit, graphs.mask_vertices(avoid)
+
+
+def _avoids_family(s: Scramble, avoid: int) -> bool:
+    """Whether the vertex bitmask holds no egg of the family scramble s
+    on a two-factor host: a set holds a connected k-subset exactly when
+    one of its induced components has k or more vertices, and it holds a
+    2x2 square exactly when two of its rows share two columns."""
+    nbr = s.host.nbr_masks
+    left = avoid
+    while left:
+        comp = graphs.lowest_component(nbr, left)
+        if comp.bit_count() >= s._uniform_size:
+            return False
+        left ^= comp
+    if s._with_squares:
+        n, m = s.host.dims
+        rows = [avoid >> r * m & ((1 << m) - 1) for r in range(n)]
+        return all((a & b).bit_count() < 2
+                   for a, b in itertools.combinations(rows, 2))
+    return True
 
 
 def _max_avoidance_branch_bound(s: Scramble) -> int:
@@ -321,11 +391,19 @@ def min_side_cut_floor(dims: Sequence[int], min_side: int) -> Optional[int]:
 def egg_cut_floor(s: Scramble) -> Optional[int]:
     """A certified lower bound on the minimum egg cut when the host is a
     rook graph: every egg-separating partition has both sides at least
-    as large as the smallest egg."""
+    as large as the smallest egg.  A family's smallest egg is k, or
+    min(k, 4) with squares, so its eggs are not listed."""
     host = s.host
-    if host.dims is None or len(host.dims) < 2 or not s.masks:
+    if host.dims is None or len(host.dims) < 2:
         return None
-    return min_side_cut_floor(host.dims, min(m.bit_count() for m in s.masks))
+    k = s._uniform_size
+    if k is not None:
+        smallest = min(k, 4) if s._with_squares else k
+    elif s.masks:
+        smallest = min(m.bit_count() for m in s.masks)
+    else:
+        return None
+    return min_side_cut_floor(host.dims, smallest)
 
 
 # flows an exact pair scan may run while its incumbent is still above
@@ -439,13 +517,12 @@ def star_scramble(n: int, m: int) -> Scramble:
     n, m = graphs._positive_dims((n, m))
     if not (2 <= n <= m):
         raise ValueError("star scramble needs 2 <= n <= m")
-    host = rook_graph([n, m])
-    return Scramble._from_masks(host, connected_masks(host, n - 1), n - 1)
+    return Scramble._family(rook_graph([n, m]), n - 1)
 
 
 def uniform_scramble(g: MultiGraph, k: int) -> Scramble:
     """All connected k-subsets of an arbitrary host."""
-    return Scramble._from_masks(g, connected_masks(g, k), k)
+    return Scramble._family(g, k)
 
 
 def square_augmented_scramble(dims: Sequence[int] = (6, 6)) -> Scramble:
@@ -465,15 +542,7 @@ def square_augmented_scramble(dims: Sequence[int] = (6, 6)) -> Scramble:
     if n - 1 > 5:
         raise ValueError(f"square-augmented scrambles support egg sizes n-1 up "
                          f"to 5 only; {n}x{m} has egg size {n - 1}")
-    host = rook_graph([n, m])
-    masks = list(connected_masks(host, n - 1))
-    for r1 in range(n):
-        for r2 in range(r1 + 1, n):
-            for c1 in range(m):
-                for c2 in range(c1 + 1, m):
-                    masks.append((1 << r1 * m + c1) | (1 << r1 * m + c2)
-                                 | (1 << r2 * m + c1) | (1 << r2 * m + c2))
-    return Scramble._from_masks(host, masks, n - 1, with_squares=True)
+    return Scramble._family(rook_graph([n, m]), n - 1, with_squares=True)
 
 
 # ======================================================================

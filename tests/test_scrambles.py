@@ -206,28 +206,41 @@ def test_family_scrambles_match_vertex_list_construction():
                     == dataclasses.replace(want, hitting_set=None, max_avoidance=None))
 
 
-def test_mask_constructor_checks_every_mask():
+def _listed_family(monkeypatch, g, masks):
+    """A family scramble on g whose enumerator yields the given masks."""
+    import rookgon.scrambles as scr
+    s = uniform_scramble(g, 2)
+    monkeypatch.setattr(scr, "connected_masks", lambda *a: iter(masks))
+    return s
+
+
+def test_mask_constructor_checks_every_mask(monkeypatch):
+    # a family lists its eggs on the first read of masks, through the
+    # same check as the vertex-list constructor
     g = rook_graph([2, 3])
-    ok = Scramble._from_masks(g, [0b11, 0b11, 0b1000], 2)
+    ok = _listed_family(monkeypatch, g, [0b11, 0b11, 0b1000])
     assert ok.masks == (0b11, 0b1000)
     assert ok.eggs == ((0, 1), (3,))
     with pytest.raises(ValueError) as err:
-        Scramble._from_masks(g, [0b11, 0], 2)
+        _listed_family(monkeypatch, g, [0b11, 0]).masks
     assert str(err.value) == "invalid scramble: egg 0 is empty"
-    with pytest.raises(ValueError) as err:
-        Scramble._from_masks(g, [0b11, 0b10001, 0b1000], 2)  # a diagonal pair
-    assert str(err.value) == "invalid scramble: egg 1 is not connected: [0, 4]"
+    bad = _listed_family(monkeypatch, g, [0b11, 0b10001, 0b1000])  # a diagonal pair
+    for _ in range(2):  # a failed listing stores nothing and fails again
+        with pytest.raises(ValueError) as err:
+            bad.eggs
+        assert str(err.value) == "invalid scramble: egg 1 is not connected: [0, 4]"
+        assert bad._masks is None
 
 
-def test_both_constructors_report_bad_eggs_alike():
-    # every bad egg is named, in egg order, whichever constructor is used
+def test_both_constructors_report_bad_eggs_alike(monkeypatch):
+    # every bad egg is named, in egg order, whichever way the eggs arrive
     g = rook_graph([2, 3])
     for eggs in ([[0, 4], [1]], [[], [2]], [[], [0, 4], [3, 5], [1, 5], [0, 1]]):
         masks = [sum(1 << v for v in egg) for egg in eggs]
         with pytest.raises(ValueError) as from_verts:
             Scramble(g, eggs)
         with pytest.raises(ValueError) as from_masks:
-            Scramble._from_masks(g, masks, 2)
+            _listed_family(monkeypatch, g, masks).masks
         assert str(from_masks.value) == str(from_verts.value)
     assert str(from_verts.value) == ("invalid scramble: egg 0 is empty; "
                                      "egg 2 is not connected: [0, 4]; "
@@ -236,8 +249,62 @@ def test_both_constructors_report_bad_eggs_alike():
 
 def test_family_scramble_is_not_decoded_until_read():
     s = star_scramble(4, 4)
-    assert s._eggs is None and s._egg_masks is None
-    assert len(s.eggs) == len(s._egg_masks) == 176
+    assert s._masks is None and s._eggs is None and s._egg_masks is None
+    assert len(s.eggs) == len(s._egg_masks) == len(s._masks) == 176
+
+
+def test_family_counts_and_floors_match_the_listing():
+    # egg_count and egg_cut_floor answer from the definition before the
+    # eggs are listed, and agree with the listed eggs afterwards; on 5x5
+    # star-squares (k = 4) the squares are connected 4-subsets already
+    for s in _small_grid_family_scrambles() + [
+            star_scramble(6, 6), square_augmented_scramble((6, 6)),
+            square_augmented_scramble((5, 5))]:
+        count, floor = s.egg_count, egg_cut_floor(s)
+        assert s._masks is None
+        assert count == len(s.masks)
+        smallest = min(mask.bit_count() for mask in s.masks)
+        assert floor == min_side_cut_floor(s.host.dims, smallest)
+
+
+def test_family_certificate_catches_a_square(monkeypatch):
+    # one 2x2 square is a 4-cell component, below the egg size 5, so
+    # only the square test can reject it
+    import rookgon.scrambles as scr
+    s = square_augmented_scramble((6, 6))
+    square = (1 << 0) | (1 << 1) | (1 << 6) | (1 << 7)
+    assert [len(c) for c in induced_components(s.host, graphs.mask_vertices(square))] == [4]
+    monkeypatch.setattr(scr, "_max_avoidance_grid", lambda *a: square)
+    with pytest.raises(RuntimeError, match="containing an egg"):
+        hitting_number(s)
+
+
+def test_auto_and_floor_orders_list_no_eggs(monkeypatch):
+    import rookgon.cli as cli
+
+    def listed(*args):
+        raise AssertionError("eggs were listed")
+
+    monkeypatch.setattr(Scramble, "_set_eggs", listed)
+    for s in (star_scramble(6, 6), square_augmented_scramble((6, 6))):
+        for mode in ("auto", "floor"):
+            rep = scramble_order(s, mode)
+            assert not rep.cut_exact
+            cli.order_record(s, rep)
+        assert s._masks is None
+    monkeypatch.undo()
+    # exact mode lists the eggs, once, through the check
+    check = Scramble._set_eggs
+    checked = []
+
+    def counted(s, masks):
+        checked.append(s)
+        check(s, masks)
+
+    monkeypatch.setattr(Scramble, "_set_eggs", counted)
+    s = star_scramble(4, 4)
+    assert scramble_order(s, "exact").cut_exact
+    assert checked == [s] and len(s._masks) == 176
 
 
 def test_square_augmented_shapes():
