@@ -270,7 +270,11 @@ def _max_avoidance_grid(nrows: int, ncols: int, maxcomp: int,
     a rows and b columns holds from a+b-1 to a*b cells.  The maximum is
     then an unbounded knapsack over component shapes (a, b) with
     a+b-1 <= maxcomp, each worth min(a*b, maxcomp); ``best[i][j]`` is the
-    most cells on i rows and j columns.  With maxcomp 4 the only 4-cell
+    most cells on i rows and j columns.  No transition skips a row or a
+    column: for i, j >= 1 an optimal set has a component (a single cell
+    beats the empty set), and taking the rows and columns it spans leaves
+    a set on (i-a) x (j-b), so some shape reaches ``best[i][j]`` and the
+    walk back always finds one.  With maxcomp 4 the only 4-cell
     component on 2 x 2 is the full square, so no_squares caps that shape
     at 3 cells.
 
@@ -289,9 +293,8 @@ def _max_avoidance_grid(nrows: int, ncols: int, maxcomp: int,
     best = [[0] * (ncols + 1) for _ in range(nrows + 1)]
     for i in range(1, nrows + 1):
         for j in range(1, ncols + 1):
-            best[i][j] = max([best[i - 1][j], best[i][j - 1]]
-                             + [worth + best[i - a][j - b]
-                                for a, b, worth in shapes if a <= i and b <= j])
+            best[i][j] = max(worth + best[i - a][j - b]
+                             for a, b, worth in shapes if a <= i and b <= j)
 
     mask = 0
     i, j = nrows, ncols
@@ -306,11 +309,6 @@ def _max_avoidance_grid(nrows: int, ncols: int, maxcomp: int,
                 for r, c in cells[:worth]:
                     mask |= 1 << r * ncols + c
                 break
-        else:
-            if best[i - 1][j] == best[i][j]:
-                i -= 1
-            else:
-                j -= 1
     return mask
 
 
@@ -406,62 +404,54 @@ def egg_cut_floor(s: Scramble) -> Optional[int]:
     return min_side_cut_floor(host.dims, smallest)
 
 
-# flows an exact pair scan may run while its incumbent is still above
-# the cut floor; every exact query in the tests, suites and README
-# finishes within 8 flows
+# disjoint pairs an exact scan may screen while its incumbent is still
+# above the cut floor; every exact query on a rook host in the suites and
+# README meets the floor on its first flow
 _FLOW_BUDGET = 10_000
 
 
 def min_egg_cut(s: Scramble) -> EggCutResult:
     """Minimum over disjoint egg pairs of the min cut separating them.
 
-    Flows terminate early at the incumbent, and the pair scan stops as
-    soon as the incumbent reaches the certified cut floor.  The witness
-    is the first pair (in egg order) attaining the minimum.
+    The first disjoint pair is solved in full, value and minimal side,
+    and becomes the incumbent.  Every later pair is screened by a flow
+    that stops at the incumbent; only a pair that comes in below it is
+    solved in full, and becomes the new incumbent.  So the witness is the
+    first pair (in egg order) attaining the minimum, and the scan stops
+    as soon as the incumbent reaches the certified cut floor.
 
-    On a host with a cut floor (every rook host) the scan runs at most
-    ``_FLOW_BUDGET`` flows without meeting the floor, then refuses with
+    On a host with a cut floor (every rook host) the scan screens at most
+    ``_FLOW_BUDGET`` pairs without meeting the floor, then refuses with
     ValueError: a family scramble can have about 1e9 disjoint pairs (the
     6x6 star-squares scramble, whose cut 30 sits above its floor 28).
     Without a floor the scan covers the pairs of the egg list as given.
     """
     floor = egg_cut_floor(s)
     host = s.host
-    eggs = s.eggs
-    masks = s._egg_masks
-    best = None
-    best_pair = None
-    done = False
+    best = EggCutResult(None, None, None)
     flows = 0
-    for i in range(len(eggs)):
-        mi = masks[i]
-        for j in range(i + 1, len(eggs)):
-            if mi & masks[j]:
+    pairs = itertools.combinations(zip(s.eggs, s._egg_masks), 2)
+    for (a, amask), (b, bmask) in pairs:
+        if amask & bmask:
+            continue
+        if floor is not None and flows == _FLOW_BUDGET:
+            raise ValueError(
+                f"exact egg cut refused: {flows} pair flows left the best "
+                f"cut at {best.value}, above the certified floor {floor}; "
+                f"--cut-mode auto uses the floor when it reaches the "
+                f"hitting number")
+        flows += 1
+        if best.value is not None:
+            value, below = graphs.min_cut_value(host, a, b, cutoff=best.value)
+            if not below:
                 continue
-            if floor is not None and flows == _FLOW_BUDGET:
-                raise ValueError(
-                    f"exact egg cut refused: {flows} pair flows left the best "
-                    f"cut at {best}, above the certified floor {floor}; "
-                    f"--cut-mode auto uses the floor when it reaches the "
-                    f"hitting number")
-            flows += 1
-            # with no incumbent the flow is exact; with one, exact means smaller
-            value, exact = graphs.min_cut_value(host, eggs[i], eggs[j], cutoff=best)
-            if exact:
-                best = value
-                best_pair = (i, j)
-            if floor is not None and best <= floor:
-                done = True
-                break
-        if done:
+        fr = graphs.min_cut_between(host, a, b)
+        if best.value is not None and fr.value != value:
+            raise RuntimeError("flow re-solve disagreed with the pair scan")
+        best = EggCutResult(fr.value, (a, b), fr.source_side)
+        if floor is not None and best.value <= floor:
             break
-    if best is None:
-        return EggCutResult(None, None, None)
-    fr = graphs.min_cut_between(host, eggs[best_pair[0]], eggs[best_pair[1]])
-    if fr.value != best:
-        raise RuntimeError("flow re-solve disagreed with the pair scan")
-    return EggCutResult(best, (eggs[best_pair[0]], eggs[best_pair[1]]),
-                        fr.source_side)
+    return best
 
 
 # ======================================================================

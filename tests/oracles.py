@@ -2,7 +2,10 @@
 
 Everything here is written from the definitions, in the slowest, most
 obvious way, and touches only the public graph fields (n, mult, adj,
-and dims for the Cartesian product).  Keep instances tiny.
+and dims for the Cartesian product).  Keep instances tiny.  The one
+shortcut is ``min_egg_cut_by_tables``: it tries every bipartition like
+``min_egg_cut``, but keeps its per-set tables as byte strings, so
+20-vertex hosts take under a second; a test holds the two equal.
 """
 
 import itertools
@@ -392,6 +395,43 @@ def min_egg_cut(host, eggs):
             if best is None or w < best:
                 best = w
     return best
+
+
+def min_egg_cut_by_tables(host, eggs):
+    """``min_egg_cut`` over the same bipartitions (None if no side and
+    its complement both hold an egg), fast enough for 20 vertices.
+
+    Each table has one byte per vertex set X, at index X read as a
+    bitmask, and is kept as one little-endian integer, so a step over
+    every set is one integer operation.
+    ``with_v[v]`` marks the sets holding v.  ``holds`` marks the sets
+    holding an egg: each egg marks itself, then for each vertex v every
+    set without v passes its mark to the same set with v, 2**v bytes up.
+    The complement of X sits at index 2**n - 1 - X, so the reversed
+    table marks the sets whose complement holds an egg.  ``cut`` sums,
+    over the pairs uv, their multiplicity on the sets holding exactly
+    one of u and v.  The answer is the least weight of a side that, like
+    its complement, holds an egg."""
+    n = host.n
+    size = 1 << n
+    with_v = [int.from_bytes((bytes(1 << v) + b"\x01" * (1 << v)) * (size >> v + 1),
+                             "little") for v in range(n)]
+    marks = bytearray(size)
+    for e in eggs:
+        marks[sum(1 << v for v in e)] = 1
+    holds = int.from_bytes(marks, "little")
+    for v in range(n):
+        holds |= holds << (8 << v) & with_v[v]
+    both = holds & int.from_bytes(holds.to_bytes(size, "little")[::-1], "little")
+    assert sum(map(sum, host.mult)) // 2 < 256, "cut weights must fit a byte"
+    cut = sum(host.mult[u][w] * (with_v[u] ^ with_v[w])
+              for u, w in itertools.combinations(range(n), 2))
+    cuts = cut.to_bytes(size, "little")
+    for weight in range(256):
+        at_weight = cuts.translate(bytes(b == weight for b in range(256)))
+        if int.from_bytes(at_weight, "little") & both:
+            return weight
+    return None
 
 
 def max_induced_edges_profile_scan(dims, size):

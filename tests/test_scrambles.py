@@ -1,9 +1,12 @@
 """Scramble tests: hitting numbers, egg cuts, orders, constructions."""
 
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -343,11 +346,14 @@ def test_hitting_number_checks_the_avoidance_set(monkeypatch):
 
 
 def test_hitting_number_empty_scramble():
-    g = rook_graph([2, 2])
-    s = Scramble(g, [])
-    assert hitting_number(s) == (0, (), (0, 1, 2, 3))
-    rep = scramble_order(s)
-    assert rep.order == 0 and rep.min_egg_cut is None
+    # 32 x 32 is deeper than the branch-and-bound search could recurse
+    hosts = (rook_graph([2, 2]), _dimless_square(), rook_graph([2, 2, 2]),
+             rook_graph([32, 32]))
+    for g in hosts:
+        s = Scramble(g, [])
+        assert hitting_number(s) == (0, (), tuple(range(g.n)))
+        rep = scramble_order(s)
+        assert rep.order == 0 and rep.min_egg_cut is None
 
 
 def test_hitting_number_matches_brute_force():
@@ -460,6 +466,18 @@ def test_grid_avoidance_sets_are_valid():
         _max_avoidance_grid(6, 6, 5, True)
 
 
+def test_grid_avoidance_witnesses_are_frozen():
+    # the witness masks on every grid up to 8 x 8 and cap up to 8 (with
+    # squares for caps up to 4), digested; frozen from the knapsack that
+    # also tried dropping a row or a column, which never moved a mask
+    lines = [f"{n} {m} {cap} {int(sq)} {_max_avoidance_grid(n, m, cap, sq):x}"
+             for n in range(1, 9) for m in range(1, 9) for cap in range(9)
+             for sq in ((False, True) if cap <= 4 else (False,))]
+    assert len(lines) == 896
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "04612686fed587ed280bb761515ee6e7ebf5e2a13698d1d8ef0eb60051c1a35e")
+
+
 def test_grid_avoidance_sizes_beyond_branch_and_bound():
     # sizes from an independent solver (the column sweep that 0.9.0
     # replaced) on hosts branch and bound cannot reach
@@ -491,6 +509,53 @@ def test_square_augmented_hitting_6x6():
 # egg cuts
 # ======================================================================
 
+def _count_flows(monkeypatch):
+    """Count the calls to the two flow entry points the pair scan reads."""
+    calls = {"min_cut_value": 0, "min_cut_between": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(graphs, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(graphs, name, counted)
+    return calls
+
+
+def _check_egg_cut(s, res):
+    """The value is the brute-force minimum, the pair is the first
+    disjoint pair in egg order whose cut attains it, and the side is the
+    minimal minimum side of that pair."""
+    assert res.value == oracles.min_egg_cut_by_tables(s.host, s.eggs)
+    if res.value is None:
+        assert res == (None, None, None)
+        return
+    for a, b in itertools.combinations(s.eggs, 2):
+        if (a, b) == res.pair:
+            break
+        if not set(a) & set(b):
+            # exact with this cutoff means a cut at or below the minimum
+            assert not graphs.min_cut_value(s.host, a, b, cutoff=res.value + 1)[1]
+    else:
+        pytest.fail(f"witness pair {res.pair} is not an egg pair")
+    assert res.side == oracles.minimal_min_cut_side(s.host, *res.pair)
+
+
+def test_table_egg_cut_oracle_matches_the_plain_one():
+    # the plain oracle finishes quickly only on hosts of 12 or fewer
+    # vertices; _check_egg_cut needs the table one on the larger families
+    rng = random.Random(5)
+    cases = []
+    for _ in range(300):
+        g = random_multigraph(rng, 9, 10)
+        masks = _random_connected_masks(rng, g, rng.randint(0, 8), (1, 2))
+        cases.append((g, [graphs.mask_vertices(m) for m in masks]))
+    cases += [(s.host, s.eggs) for s in _small_grid_family_scrambles()
+              if s.host.n <= 12]
+    assert len(cases) == 347
+    for host, eggs in cases:
+        assert (oracles.min_egg_cut_by_tables(host, eggs)
+                == oracles.min_egg_cut(host, eggs))
+
+
 def test_min_egg_cut_matches_brute_force():
     cases = [
         uniform_scramble(rook_graph([2, 3]), 2),
@@ -499,12 +564,8 @@ def test_min_egg_cut_matches_brute_force():
         star_scramble(3, 3),
         Scramble(rook_graph([2, 3]), [[0, 1], [4, 5], [2]]),
     ]
-    for s in cases:
-        res = min_egg_cut(s)
-        assert res.value == oracles.min_egg_cut(s.host, s.eggs)
-        a, b = res.pair
-        assert not set(a) & set(b)
-        assert cut_weight(s.host, res.side) == res.value
+    for s in cases + _small_grid_family_scrambles():
+        _check_egg_cut(s, min_egg_cut(s))
 
 
 def test_min_egg_cut_no_disjoint_pair():
@@ -532,6 +593,26 @@ def test_min_egg_cut_respects_floor_shortcut():
     # a caller floor of 10**6 would stop these two scans at 9 and 8
     assert min_egg_cut(uniform_scramble(rook_graph([3, 4]), 3)).value == 8
     assert min_egg_cut(uniform_scramble(rook_graph([2, 5]), 2)).value == 5
+
+
+def test_min_egg_cut_solves_each_incumbent_once(monkeypatch):
+    # star 4x4 meets its floor on the first pair: one full solve, no screen
+    calls = _count_flows(monkeypatch)
+    s = star_scramble(4, 4)
+    res = min_egg_cut(s)
+    assert calls == {"min_cut_value": 0, "min_cut_between": 1}
+    _check_egg_cut(s, res)
+    # heavy8 has no floor, so all 28 singleton pairs are scanned: each
+    # pair after the first is screened, and each new incumbent solved
+    path = Path(__file__).parent / "frozen" / "heavy8-singletons.json"
+    s = scramble_from_json(json.loads(path.read_text()))
+    cuts = [oracles.min_cut(s.host, a, b) for a, b in itertools.combinations(s.eggs, 2)]
+    incumbents = sum(cut < min(cuts[:i], default=cut + 1) for i, cut in enumerate(cuts))
+    assert (len(cuts), incumbents) == (28, 3)
+    calls.update(dict.fromkeys(calls, 0))
+    res = min_egg_cut(s)
+    assert calls == {"min_cut_value": len(cuts) - 1, "min_cut_between": incumbents}
+    _check_egg_cut(s, res)
 
 
 def test_cut_floor_values():
