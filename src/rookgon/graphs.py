@@ -236,6 +236,16 @@ def lowest_component(nbr: Sequence[int], mask: int) -> int:
     return seen
 
 
+def _component_masks(nbr: Sequence[int], mask: int) -> Iterator[int]:
+    """The connected components of a vertex bitmask under the neighbour
+    masks nbr, as bitmasks, in order of their lowest vertex.  No range
+    checks, for trusted vertex sets."""
+    while mask:
+        comp = lowest_component(nbr, mask)
+        yield comp
+        mask ^= comp
+
+
 def edges_into(g: MultiGraph, u: int, mask: int) -> int:
     """Total multiplicity of the edges from vertex u into the vertex bitmask
     mask: one popcount for u's neighbour mask and one, times its weight,

@@ -37,9 +37,10 @@ class Scramble:
     eggs from ``graphs.connected_masks`` on the first read of ``masks``
     or ``eggs``, through the same check, so a bad egg raises there.
     Solvers that need no egg list answer from the definition:
-    ``hitting_number`` certifies the grid knapsack's avoidance set
-    against the family itself, ``egg_cut_floor`` takes the smallest egg
-    size from the hints, and ``egg_count`` counts the connected subsets
+    ``hitting_number`` certifies either search's avoidance set against
+    the family itself (only the knapsack of two-factor families runs
+    without the list), ``egg_cut_floor`` takes the smallest egg size
+    from the hints, and ``egg_count`` counts the connected subsets
     without storing them.  A scramble built directly or loaded from JSON
     never carries hints, so an unchecked hint cannot steer the grid
     knapsack to a wrong hitting number.
@@ -161,45 +162,38 @@ def hitting_number(s: Scramble):
     Returns (number, hitting set, maximum avoidance set).  When the
     scramble is a family on a two-factor rook graph (all connected
     k-subsets, optionally plus all 2x2 squares), the avoidance maximum
-    comes from a knapsack over component shapes, and the set is
-    certified against the family itself without listing its eggs: every
-    induced component has fewer than k vertices, and with squares no
-    2x2 square lies wholly inside.  Otherwise it comes from an
-    include/exclude search over the vertices bounded by the exact optima
-    of its suffixes (Russian-doll search), which returns the same set as
-    that search without the bound, and is checked against every egg.
+    comes from a knapsack over component shapes; otherwise from an
+    include/exclude search over the vertices that some egg covers,
+    bounded by the exact optima of its suffixes (Russian-doll search).
+    Either set is certified in one place: a family scramble's against
+    the family itself, without listing its eggs (every induced component
+    has fewer than k vertices, and with squares no 2x2 square lies
+    wholly inside), any other scramble's against every egg.  An empty
+    scramble covers no vertex, so every vertex avoids it.
     """
     host = s.host
-    n = host.n
     k = s._uniform_size
     if k is not None and host.dims is not None and len(host.dims) == 2:
         avoid = _max_avoidance_grid(host.dims[0], host.dims[1], k - 1,
                                     s._with_squares)
-        if not _avoids_family(s, avoid):
-            raise RuntimeError("avoidance solver returned a set containing an egg")
-    elif not s.masks:
-        return 0, (), tuple(range(n))
     else:
         avoid = _max_avoidance_branch_bound(s)
-        for mask in s.masks:
-            if mask & avoid == mask:
-                raise RuntimeError("avoidance solver returned a set containing an egg")
-    hit = graphs.mask_vertices(((1 << n) - 1) ^ avoid)
+    if not (_avoids_family(s, avoid) if k is not None
+            else all(mask & avoid != mask for mask in s.masks)):
+        raise RuntimeError("avoidance solver returned a set containing an egg")
+    hit = graphs.mask_vertices(((1 << host.n) - 1) ^ avoid)
     return len(hit), hit, graphs.mask_vertices(avoid)
 
 
 def _avoids_family(s: Scramble, avoid: int) -> bool:
-    """Whether the vertex bitmask holds no egg of the family scramble s
-    on a two-factor host: a set holds a connected k-subset exactly when
-    one of its induced components has k or more vertices, and it holds a
-    2x2 square exactly when two of its rows share two columns."""
-    nbr = s.host.nbr_masks
-    left = avoid
-    while left:
-        comp = graphs.lowest_component(nbr, left)
-        if comp.bit_count() >= s._uniform_size:
-            return False
-        left ^= comp
+    """Whether the vertex bitmask holds no egg of the family scramble s,
+    on any host: a set holds a connected k-subset exactly when one of its
+    induced components has k or more vertices, and (on the two-factor
+    hosts that carry squares) it holds a 2x2 square exactly when two of
+    its rows share two columns."""
+    if any(comp.bit_count() >= s._uniform_size
+           for comp in graphs._component_masks(s.host.nbr_masks, avoid)):
+        return False
     if s._with_squares:
         n, m = s.host.dims
         rows = [avoid >> r * m & ((1 << m) - 1) for r in range(n)]
@@ -212,50 +206,53 @@ def _max_avoidance_branch_bound(s: Scramble) -> int:
     """Exact maximum egg-free set, as a bitmask, by include/exclude search
     with a Russian-doll bound (Verfaillie, Lemaitre and Schiex, 1996).
 
-    Vertices are decided in order of descending egg membership, include
-    before exclude.  ``cap[p]`` is the exact optimum over the suffix
-    ``order[p:]``, solved from the shortest suffix up, and a node at
-    position p dies when its count plus ``cap[p]`` cannot beat the best.
-    A suffix's optimum is ``cap[p + 1]`` or one more, so each suffix
-    solve starts from ``cap[p + 1]`` and stops at its first larger leaf.
-    The full solve starts below its optimum, and the bound never cuts a
-    leaf that beats the best, so it returns the first maximum set in
-    include-first order: the set the search without the bound returns.
+    A vertex outside every egg is in every maximum set, so the search
+    decides only the covered vertices and adds the rest at the end.  It
+    takes them in order of descending egg membership (ties by index),
+    include before exclude, depth first on an explicit stack.  ``cap[p]``
+    is the exact optimum over the suffix ``order[p:]``, solved from the
+    shortest suffix up, and a node at position p dies when its count plus
+    ``cap[p]`` cannot beat the best.  A suffix's optimum is ``cap[p + 1]``
+    or one more, so each suffix solve starts from ``cap[p + 1]`` and
+    stops at its first larger leaf.  The full solve starts below its
+    optimum, and the bound never cuts a leaf that beats the best, so it
+    returns the first maximum set in include-first order: the set the
+    search without the bound returns over all the vertices.
     """
     n = s.host.n
     member = [[] for _ in range(n)]
+    covered = 0
     for mask in s.masks:
+        covered |= mask
         for v in graphs.mask_vertices(mask):
             member[v].append(mask)
-    order = sorted(range(n), key=lambda v: (-len(member[v]), v))
-    cap = [0] * (n + 1)
-    best_size = best_mask = top = 0
-
-    def dfs(pos, mask, count):
-        nonlocal best_size, best_mask
-        if count + cap[pos] <= best_size or best_size == top:
-            return
-        if pos == n:
-            best_size = count
-            best_mask = mask
-            return
-        v = order[pos]
-        newmask = mask | (1 << v)
-        for egg in member[v]:
-            if egg & ~newmask == 0:
-                break
-        else:
-            dfs(pos + 1, newmask, count + 1)
-        dfs(pos + 1, mask, count)
-
-    for p in range(n - 1, -1, -1):
+    order = sorted(graphs.mask_vertices(covered), key=lambda v: (-len(member[v]), v))
+    size = len(order)
+    cap = [0] * (size + 1)
+    best_mask = 0
+    for p in range(size - 1, -1, -1):
         # cap[p] is an upper bound until its solve ends; the full solve
         # (p == 0) starts one below its least possible optimum
         top = cap[p] = cap[p + 1] + 1
         best_size = cap[p + 1] - (p == 0)
-        dfs(p, 0, 0)
+        stack = [(p, 0, 0)]
+        while stack and best_size < top:
+            pos, mask, count = stack.pop()
+            if count + cap[pos] <= best_size:
+                continue
+            if pos == size:
+                best_size, best_mask = count, mask
+                continue
+            v = order[pos]
+            stack.append((pos + 1, mask, count))
+            newmask = mask | (1 << v)
+            for egg in member[v]:
+                if egg & ~newmask == 0:
+                    break
+            else:
+                stack.append((pos + 1, newmask, count + 1))
         cap[p] = best_size
-    return best_mask
+    return best_mask | (((1 << n) - 1) ^ covered)
 
 
 def _max_avoidance_grid(nrows: int, ncols: int, maxcomp: int,
@@ -542,14 +539,8 @@ def square_augmented_scramble(dims: Sequence[int] = (6, 6)) -> Scramble:
 def induced_components(g: MultiGraph, verts: Iterable[int]) -> list:
     """Connected components of the induced subgraph, as sorted tuples in
     ascending order."""
-    left = graphs._vertex_mask(g, verts)
-    nbr = g.nbr_masks
-    comps = []
-    while left:
-        comp = graphs.lowest_component(nbr, left)
-        comps.append(graphs.mask_vertices(comp))
-        left ^= comp
-    return comps
+    return [graphs.mask_vertices(comp) for comp in
+            graphs._component_masks(g.nbr_masks, graphs._vertex_mask(g, verts))]
 
 
 def staircase_avoidance(n: int, m: int) -> tuple:

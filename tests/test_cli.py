@@ -229,11 +229,16 @@ def test_scramble_order_exact_refuses_past_the_flow_budget():
 
 
 def test_scramble_order_from_file(tmp_path):
+    # 32 x 32: one egg, and 512 disjoint row pairs, on 1,024 vertices
     sfile = tmp_path / "s.json"
-    sfile.write_text(json.dumps(
-        {"host": [2, 3], "eggs": [[0], [1], [2], [3], [4], [5]]}))
-    data = out_json(run_cli("scramble", "order", "--file", str(sfile)))
-    assert data["order"] == 3
+    for host, eggs, hitting, cut in (
+            ([2, 3], [[0], [1], [2], [3], [4], [5]], 6, 3),
+            ([32, 32], [[0]], 1, None),
+            ([32, 32], [[2 * i, 2 * i + 1] for i in range(512)], 512, 122)):
+        sfile.write_text(json.dumps({"host": host, "eggs": eggs}))
+        data = out_json(run_cli("scramble", "order", "--file", str(sfile)))
+        assert (data["hitting_number"], data["min_egg_cut"]) == (hitting, cut)
+        assert data["order"] == min(hitting, cut or hitting)
 
 
 def test_scramble_order_floor_on_three_factor_host():

@@ -345,8 +345,30 @@ def test_hitting_number_checks_the_avoidance_set(monkeypatch):
         hitting_number(s)
 
 
+def test_hitting_number_certifies_the_general_search(monkeypatch):
+    # the certificate off the grid path: against every listed egg, and
+    # against the family definition without listing its eggs
+    import rookgon.scrambles as scr
+    listed = Scramble(rook_graph([2, 3]), [[0, 1], [4, 5], [2]])
+    family = uniform_scramble(rook_graph([2, 2, 2]), 2)
+    for s, egg in ((listed, 0b110000), (family, 0b11)):
+        monkeypatch.setattr(scr, "_max_avoidance_branch_bound", lambda _: egg)
+        with pytest.raises(RuntimeError, match="containing an egg"):
+            hitting_number(s)
+    assert family._masks is None
+
+
+def test_hitting_number_on_large_sparse_scrambles():
+    # 1,024 vertices: more than Python's default recursion limit
+    g = rook_graph([32, 32])
+    assert hitting_number(Scramble(g, [[0]])) == (1, (0,), tuple(range(1, 1024)))
+    pairs = Scramble(g, [[2 * i, 2 * i + 1] for i in range(512)])
+    assert hitting_number(pairs) == (512, tuple(range(1, 1024, 2)),
+                                     tuple(range(0, 1024, 2)))
+
+
 def test_hitting_number_empty_scramble():
-    # 32 x 32 is deeper than the branch-and-bound search could recurse
+    # an empty scramble covers no vertex, so the search decides none
     hosts = (rook_graph([2, 2]), _dimless_square(), rook_graph([2, 2, 2]),
              rook_graph([32, 32]))
     for g in hosts:
