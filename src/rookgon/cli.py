@@ -4,20 +4,20 @@ searches, scramble reports, and the verification suites.
 All output is canonical JSON (sorted keys, compact separators, trailing
 newline) unless a CSV table is requested, so identical requests produce
 byte-identical bytes — the property the determinism suite relies on.
+
+Each handler imports the package modules it runs, so a launch loads only
+its subcommand's modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
-import io
 import json
 import sys
 import time
 from typing import Optional
 
-from . import divisors, gonality, graphs, scrambles, suite
+from . import SUITE_NAMES, graphs
 
 
 # ----------------------------------------------------------------------
@@ -31,6 +31,7 @@ def canonical_json(obj) -> str:
 def witness_digest(obj) -> str:
     if obj is None:
         return ""
+    import hashlib
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()[:12]
 
 
@@ -45,6 +46,7 @@ def _dims_tag(dims) -> str:
 # ----------------------------------------------------------------------
 
 def gonality_record(g: graphs.MultiGraph, res, elapsed: Optional[float] = None) -> dict:
+    from . import gonality
     rec = {
         "kind": "gonality",
         "dims": list(g.dims) if g.dims else None,
@@ -69,7 +71,7 @@ def gonality_record(g: graphs.MultiGraph, res, elapsed: Optional[float] = None) 
     return rec
 
 
-def order_record(s: scrambles.Scramble, rep, family: Optional[str] = None,
+def order_record(s, rep, family: Optional[str] = None,
                  elapsed: Optional[float] = None) -> dict:
     host = s.host
     witness = {
@@ -125,6 +127,8 @@ def csv_table(rec: dict) -> str:
     The columns are fixed, so rows from separate runs can be
     concatenated; quoting follows the csv module's RFC behaviour.
     """
+    import csv
+    import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_TABLE_COLUMNS)
@@ -203,6 +207,7 @@ def _graph_from_args(args) -> graphs.MultiGraph:
 
 
 def _divisor_from_args(args, g: graphs.MultiGraph) -> list:
+    from . import divisors
     if getattr(args, "chips", None) is not None:
         chips = _parse_chips(args.chips)
     elif getattr(args, "divisor", None) is not None:
@@ -231,6 +236,7 @@ def cmd_graph_gen(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from . import divisors
     g = _graph_from_args(args)
     chips = _divisor_from_args(args, g)
     res = divisors.v_reduce(g, chips, args.vertex)
@@ -244,6 +250,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    from . import divisors
     g = _graph_from_args(args)
     chips = _divisor_from_args(args, g)
     r = divisors.rank(g, chips)
@@ -258,6 +265,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_gonality(args) -> int:
+    from . import gonality
     g = _graph_from_args(args)
     t0 = time.monotonic()
     res = gonality.k_gonality(
@@ -270,6 +278,7 @@ def cmd_gonality(args) -> int:
 
 
 def _scramble_from_args(args) -> tuple:
+    from . import scrambles
     if args.file:
         s = scrambles.scramble_from_json(_load_json(args.file))
         return s, None
@@ -295,6 +304,7 @@ def _scramble_from_args(args) -> tuple:
 
 
 def cmd_scramble_order(args) -> int:
+    from . import scrambles
     s, family = _scramble_from_args(args)
     t0 = time.monotonic()
     rep = scrambles.scramble_order(s, cut_mode=args.cut_mode)
@@ -304,6 +314,7 @@ def cmd_scramble_order(args) -> int:
 
 
 def cmd_scramble_avoidance(args) -> int:
+    from . import scrambles
     if args.construction == "staircase":
         if args.dims is None:
             raise ValueError("--construction staircase needs --dims N,M")
@@ -333,6 +344,7 @@ def cmd_scramble_avoidance(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import suite
     report = suite.run_suite(args.suite, seed=args.seed)
     _write_output(args, canonical_json(report))
     return 1 if report["counts"]["fail"] else 0
@@ -423,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_avd.set_defaults(func=cmd_scramble_avoidance)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("--suite", choices=suite.SUITE_NAMES, default="smoke")
+    p_ver.add_argument("--suite", choices=SUITE_NAMES, default="smoke")
     p_ver.add_argument("--seed", type=int, default=0,
                        help="seed for the randomized property claims")
     _add_threads(p_ver)

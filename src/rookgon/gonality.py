@@ -12,25 +12,23 @@ smallest degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import graphs
 from .divisors import _refuted_at_poorest, rank_at_least
 from .symmetry import iter_orbit_min_vectors, orbit_count
 
 
-@dataclass
-class GonalityResult:
+class GonalityResult(NamedTuple):
     k: int
     value: Optional[int]           # None when the degree cap was exhausted
     witness: Optional[list]
     exhaustive: bool               # every degree below value was refuted by scan
     degree_cap: int
     lower_bound: Optional[int]
-    refuted_degrees: tuple = ()
-    orbit_counts: dict = field(default_factory=dict)  # degree -> representatives scanned
-    symmetry: bool = False
+    refuted_degrees: tuple
+    orbit_counts: dict             # degree -> representatives scanned
+    symmetry: bool
 
 
 def _check_k(k) -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -41,7 +40,7 @@ class Scramble:
     the family itself (only the knapsack of two-factor families runs
     without the list), ``egg_cut_floor`` takes the smallest egg size
     from the hints, and ``egg_count`` counts the connected subsets
-    without storing them.  A scramble built directly or loaded from JSON
+    without listing them.  A scramble built directly or loaded from JSON
     never carries hints, so an unchecked hint cannot steer the grid
     knapsack to a wrong hitting number.
     """
@@ -123,15 +122,20 @@ class Scramble:
 
     @property
     def egg_count(self) -> int:
-        """The number of eggs; a family not yet listed counts its
-        connected subsets as the enumerator yields them, plus the
-        C(n,2)*C(m,2) squares unless k = 4, where every square is
-        already a connected 4-subset."""
+        """The number of eggs.  A family not yet listed counts its
+        connected k-subsets in closed form on a two-factor host
+        (``_rook_connected_count``) and as the enumerator yields them on
+        any other, plus the C(n,2)*C(m,2) squares unless k = 4, where
+        every square is already a connected 4-subset."""
         if self._masks is not None:
             return len(self._masks)
-        count = sum(1 for _ in connected_masks(self.host, self._uniform_size))
-        if self._with_squares and self._uniform_size != 4:
-            n, m = self.host.dims
+        host, k = self.host, self._uniform_size
+        if host.dims is not None and len(host.dims) == 2:
+            count = _rook_connected_count(*host.dims, k)
+        else:
+            count = sum(1 for _ in connected_masks(host, k))
+        if self._with_squares and k != 4:
+            n, m = host.dims
             count += math.comb(n, 2) * math.comb(m, 2)
         return count
 
@@ -142,6 +146,45 @@ class Scramble:
     @property
     def with_squares(self) -> bool:
         return self._with_squares
+
+
+def _rook_connected_count(n: int, m: int, k: int) -> int:
+    """The number of connected k-subsets of the n x m rook graph.
+
+    Read cell (r, c) as the edge r-c of the complete bipartite graph on
+    the rows and columns: a cell set is connected exactly when its edges
+    form a connected graph on the rows and columns they touch.  So the
+    count sums, over the a rows and b columns a set spans, C(n, a) *
+    C(m, b) connected spanning graphs with k edges on those sides.
+    """
+    return sum(math.comb(n, a) * math.comb(m, b) * _connected_bipartite(a, b, k)
+               for a in range(1, min(n, k) + 1)
+               for b in range(1, min(m, k + 1 - a) + 1))
+
+
+@lru_cache(maxsize=None)
+def _connected_bipartite(a: int, b: int, e: int) -> int:
+    """The number of connected graphs with e edges on labelled sides of a
+    and b vertices, every vertex included (a >= 1).
+
+    Inclusion-exclusion on the component of the first vertex of side a:
+    of the C(ab, e) graphs, those whose component spans a' < a or b' < b
+    vertices are C(a-1, a'-1) * C(b, b') choices of that component's
+    vertices, times its connected graphs with e' edges, times any e - e'
+    edges among the (a-a')(b-b') pairs outside it.  A component with no
+    side-b vertex is the first vertex alone, with no edge.
+    """
+    if b == 0:
+        return int(a == 1 and e == 0)
+    count = math.comb(a * b, e)
+    for a1 in range(1, a + 1):
+        for b1 in range(b + 1 if a1 < a else b):
+            rest = (a - a1) * (b - b1)
+            ways = math.comb(a - 1, a1 - 1) * math.comb(b, b1)
+            for e1 in range(max(0, a1 + b1 - 1), min(e, a1 * b1) + 1):
+                count -= (ways * _connected_bipartite(a1, b1, e1)
+                          * math.comb(rest, e - e1))
+    return count
 
 
 def _decode(masks: tuple) -> tuple:
@@ -422,8 +465,10 @@ def min_egg_cut(s: Scramble) -> EggCutResult:
     ValueError: a family scramble can have about 1e9 disjoint pairs (the
     6x6 star-squares scramble, whose cut 30 sits above its floor 28).
     Without a floor the scan covers the pairs of the egg list as given.
+    The floor is computed at the first disjoint pair, so a scramble
+    without one pays for no floor.
     """
-    floor = egg_cut_floor(s)
+    floor = None
     host = s.host
     best = EggCutResult(None, None, None)
     flows = 0
@@ -431,7 +476,9 @@ def min_egg_cut(s: Scramble) -> EggCutResult:
     for (a, amask), (b, bmask) in pairs:
         if amask & bmask:
             continue
-        if floor is not None and flows == _FLOW_BUDGET:
+        if not flows:
+            floor = egg_cut_floor(s)
+        elif floor is not None and flows == _FLOW_BUDGET:
             raise ValueError(
                 f"exact egg cut refused: {flows} pair flows left the best "
                 f"cut at {best.value}, above the certified floor {floor}; "
@@ -455,8 +502,7 @@ def min_egg_cut(s: Scramble) -> EggCutResult:
 # order
 # ======================================================================
 
-@dataclass
-class OrderReport:
+class OrderReport(NamedTuple):
     hitting_number: int
     hitting_set: tuple
     max_avoidance: tuple
@@ -626,8 +672,7 @@ def _cube_diagonal(n: int) -> tuple:
 # cut bound sweep
 # ======================================================================
 
-@dataclass
-class CutBoundReport:
+class CutBoundReport(NamedTuple):
     ok: bool
     bound: int
     checked: int

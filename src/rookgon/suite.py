@@ -17,16 +17,12 @@ from __future__ import annotations
 import random
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from . import divisors, gonality, graphs, scrambles
-
-SUITE_NAMES = ("smoke", "standard", "full")
+from . import SUITE_NAMES, divisors, gonality, graphs, scrambles
 
 
-@dataclass
-class Claim:
+class Claim(NamedTuple):
     id: str
     statement: str
     params: dict

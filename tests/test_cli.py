@@ -383,6 +383,35 @@ def test_timings_flag_adds_time_key():
     assert "time" in data and data["time"] >= 0.0
 
 
+def _modules_loaded(*args):
+    """The rookgon modules and dataclasses that one CLI launch loads."""
+    code = ("import sys\n"
+            "from rookgon.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(*(m for m in sys.modules\n"
+            "        if m.split('.')[0] in ('rookgon', 'dataclasses')), file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, check=True)
+    return set(proc.stderr.decode().split())
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (("graph", "gen", "--rook", "2,2"), set()),
+    (("scramble", "order", "--family", "star", "--dims", "4,4"),
+     {"rookgon.scrambles"}),
+    (("gonality", "--rook", "2,3"),
+     {"rookgon.divisors", "rookgon.symmetry", "rookgon.gonality"}),
+])
+def test_a_launch_loads_only_its_subcommands_modules(argv, extra):
+    # neither rookgon.suite nor dataclasses (which imports inspect) loads
+    assert _modules_loaded(*argv) == {"rookgon", "rookgon.cli", "rookgon.graphs"} | extra
+
+
+def test_verify_help_lists_the_suites():
+    assert b"{smoke,standard,full}" in run_cli("verify", "--help").stdout
+
+
 def test_pyproject_version_matches_package():
     # the installed package and the import report one version, so both
     # must be bumped together

@@ -1,14 +1,13 @@
-"""Every module under src/ and tests/ uses each name it imports.
-
-``rookgon/__init__.py`` imports names to re-export them, so its imports
-count as used.
-"""
+"""Every module under src/ and tests/ uses each name it imports, and
+every public name of the package resolves to its home module's object."""
 
 import ast
+import sys
 from pathlib import Path
 
+import rookgon
+
 ROOT = Path(__file__).resolve().parent.parent
-REEXPORTS = ROOT / "src" / "rookgon" / "__init__.py"
 
 
 def unused_imports(path):
@@ -31,8 +30,6 @@ def test_no_unused_imports():
     found = []
     for top in ("src", "tests"):
         for path in sorted((ROOT / top).rglob("*.py")):
-            if path == REEXPORTS:
-                continue
             for line, name in unused_imports(path):
                 found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
@@ -44,3 +41,12 @@ def test_unused_import_is_reported(tmp_path):
                    "import os.path\nfrom math import pi, tau\n"
                    "print(os.sep, tau)\n")
     assert unused_imports(src) == [(4, "pi")]
+
+
+def test_public_names_resolve_to_their_home_modules():
+    for name in rookgon.__all__:
+        obj = getattr(rookgon, name)
+        home = obj.__module__
+        assert home.startswith("rookgon.") and getattr(sys.modules[home], name) is obj
+    assert set(rookgon.__all__) <= set(dir(rookgon))
+    assert not hasattr(rookgon, "no_such_name")

@@ -1,6 +1,5 @@
 """Scramble tests: hitting numbers, egg cuts, orders, constructions."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -205,8 +204,8 @@ def test_family_scrambles_match_vertex_list_construction():
         for mode in ("exact", "auto"):
             got, want = scramble_order(t, mode), scramble_order(s, mode)
             check_order_report(t, got)
-            assert (dataclasses.replace(got, hitting_set=None, max_avoidance=None)
-                    == dataclasses.replace(want, hitting_set=None, max_avoidance=None))
+            assert (got._replace(hitting_set=None, max_avoidance=None)
+                    == want._replace(hitting_set=None, max_avoidance=None))
 
 
 def _listed_family(monkeypatch, g, masks):
@@ -268,6 +267,32 @@ def test_family_counts_and_floors_match_the_listing():
         assert count == len(s.masks)
         smallest = min(mask.bit_count() for mask in s.masks)
         assert floor == min_side_cut_floor(s.host.dims, smallest)
+
+
+def test_two_factor_egg_count_matches_the_enumerator():
+    # the closed form answers every k without listing the eggs
+    for n, m in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5),
+                 (4, 4), (5, 2)):
+        g = rook_graph([n, m])
+        for k in range(1, n * m + 1):
+            s = uniform_scramble(g, k)
+            assert s.egg_count == sum(1 for _ in graphs.connected_masks(g, k))
+            assert s._masks is None
+
+
+def test_egg_count_enumerates_off_two_factor_hosts():
+    # a three-factor host and a host without dims count by enumeration;
+    # the dims-less 3x3 rook graph counts what the closed form counts
+    rook = rook_graph([3, 3])
+    dimless = graphs.graph_from_json(
+        {key: val for key, val in graphs.graph_to_json(rook).items() if key != "dims"})
+    assert dimless.dims is None
+    for k in range(1, 10):
+        s = uniform_scramble(dimless, k)
+        assert s.egg_count == len(s.masks) == uniform_scramble(rook, k).egg_count
+    for k in range(1, 13):
+        s = uniform_scramble(rook_graph([2, 2, 3]), k)
+        assert s.egg_count == len(s.masks)
 
 
 def test_family_certificate_catches_a_square(monkeypatch):
@@ -598,6 +623,28 @@ def test_min_egg_cut_no_disjoint_pair():
     rep = scramble_order(s)
     assert rep.order == rep.hitting_number == 1
     assert rep.hitting_set == (0,)
+
+
+def test_min_egg_cut_computes_the_floor_at_the_first_disjoint_pair(monkeypatch):
+    import rookgon.scrambles as scr
+    calls = []
+
+    def counted(s, _real=scr.egg_cut_floor):
+        calls.append(s)
+        return _real(s)
+
+    monkeypatch.setattr(scr, "egg_cut_floor", counted)
+    # no disjoint pair, so no floor: the 32x32 floor alone costs ~0.5 s
+    for s in (Scramble(rook_graph([32, 32]), [[0]]),
+              Scramble(rook_graph([2, 3]), [[0, 1], [0, 2], [0, 3]])):
+        assert min_egg_cut(s) == (None, None, None)
+    assert calls == []
+    s = star_scramble(4, 4)
+    assert min_egg_cut(s).value == 12
+    assert calls == [s]
+    s = uniform_scramble(rook_graph([2, 2, 3]), 2)
+    assert min_egg_cut(s) == (6, ((0, 1), (2, 5)), (0, 1))
+    assert calls[1:] == [s]
 
 
 def test_min_egg_cut_respects_floor_shortcut():

@@ -1,6 +1,5 @@
 """Verification suite registry and runner tests."""
 
-import dataclasses
 import importlib.util
 import io
 import json
@@ -61,7 +60,7 @@ def test_run_suite_report_is_deterministic_and_json_safe():
 def test_run_suite_has_no_budget():
     with pytest.raises(TypeError):
         run_suite("smoke", budget_secs=1.0, log=io.StringIO())
-    assert "cost" not in {f.name for f in dataclasses.fields(suite.Claim)}
+    assert "cost" not in suite.Claim._fields
 
 
 @pytest.mark.parametrize("name", ["smoke", "standard"])
@@ -88,7 +87,7 @@ def test_second_run_recomputes_every_claim(monkeypatch):
     real = suite.gonality.k_gonality
 
     def wrong(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), value=99)
+        return real(*args, **kwargs)._replace(value=99)
 
     monkeypatch.setattr(suite.gonality, "k_gonality", wrong)
     rows = {r["id"]: r for r in run_suite("smoke", log=io.StringIO())["claims"]}
