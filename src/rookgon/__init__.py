@@ -7,7 +7,7 @@ so a command imports only the modules it runs.
 
 import importlib
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 # the verify suites, here so that the command line can offer them
 # without importing the suite module
@@ -34,9 +34,8 @@ _HOMES = {
         "poorest_slice_chips", "rook_certificate_divisor",
     ),
     "scrambles": (
-        "CutBoundReport", "EggCutResult", "OrderReport", "Scramble",
-        "cube_diagonal_avoidance", "egg_cut_floor", "exhaustive_cut_bound_check",
-        "hitting_number", "induced_components", "min_egg_cut",
+        "EggCutResult", "OrderReport", "Scramble", "cube_diagonal_avoidance",
+        "egg_cut_floor", "hitting_number", "induced_components", "min_egg_cut",
         "min_side_cut_floor", "scramble_from_json", "scramble_order",
         "scramble_to_json", "square_augmented_scramble", "staircase_avoidance",
         "star_scramble", "uniform_scramble",

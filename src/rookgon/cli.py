@@ -322,15 +322,17 @@ def cmd_scramble_avoidance(args) -> int:
         if len(dims) != 2:
             raise ValueError("--construction staircase needs exactly two dims")
         n, m = dims
-        verts, comps = scrambles._staircase(n, m)
+        verts = scrambles.staircase_avoidance(n, m)
         params = {"dims": [n, m]}
     elif args.construction == "cube-diagonal":
         if args.n is None:
             raise ValueError("--construction cube-diagonal needs --n N")
-        verts, comps = scrambles._cube_diagonal(args.n)
+        verts = scrambles.cube_diagonal_avoidance(args.n)
+        dims = (args.n,) * 3
         params = {"n": args.n}
     else:
         raise ValueError(f"unknown construction {args.construction!r}")
+    comps = scrambles.induced_components(graphs.rook_graph(dims), verts)
     _write_output(args, canonical_json({
         "kind": "avoidance",
         "construction": args.construction,

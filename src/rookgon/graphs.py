@@ -183,15 +183,23 @@ def _dims_nbr_masks(dims: Sequence[int]) -> tuple:
     return tuple(masks)
 
 
-def _dims_graph(dims: tuple) -> MultiGraph:
-    """The product of complete graphs of the given positive sizes, refused
-    above ``MAX_JSON_VERTICES`` vertices before anything is allocated."""
+def _limited_nbr_masks(dims: tuple) -> tuple:
+    """``_dims_nbr_masks(dims)``, refused above ``MAX_JSON_VERTICES``
+    vertices before anything is allocated."""
     n = math.prod(dims)
     if n > MAX_JSON_VERTICES:
         raise ValueError(f"dims {list(dims)} give {n} vertices, above the limit "
                          f"of {MAX_JSON_VERTICES} vertices")
+    return _dims_nbr_masks(dims)
+
+
+def _dims_graph(dims: tuple) -> MultiGraph:
+    """The product of complete graphs of the given positive sizes, refused
+    above ``MAX_JSON_VERTICES`` vertices before anything is allocated."""
+    masks = _limited_nbr_masks(dims)
+    n = len(masks)
     rows = []
-    for mask in _dims_nbr_masks(dims):
+    for mask in masks:
         row = [0] * n
         for v in mask_vertices(mask):
             row[v] = 1

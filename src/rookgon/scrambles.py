@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import graphs
-from .graphs import MultiGraph, connected_masks, cut_weight, rook_graph
+from .graphs import MultiGraph, connected_masks, rook_graph
 
 
 class Scramble:
@@ -520,11 +520,17 @@ def scramble_order(s: Scramble, cut_mode: str = "exact") -> OrderReport:
     certified cut floor alone (valid only when it is at least the hitting
     number, which already pins the order); "auto" picks "floor" when that
     condition holds.  No disjoint egg pair means the cut is +infinity and
-    the order equals the hitting number.
+    the order equals the hitting number; a listed scramble without one
+    takes the exact scan in every mode, which pays for no floor.  (A
+    family on a rook host, which has a Hamiltonian path, has a disjoint
+    pair exactly when it has a floor.)
     """
     if cut_mode not in ("exact", "floor", "auto"):
         raise ValueError("cut_mode must be exact, floor, or auto")
     hn, hit, avoid = hitting_number(s)
+    if cut_mode != "exact" and s._uniform_size is None and not any(
+            a & b == 0 for a, b in itertools.combinations(s.masks, 2)):
+        cut_mode = "exact"
     if cut_mode != "exact":
         floor = egg_cut_floor(s)
         if cut_mode == "auto":
@@ -598,19 +604,15 @@ def staircase_avoidance(n: int, m: int) -> tuple:
     disjoint column blocks; the leftover columns take a short run in the
     next row, joined by one cell below its first column.  When r = 0 the
     last full run gives up its final cell, and the freed column takes a
-    vertical pair in the two rows below the runs.
+    vertical pair in the two rows below the runs.  The set is checked
+    against the host's neighbour masks before it is returned.
     """
-    return _staircase(n, m)[0]
-
-
-def _staircase(n: int, m: int) -> tuple:
-    """The staircase construction's vertices and their components on the
-    rook graph that checks it, which is built once."""
     n, m = graphs._positive_dims((n, m))
     if n < 4:
         raise ValueError("staircase avoidance needs n >= 4")
     if not (n - 1 <= m < (n - 2) * (n - 1)):
         raise ValueError("staircase avoidance needs n-1 <= m < (n-2)(n-1)")
+    nbr = graphs._limited_nbr_masks((n, m))
     k, r = divmod(m, n - 2)
     cells = []
     if r >= 1:
@@ -630,29 +632,23 @@ def _staircase(n: int, m: int) -> tuple:
         cells.append((k, m - 1))
         cells.append((k + 1, m - 1))
     verts = tuple(sorted(i * m + j for i, j in cells))
-    host = rook_graph([n, m])
     if len(verts) != m + 1:
         raise RuntimeError("staircase construction produced the wrong size")
-    comps = induced_components(host, verts)
-    if any(len(c) >= n - 1 for c in comps):
+    if any(comp.bit_count() >= n - 1
+           for comp in graphs._component_masks(nbr, sum(1 << v for v in verts))):
         raise RuntimeError("staircase construction is not egg-free")
-    return verts, comps
+    return verts
 
 
 def cube_diagonal_avoidance(n: int) -> tuple:
     """A (n+2)(n-1)-vertex set on the n x n x n rook graph splitting into
     n+2 components of n-1 vertices each: two axis runs off a corner plus
-    a diagonal wall of runs."""
-    return _cube_diagonal(n)[0]
-
-
-def _cube_diagonal(n: int) -> tuple:
-    """The cube diagonal construction's vertices and their components,
-    as ``_staircase`` gives them."""
+    a diagonal wall of runs.  The split is checked against the host's
+    neighbour masks before the set is returned."""
     (n,) = graphs._positive_dims((n,))
     if n < 3:
         raise ValueError("cube diagonal avoidance needs n >= 3")
-    host = rook_graph([n, n, n])
+    nbr = graphs._limited_nbr_masks((n, n, n))
     cells = set()
     for c in range(1, n):
         cells.add((0, 0, c))
@@ -660,76 +656,12 @@ def _cube_diagonal(n: int) -> tuple:
     for a in range(1, n):
         for c in range(n):
             cells.add((a, c, c))
-    verts = tuple(sorted(host.label_to_index(t) for t in cells))
-    comps = induced_components(host, verts)
-    if len(verts) != (n + 2) * (n - 1) or len(comps) != n + 2 \
-            or any(len(c) != n - 1 for c in comps):
+    verts = tuple(sorted((a * n + b) * n + c for a, b, c in cells))
+    sizes = [comp.bit_count() for comp in
+             graphs._component_masks(nbr, sum(1 << v for v in verts))]
+    if len(verts) != (n + 2) * (n - 1) or sizes != [n - 1] * (n + 2):
         raise RuntimeError("cube diagonal construction came out malformed")
-    return verts, comps
-
-
-# ======================================================================
-# cut bound sweep
-# ======================================================================
-
-class CutBoundReport(NamedTuple):
-    ok: bool
-    bound: int
-    checked: int
-    violation: Optional[dict]
-    tight_side: tuple
-    tight_weight: int
-
-
-def exhaustive_cut_bound_check(n: int, m: int) -> CutBoundReport:
-    """Sweep every cut of the n x m rook graph with both sides of at
-    least n-1 vertices and confirm the weight is at least (n-1)m, with
-    tightness witnessed by a full row.  Gray-code order keeps the sweep
-    incremental."""
-    n, m = graphs._positive_dims((n, m))
-    if not 2 <= n <= m:
-        raise ValueError("needs 2 <= n <= m")
-    total = n * m
-    if total > 20:
-        raise ValueError(
-            "board too large for the exhaustive cut sweep (limit nm <= 20); "
-            "check smaller boards or sample cuts instead"
-        )
-    g = rook_graph([n, m])
-    nbr = g.nbr_masks  # rook hosts are simple
-    deg = g.degrees
-    bound = (n - 1) * m
-    side = 0
-    cut = 0
-    size = 0
-    checked = 0
-    violation = None
-    for i in range(1, 1 << total):
-        v = (i & -i).bit_length() - 1
-        e_in = (nbr[v] & side).bit_count()
-        side ^= 1 << v
-        if side >> v & 1:
-            size += 1
-            cut += deg[v] - 2 * e_in
-        else:
-            size -= 1
-            cut += 2 * e_in - deg[v]
-        if size >= n - 1 and total - size >= n - 1:
-            checked += 1
-            if cut < bound and violation is None:
-                violation = {"side": graphs.mask_vertices(side), "weight": cut}
-    row = tuple(range(m))
-    tight = cut_weight(g, row)
-    if violation is None and tight != bound:
-        raise RuntimeError("full-row cut missed the bound it should attain")
-    return CutBoundReport(
-        ok=violation is None,
-        bound=bound,
-        checked=checked,
-        violation=violation,
-        tight_side=row,
-        tight_weight=tight,
-    )
+    return verts
 
 
 # ======================================================================

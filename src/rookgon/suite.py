@@ -171,14 +171,18 @@ def _claim_uniform_order(dims, k, expect):
 
 
 def _claim_cut_bound(n, m):
+    """The certified cut floor, exact on two factors, against the bound,
+    and one full row's cut for tightness."""
+    bound = (n - 1) * m
     def fn(ctx):
-        rep = scrambles.exhaustive_cut_bound_check(n, m)
-        return ({"ok": True, "tight": (n - 1) * m},
-                {"ok": rep.ok, "tight": rep.tight_weight})
+        floor = scrambles.min_side_cut_floor((n, m), n - 1)
+        return ({"ok": True, "tight": bound},
+                {"ok": floor >= bound,
+                 "tight": graphs.cut_weight(_host(ctx, (n, m)), range(m))})
     return Claim(
         id=f"cut-bound-{n}x{m}",
         statement=f"every balanced cut of the {n}x{m} rook graph has weight "
-                  f"at least {(n-1)*m}, tight at a full row",
+                  f"at least {bound}, tight at a full row",
         params={"dims": [n, m]},
         fn=fn,
     )
@@ -375,16 +379,14 @@ def _claim_staircase(n, m):
 
 
 def _claim_cube_diagonal(n):
+    """The complement meets every connected n-subset exactly when no
+    induced component of the set has n vertices (``_avoids_family``)."""
     def fn(ctx):
         host = _host(ctx, (n, n, n))
         verts = scrambles.cube_diagonal_avoidance(n)
         comps = scrambles.induced_components(host, verts)
-        inside = set(verts)
-        hits_all = True
-        for egg in graphs.connected_subsets(host, n):
-            if all(v in inside for v in egg):
-                hits_all = False
-                break
+        hits_all = scrambles._avoids_family(scrambles.uniform_scramble(host, n),
+                                            graphs._vertex_mask(host, verts))
         return ({"size": (n + 2) * (n - 1), "components": n + 2,
                  "component_size": n - 1, "complement_hits_all": True},
                 {"size": len(verts), "components": len(comps),

@@ -2,18 +2,22 @@
 
 Everything here is written from the definitions, in the slowest, most
 obvious way, and touches only the public graph fields (n, mult, adj,
-and dims for the Cartesian product).  Keep instances tiny.  The one
-shortcut is ``min_egg_cut_by_tables``: it tries every bipartition like
-``min_egg_cut``, but keeps its per-set tables as byte strings, so
-20-vertex hosts take under a second; a test holds the two equal.
+and dims for the Cartesian product).  Keep instances tiny.  The two
+shortcuts are ``min_egg_cut_by_tables``, which tries every bipartition
+like ``min_egg_cut`` but keeps its per-set tables as byte strings, so
+20-vertex hosts take under a second (a test holds the two equal), and
+``exhaustive_cut_bound_check``, which sweeps every cut of a rook board
+in Gray-code order on its neighbour masks: the reference for the
+certified cut floor that the ``cut-bound-*`` suite claims read.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd
 from operator import mul
+from typing import NamedTuple, Optional
 
-from rookgon import MultiGraph
+from rookgon import MultiGraph, graphs, rook_graph
 
 
 def connected(g, verts):
@@ -473,3 +477,63 @@ def max_induced_edges_profile_scan(dims, size):
                 best = base + score
                 break
     return best
+
+
+class CutBoundReport(NamedTuple):
+    ok: bool
+    bound: int
+    checked: int
+    violation: Optional[dict]
+    tight_side: tuple
+    tight_weight: int
+
+
+def exhaustive_cut_bound_check(n: int, m: int) -> CutBoundReport:
+    """Sweep every cut of the n x m rook graph with both sides of at
+    least n-1 vertices and confirm the weight is at least (n-1)m, with
+    tightness witnessed by a full row.  Gray-code order keeps the sweep
+    incremental."""
+    n, m = graphs._positive_dims((n, m))
+    if not 2 <= n <= m:
+        raise ValueError("needs 2 <= n <= m")
+    total = n * m
+    if total > 20:
+        raise ValueError(
+            "board too large for the exhaustive cut sweep (limit nm <= 20); "
+            "check smaller boards or sample cuts instead"
+        )
+    g = rook_graph([n, m])
+    nbr = g.nbr_masks  # rook hosts are simple
+    deg = g.degrees
+    bound = (n - 1) * m
+    side = 0
+    cut = 0
+    size = 0
+    checked = 0
+    violation = None
+    for i in range(1, 1 << total):
+        v = (i & -i).bit_length() - 1
+        e_in = (nbr[v] & side).bit_count()
+        side ^= 1 << v
+        if side >> v & 1:
+            size += 1
+            cut += deg[v] - 2 * e_in
+        else:
+            size -= 1
+            cut += 2 * e_in - deg[v]
+        if size >= n - 1 and total - size >= n - 1:
+            checked += 1
+            if cut < bound and violation is None:
+                violation = {"side": graphs.mask_vertices(side), "weight": cut}
+    row = tuple(range(m))
+    tight = cut_weight(g, row)
+    if violation is None and tight != bound:
+        raise RuntimeError("full-row cut missed the bound it should attain")
+    return CutBoundReport(
+        ok=violation is None,
+        bound=bound,
+        checked=checked,
+        violation=violation,
+        tight_side=row,
+        tight_weight=tight,
+    )

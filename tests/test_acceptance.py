@@ -18,7 +18,6 @@ from rookgon import (
     cube_diagonal_avoidance,
     degree,
     dhar_burn,
-    exhaustive_cut_bound_check,
     fire_set,
     hitting_number,
     k_gonality,
@@ -204,7 +203,7 @@ def test_criterion_08_cut_bound():
         for m in range(n, 9):
             if n * m > 16:
                 continue
-            rep = exhaustive_cut_bound_check(n, m)
+            rep = oracles.exhaustive_cut_bound_check(n, m)
             assert rep.ok, (n, m, rep.violation)
             assert rep.bound == (n - 1) * m
             assert rep.tight_weight == rep.bound

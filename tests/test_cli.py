@@ -241,6 +241,27 @@ def test_scramble_order_from_file(tmp_path):
         assert data["order"] == min(hitting, cut or hitting)
 
 
+def test_scramble_order_without_a_disjoint_pair_is_exact_in_every_mode(
+        tmp_path, monkeypatch, capsys):
+    # one egg: the cut is +infinity in every mode, and no floor is computed
+    from rookgon import cli, scrambles
+
+    def no_floor(s):
+        raise AssertionError("the cut floor was computed")
+
+    monkeypatch.setattr(scrambles, "egg_cut_floor", no_floor)
+    sfile = tmp_path / "one.json"
+    sfile.write_text(json.dumps({"host": [32, 32], "eggs": [[0]]}))
+    outs = []
+    for mode in ("exact", "auto", "floor"):
+        assert cli.main(["scramble", "order", "--file", str(sfile),
+                         "--cut-mode", mode]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[1:] == outs[:1] * 2
+    data = json.loads(outs[0])
+    assert (data["min_egg_cut"], data["cut_exact"], data["order"]) == (None, True, 1)
+
+
 def test_scramble_order_floor_on_three_factor_host():
     data = out_json(run_cli("scramble", "order", "--family", "uniform",
                             "--dims", "2,2,2", "--k", "2", "--cut-mode", "floor"))
@@ -325,7 +346,8 @@ def test_scramble_avoidance_cube_diagonal():
     ("--construction", "staircase", "--dims", "5,7"),
 ])
 def test_scramble_avoidance_builds_its_host_once(argv, monkeypatch, capsys):
-    # the construction's own check builds the host; the report reuses it
+    # the construction checks itself on neighbour masks, so the report's
+    # components come from the one host built
     from rookgon import cli, graphs, scrambles
 
     built = []

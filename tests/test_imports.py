@@ -50,3 +50,13 @@ def test_public_names_resolve_to_their_home_modules():
         assert home.startswith("rookgon.") and getattr(sys.modules[home], name) is obj
     assert set(rookgon.__all__) <= set(dir(rookgon))
     assert not hasattr(rookgon, "no_such_name")
+
+
+def test_cut_bound_sweep_is_not_public():
+    # the cut-bound sweep is the cut floor's oracle in tests/oracles.py;
+    # the suite's cut-bound claims read the floor itself
+    from rookgon import scrambles
+    for name in ("exhaustive_cut_bound_check", "CutBoundReport"):
+        assert name not in rookgon.__all__
+        assert not hasattr(rookgon, name)
+        assert not hasattr(scrambles, name)

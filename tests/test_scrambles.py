@@ -17,7 +17,6 @@ from rookgon import (
     cube_diagonal_avoidance,
     cut_weight,
     egg_cut_floor,
-    exhaustive_cut_bound_check,
     hitting_number,
     induced_components,
     min_egg_cut,
@@ -884,6 +883,11 @@ def test_staircase_avoidance_bounds():
             staircase_avoidance(n, m)  # sizes must be integers
     # the narrowest legal board
     assert len(staircase_avoidance(4, 3)) == 4
+    # a legal board above the vertex limit is refused before any cell is
+    # placed (10**9 columns would take 10**9 cells)
+    for n, m in ((50, 100), (10 ** 5, 10 ** 9)):
+        with pytest.raises(ValueError, match="above the limit"):
+            staircase_avoidance(n, m)
 
 
 def test_cube_diagonal_avoidance_3():
@@ -903,6 +907,9 @@ def test_cube_diagonal_avoidance_4():
     for n in (2, "3", 3.0, True):
         with pytest.raises(ValueError):
             cube_diagonal_avoidance(n)
+    assert len(cube_diagonal_avoidance(12)) == 14 * 11   # 1,728 vertices
+    with pytest.raises(ValueError, match="above the limit"):
+        cube_diagonal_avoidance(13)                       # 2,197 vertices
 
 
 def test_induced_components():
@@ -936,7 +943,7 @@ def test_induced_components_match_brute_force_partition():
 # ======================================================================
 
 def test_cut_bound_check_2x2():
-    rep = exhaustive_cut_bound_check(2, 2)
+    rep = oracles.exhaustive_cut_bound_check(2, 2)
     assert rep.ok
     assert rep.bound == 2
     assert rep.checked == 14
@@ -948,7 +955,7 @@ def test_cut_bound_check_2x2():
 def test_cut_bound_check_counts_and_tightness():
     # checked = bipartitions where each side has at least n-1 vertices
     for n, m in [(2, 3), (3, 3), (2, 5), (3, 4)]:
-        rep = exhaustive_cut_bound_check(n, m)
+        rep = oracles.exhaustive_cut_bound_check(n, m)
         assert rep.ok and rep.violation is None
         assert rep.bound == (n - 1) * m
         g = rook_graph([n, m])
@@ -966,13 +973,13 @@ def test_cut_bound_check_counts_and_tightness():
 
 def test_cut_bound_check_validation():
     with pytest.raises(ValueError):
-        exhaustive_cut_bound_check(3, 2)
+        oracles.exhaustive_cut_bound_check(3, 2)
     with pytest.raises(ValueError):
-        exhaustive_cut_bound_check(3, 7)  # 21 cells: board too large
+        oracles.exhaustive_cut_bound_check(3, 7)  # 21 cells: board too large
     # non-integer sizes used to raise TypeError from the comparison
     for n, m in (("2", 3), (2, None), (2.0, 3), (True, 3), (2, "3")):
         with pytest.raises(ValueError):
-            exhaustive_cut_bound_check(n, m)
+            oracles.exhaustive_cut_bound_check(n, m)
 
 
 # ======================================================================

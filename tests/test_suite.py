@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import rookgon.suite as suite
 from rookgon import run_suite, suite_claims
 from rookgon.suite import SUITE_NAMES
@@ -133,3 +134,37 @@ def test_burn_maximal_claim_catches_a_wrong_burn(monkeypatch):
     monkeypatch.setattr(suite.divisors, "dhar_burn", wrong)
     ok, computed = claim.fn({"seed": 0})
     assert ok is True and "burn mismatch" in computed
+
+
+def test_cut_bound_claims_read_the_floor_the_sweep_confirms(monkeypatch):
+    # on every registered board the certified floor equals the bound the
+    # Gray-code sweep confirms, so reading the floor proves the claim
+    claims = [c for c in suite_claims("standard") if c.id.startswith("cut-bound-")]
+    assert len(claims) == 11
+    for c in claims:
+        n, m = c.params["dims"]
+        rep = oracles.exhaustive_cut_bound_check(n, m)
+        assert rep.ok and rep.bound == (n - 1) * m
+        assert suite.scrambles.min_side_cut_floor((n, m), n - 1) == rep.bound
+        assert c.fn({"seed": 0}) == ({"ok": True, "tight": rep.bound},) * 2
+    # a floor one below the bound fails the claim
+    real = suite.scrambles.min_side_cut_floor
+    monkeypatch.setattr(suite.scrambles, "min_side_cut_floor",
+                        lambda dims, min_side: real(dims, min_side) - 1)
+    row = next(r for r in run_suite("standard", log=io.StringIO())["claims"]
+               if r["id"] == "cut-bound-4x4")
+    assert row["status"] == "fail"
+    assert row["computed"] == {"ok": False, "tight": 12}
+
+
+def test_cube_diagonal_claim_catches_a_set_holding_an_egg(monkeypatch):
+    claim = next(c for c in suite_claims("standard") if c.id == "cube-diagonal-3")
+    expected, computed = claim.fn({"seed": 0})
+    assert computed == expected and computed["complement_hits_all"] is True
+    # vertices 0, 1 and 3 of 3x3x3 form a connected 3-subset (a path)
+    real = suite.scrambles.cube_diagonal_avoidance
+    monkeypatch.setattr(suite.scrambles, "cube_diagonal_avoidance",
+                        lambda n: tuple(sorted(set(real(n)) | {0})))
+    expected, computed = claim.fn({"seed": 0})
+    assert computed["complement_hits_all"] is False
+    assert computed != expected
