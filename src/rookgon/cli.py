@@ -418,10 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ord.add_argument("--dims", help="rook host dims, e.g. 4,4")
     p_ord.add_argument("--k", type=int, help="egg size for --family uniform")
     p_ord.add_argument("--file", help="scramble JSON file")
-    p_ord.add_argument("--cut-mode", choices=("exact", "floor", "auto"),
+    p_ord.add_argument("--cut-mode", choices=("exact", "auto"),
                        default="exact",
-                       help="exact pairwise flows, the certified floor, or "
-                            "floor when it already settles the order")
+                       help="exact pairwise flows, or the certified floor "
+                            "when it already settles the order")
     p_ord.add_argument("--timings", action="store_true",
                        help="add wall time to the report")
     p_ord.add_argument("--format", choices=("json", "csv"), default="json")

@@ -516,31 +516,23 @@ class OrderReport(NamedTuple):
 def scramble_order(s: Scramble, cut_mode: str = "exact") -> OrderReport:
     """Order = min(hitting number, minimum egg cut).
 
-    ``cut_mode`` "exact" runs the pairwise flow scan; "floor" uses the
-    certified cut floor alone (valid only when it is at least the hitting
-    number, which already pins the order); "auto" picks "floor" when that
-    condition holds.  No disjoint egg pair means the cut is +infinity and
-    the order equals the hitting number; a listed scramble without one
-    takes the exact scan in every mode, which pays for no floor.  (A
+    ``cut_mode`` "exact" runs the pairwise flow scan; "auto" reports the
+    certified cut floor instead (``cut_exact`` false) when the floor is at
+    least the hitting number, which already pins the order, and runs the
+    exact scan otherwise.  No disjoint egg pair means the cut is +infinity
+    and the order equals the hitting number; a listed scramble without one
+    takes the exact scan in both modes, which pays for no floor.  (A
     family on a rook host, which has a Hamiltonian path, has a disjoint
     pair exactly when it has a floor.)
     """
-    if cut_mode not in ("exact", "floor", "auto"):
-        raise ValueError("cut_mode must be exact, floor, or auto")
+    if cut_mode not in ("exact", "auto"):
+        raise ValueError("cut_mode must be exact or auto")
     hn, hit, avoid = hitting_number(s)
-    if cut_mode != "exact" and s._uniform_size is None and not any(
-            a & b == 0 for a, b in itertools.combinations(s.masks, 2)):
-        cut_mode = "exact"
-    if cut_mode != "exact":
+    if cut_mode == "auto" and (s._uniform_size is not None or any(
+            a & b == 0 for a, b in itertools.combinations(s.masks, 2))):
         floor = egg_cut_floor(s)
-        if cut_mode == "auto":
-            cut_mode = "floor" if (floor is not None and floor >= hn) else "exact"
-    if cut_mode == "floor":
-        if floor is None:
-            raise ValueError("no cut floor is available for this scramble; use exact mode")
-        if floor < hn:
-            raise ValueError("cut floor is below the hitting number; exact cut needed")
-        return OrderReport(hn, hit, avoid, floor, False, None, None, hn)
+        if floor is not None and floor >= hn:
+            return OrderReport(hn, hit, avoid, floor, False, None, None, hn)
     res = min_egg_cut(s)
     order = hn if res.value is None else min(hn, res.value)
     return OrderReport(hn, hit, avoid, res.value, True, res.pair,

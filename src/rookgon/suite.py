@@ -419,10 +419,11 @@ def _claim_squares_hitting():
 
 def _claim_squares_order():
     def fn(ctx):
-        rep = scrambles.scramble_order(
-            _memo(ctx, scrambles.square_augmented_scramble, (6, 6)), cut_mode="floor")
+        s = _memo(ctx, scrambles.square_augmented_scramble, (6, 6))
+        rep = scrambles.scramble_order(s, cut_mode="auto")
         return ({"order": 27, "cut_at_least": True},
-                {"order": rep.order, "cut_at_least": rep.min_egg_cut >= 27})
+                {"order": rep.order,
+                 "cut_at_least": scrambles.egg_cut_floor(s) >= 27})
     return Claim(
         id="squares-order-6x6",
         statement="the square-augmented scramble on the 6x6 rook graph has "

@@ -127,7 +127,8 @@ def test_criterion_04_scramble_orders():
     squares = square_augmented_scramble((6, 6))
     nsq, _, _ = hitting_number(squares)
     assert nsq == 27
-    floored = scramble_order(squares, cut_mode="floor")
+    floored = scramble_order(squares, cut_mode="auto")
+    assert not floored.cut_exact
     assert floored.min_egg_cut >= 27
     assert floored.order == 27
     ok(4, "order(3-subset scramble on 4x4) = 11 (hit 11, cut 12); "

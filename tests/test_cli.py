@@ -204,9 +204,9 @@ def test_scramble_order_uniform():
     assert data["witness_digest"] == "0061dfc057e4"
 
 
-def test_scramble_order_star_squares_floor():
+def test_scramble_order_star_squares_auto_takes_the_floor():
     data = out_json(run_cli("scramble", "order", "--family", "star-squares",
-                            "--dims", "6,6", "--cut-mode", "floor"))
+                            "--dims", "6,6", "--cut-mode", "auto"))
     assert data["hitting_number"] == 27
     assert data["min_egg_cut"] == 28
     assert data["cut_exact"] is False
@@ -253,34 +253,48 @@ def test_scramble_order_without_a_disjoint_pair_is_exact_in_every_mode(
     sfile = tmp_path / "one.json"
     sfile.write_text(json.dumps({"host": [32, 32], "eggs": [[0]]}))
     outs = []
-    for mode in ("exact", "auto", "floor"):
+    for mode in ("exact", "auto"):
         assert cli.main(["scramble", "order", "--file", str(sfile),
                          "--cut-mode", mode]) == 0
         outs.append(capsys.readouterr().out)
-    assert outs[1:] == outs[:1] * 2
+    assert outs[1] == outs[0]
     data = json.loads(outs[0])
     assert (data["min_egg_cut"], data["cut_exact"], data["order"]) == (None, True, 1)
 
 
-def test_scramble_order_floor_on_three_factor_host():
+def test_scramble_order_auto_takes_the_floor_on_three_factor_host():
     data = out_json(run_cli("scramble", "order", "--family", "uniform",
-                            "--dims", "2,2,2", "--k", "2", "--cut-mode", "floor"))
+                            "--dims", "2,2,2", "--k", "2", "--cut-mode", "auto"))
     assert data["cut_exact"] is False
     assert data["min_egg_cut"] == 4
     assert data["order"] == 4
 
 
-def test_scramble_order_floor_without_dims_exits_two(tmp_path):
-    sfile = tmp_path / "s.json"
-    host = {"vertex_count": 4, "dims": None,
-            "edges": [[0, 1, 1], [0, 3, 1], [1, 2, 1], [2, 3, 1]]}
-    sfile.write_text(json.dumps({"host": host, "eggs": [[0], [2]]}))
-    proc = run_cli("scramble", "order", "--file", str(sfile),
-                   "--cut-mode", "floor", check=False)
+def test_scramble_order_floor_cut_mode_is_rejected():
+    # the floor record is what auto prints when the floor settles the
+    # order, so there is no third cut mode
+    from rookgon.graphs import rook_graph
+    from rookgon.scrambles import scramble_order, uniform_scramble
+
+    with pytest.raises(ValueError, match="exact or auto"):
+        scramble_order(uniform_scramble(rook_graph([2, 2]), 3), "floor")
+    proc = run_cli("scramble", "order", "--family", "uniform", "--dims", "2,2",
+                   "--k", "3", "--cut-mode", "floor", check=False)
     assert proc.returncode == 2
-    assert b"no cut floor is available" in proc.stderr
+    assert b"invalid choice: 'floor'" in proc.stderr
     assert b"Traceback" not in proc.stderr
     assert proc.stdout == b""
+
+
+def test_scramble_order_uniform_2x2_k3_answers_in_both_modes():
+    # any two 3-subsets of the four vertices meet, so the cut is +infinity
+    # and the order is the hitting number in either mode
+    outs = [run_cli("scramble", "order", "--family", "uniform", "--dims", "2,2",
+                    "--k", "3", "--cut-mode", mode).stdout
+            for mode in ("exact", "auto")]
+    assert outs[1] == outs[0]
+    data = json.loads(outs[0])
+    assert (data["min_egg_cut"], data["cut_exact"], data["order"]) == (None, True, 2)
 
 
 def test_oversized_graph_files_exit_two_under_a_memory_limit(tmp_path):

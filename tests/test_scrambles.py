@@ -314,10 +314,9 @@ def test_auto_and_floor_orders_list_no_eggs(monkeypatch):
 
     monkeypatch.setattr(Scramble, "_set_eggs", listed)
     for s in (star_scramble(6, 6), square_augmented_scramble((6, 6))):
-        for mode in ("auto", "floor"):
-            rep = scramble_order(s, mode)
-            assert not rep.cut_exact
-            cli.order_record(s, rep)
+        rep = scramble_order(s, "auto")
+        assert not rep.cut_exact
+        cli.order_record(s, rep)
         assert s._masks is None
     monkeypatch.undo()
     # exact mode lists the eggs, once, through the check
@@ -800,9 +799,9 @@ def test_uniform_orders_3d():
     assert rep.min_egg_cut == 6
 
 
-def test_square_augmented_order_floor_mode():
+def test_square_augmented_order_auto_takes_the_floor():
     s = square_augmented_scramble((6, 6))
-    rep = scramble_order(s, cut_mode="floor")
+    rep = scramble_order(s, cut_mode="auto")
     assert rep.hitting_number == 27
     assert rep.min_egg_cut == 28
     assert not rep.cut_exact
@@ -818,6 +817,10 @@ def test_cut_mode_auto():
     # floor 8 < hitting 9: auto must fall back to the exact scan
     rep = scramble_order(star_scramble(3, 4), cut_mode="auto")
     assert rep.order == 8 and rep.cut_exact
+    # floor 12 < hitting 17 on 3x3x3: the exact scan meets the floor
+    rep = scramble_order(uniform_scramble(rook_graph([3, 3, 3]), 3),
+                         cut_mode="auto")
+    assert rep.min_egg_cut == 12 and rep.cut_exact and rep.order == 12
     # floor 4 >= hitting 4 on 2x2x2: auto takes the shortcut
     rep = scramble_order(uniform_scramble(rook_graph([2, 2, 2]), 2),
                          cut_mode="auto")
@@ -828,18 +831,10 @@ def test_cut_mode_auto():
     assert rep.cut_exact and rep.order == rep.min_egg_cut == 2
 
 
-def test_cut_mode_floor_rejected_when_below_hitting():
-    with pytest.raises(ValueError):
-        scramble_order(star_scramble(3, 4), cut_mode="floor")
-    # floor 12 < hitting 17 on 3x3x3
-    with pytest.raises(ValueError, match="below the hitting number"):
-        scramble_order(uniform_scramble(rook_graph([3, 3, 3]), 3),
-                       cut_mode="floor")
-    with pytest.raises(ValueError, match="no cut floor"):
-        scramble_order(Scramble(_dimless_square(), [[0], [2]]),
-                       cut_mode="floor")
-    with pytest.raises(ValueError):
-        scramble_order(star_scramble(4, 4), cut_mode="nope")
+def test_cut_mode_other_than_exact_or_auto_raises():
+    for mode in ("floor", "nope"):
+        with pytest.raises(ValueError, match="exact or auto"):
+            scramble_order(star_scramble(4, 4), cut_mode=mode)
 
 
 # ======================================================================

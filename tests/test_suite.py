@@ -157,6 +157,17 @@ def test_cut_bound_claims_read_the_floor_the_sweep_confirms(monkeypatch):
     assert row["computed"] == {"ok": False, "tight": 12}
 
 
+def test_squares_order_claim_needs_its_floor(monkeypatch):
+    # a floor below the hitting number sends auto to the exact scan; an
+    # exact cut of 30 still gives order 27, but the claim is about the floor
+    claim = next(c for c in suite_claims("standard") if c.id == "squares-order-6x6")
+    monkeypatch.setattr(suite.scrambles, "egg_cut_floor", lambda s: 26)
+    monkeypatch.setattr(suite.scrambles, "min_egg_cut",
+                        lambda s: suite.scrambles.EggCutResult(30, None, None))
+    expected, computed = claim.fn({"seed": 0})
+    assert computed == {"order": 27, "cut_at_least": False} != expected
+
+
 def test_cube_diagonal_claim_catches_a_set_holding_an_egg(monkeypatch):
     claim = next(c for c in suite_claims("standard") if c.id == "cube-diagonal-3")
     expected, computed = claim.fn({"seed": 0})
