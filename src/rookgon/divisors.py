@@ -141,7 +141,8 @@ def _others(n: int) -> tuple:
     return tuple(tuple(u for u in range(n) if u != v) for v in range(n))
 
 
-def _burn(g: MultiGraph, chips: Sequence[int], v: int) -> tuple:
+def _burn(g: MultiGraph, chips: Sequence[int], v: int,
+          start: Optional[tuple] = None) -> tuple:
     """The burn from v on chips, effective away from v: returns the burnt
     set as a bitmask and the unburnt vertices in ascending order.
 
@@ -149,41 +150,55 @@ def _burn(g: MultiGraph, chips: Sequence[int], v: int) -> tuple:
     every one whose burning edges outnumber its chips, until a sweep
     ignites nothing; the fixed point does not depend on the order.  A
     vertex's burning edges are counted from the graph's neighbour and
-    multiplicity-level masks."""
+    multiplicity-level masks.
+
+    ``start``, when given, is the (burnt, unburnt) pair of an earlier burn
+    from v on chips that hold at least these chips at every vertex.  Fewer
+    chips only help the fire, so that burnt set lies inside this one and
+    the burn resumes from it."""
     nbr = g.nbr_masks
     levels = g.level_masks
-    burnt = 1 << v
-    unburnt = _others(g.n)[v]
+    if start is None:
+        burnt, unburnt = 1 << v, _others(g.n)[v]
+    else:
+        burnt, unburnt = start
     while unburnt:
         before = burnt
         left = []
         for u in unburnt:
-            # graphs.edges_into, inlined: the rank-nosym queries run 376,878
-            # burns, and calling it here made them about 20% slower
+            # graphs.edges_into, inlined: the rank-nosym queries run 257,364
+            # burns, and calling it here made them about 20% slower.  The
+            # levels only add edges, and only to a vertex with a burnt
+            # neighbour, so they are read only when the plain count
+            # neither ignites u nor is 0.
             c = (nbr[u] & burnt).bit_count()
-            if levels[u]:
-                for x, w in levels[u]:
-                    c += w * (x & burnt).bit_count()
             if c > chips[u]:
                 burnt |= 1 << u
-            else:
-                left.append(u)
+                continue
+            if c and levels[u]:
+                for x, w in levels[u]:
+                    c += w * (x & burnt).bit_count()
+                if c > chips[u]:
+                    burnt |= 1 << u
+                    continue
+            left.append(u)
         if burnt == before:
             break
         unburnt = left
     return burnt, unburnt
 
 
-def _fire_unburnt(g: MultiGraph, chips: list, v: int, counts: Optional[list]) -> None:
+def _fire_unburnt(g: MultiGraph, chips: list, v: int, counts: Optional[list],
+                  burn: Optional[tuple] = None) -> None:
     """Finish a reduction of chips, effective away from v, in place: fire
     the unburnt set once per round until the burn from v reaches every
-    vertex."""
+    vertex.  ``burn``, when given, is the burn from v on chips as they
+    stand, and the first round fires its unburnt set."""
     full = (1 << g.n) - 1
-    while True:
-        burnt, unburnt = _burn(g, chips, v)
-        if not unburnt:
-            return
+    burnt, unburnt = _burn(g, chips, v) if burn is None else burn
+    while unburnt:
         _fire(g, chips, unburnt, full ^ burnt, counts)
+        burnt, unburnt = _burn(g, chips, v)
 
 
 def _reduced_tuple(g: MultiGraph, chips: list) -> tuple:

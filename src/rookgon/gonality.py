@@ -1,12 +1,29 @@
 """Gonality search: smallest degree of a divisor of rank >= k.
 
-Degrees are scanned in ascending order; at each degree the effective
-divisors (one representative per automorphism orbit when symmetry is
-asked for on a rook graph) are streamed in lexicographic order, and
-each one that its reduction at the poorest vertex does not refute is
-tested with the rank recursion.  The scan stops at the first success,
-which is therefore the lexicographically smallest witness of the
-smallest degree.
+Degrees are scanned in ascending order, and at each degree the effective
+divisors in lexicographic order.  The scan stops at the first one of
+rank >= k, which is therefore the lexicographically smallest witness of
+the smallest degree.  A divisor c passed over without the rank recursion
+is refuted by a reduction: when red_v(c), its v-reduced form, holds
+fewer than k chips at v, rank(c) < k, since rank(c) >= k would make
+c - k*e_v winnable and the v-reduced form of that is red_v(c) - k*e_v.
+
+With symmetry on a rook graph, one representative per automorphism orbit
+is streamed and each is reduced at its poorest vertex.  The plain scan
+walks the prefixes of the vectors depth first instead:
+
+- Block lemma.  Fix c[:i], leave r chips for positions i.., and let
+  v < i hold fewer than k chips.  Every completion is at most the bound
+  B that puts r chips on each open position, and a set that can fire
+  legally on a completion can fire on B.  So when B is v-reduced, so is
+  every completion, and the whole block of C(r + n-i-1, r) vectors has
+  rank < k.  It is counted without being built.
+- Resume rule.  Fewer chips only help the fire, so the burn from v on a
+  child's bound, or on a single completion, starts from the burnt set of
+  the nearest bound burnt above it.  When every vertex that burn leaves
+  unburnt lies in the prefix, it is final for the whole block, which
+  stops testing; a completion the burn does not refute continues its
+  reduction from it.
 """
 
 from __future__ import annotations
@@ -15,7 +32,7 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from . import graphs
-from .divisors import _refuted_at_poorest, rank_at_least
+from .divisors import _burn, _fire_unburnt, _refuted_at_poorest, rank_at_least
 from .symmetry import iter_orbit_min_vectors, orbit_count
 
 
@@ -90,17 +107,20 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
     match its edges, so that group is sound; any other graph is scanned
     plainly and the result reports ``symmetry`` False.
 
-    Each streamed divisor c is counted, then refuted at its poorest
-    vertex v (smallest index on ties) when it can be: if c[v] < k, c is
-    reduced at v (one burn from v, then the unburnt sets fire until the
-    burn reaches every vertex), and rank(c) < k when the v-reduced form
-    holds fewer than k chips at v, since rank(c) >= k would make
-    c - k*e_v winnable and its v-reduced form is red_v(c) - k*e_v.  Only
-    the survivors reach ``rank_at_least``.
+    Each streamed divisor c is counted.  On a rook host with symmetry, c
+    is then refuted at its poorest vertex v (smallest index on ties) when
+    it can be: if c[v] < k, c is reduced at v (one burn from v, then the
+    unburnt sets fire until the burn reaches every vertex), and a
+    reduced form with fewer than k chips at v refutes.  A plain scan
+    refutes whole blocks of vectors by the module's block lemma and
+    reduces each vector left over at its first vertex after 0 with fewer
+    than k chips, resuming the burns of its prefixes (``_plain_scan``);
+    the stream yields only what that leaves.  Only the survivors reach
+    ``rank_at_least``.
 
-    On a rook host every refuted degree's streamed count is checked
-    against the Burnside count (``symmetry.orbit_count``), and a mismatch
-    raises RuntimeError.
+    Every refuted degree's count is checked, against the Burnside count
+    (``symmetry.orbit_count``) with symmetry and against the stars and
+    bars count C(deg + n-1, n-1) without; a mismatch raises RuntimeError.
     """
     _check_k(k)
     for name, val in (("degree cap", degree_cap), ("lower bound", lower_bound)):
@@ -120,15 +140,22 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
     orbit_counts = {}
     witness = None
     for deg in range(start, cap + 1):
+        prune, refuted_by_prune = _plain_scan(g, k) if dims is None else (None, None)
         count = 0
-        for c in iter_orbit_min_vectors(deg, g.n, dims):
+        for c in iter_orbit_min_vectors(deg, g.n, dims, prune):
             count += 1
-            if not _refuted_at_poorest(g, c, k) and rank_at_least(g, c, k):
+            if (prune is not None or not _refuted_at_poorest(g, c, k)) \
+                    and rank_at_least(g, c, k):
                 witness = list(c)
                 break
         if witness is not None:
             break
-        if dims is not None and count != (expected := orbit_count(dims, deg)):
+        if dims is None:
+            count += refuted_by_prune[0]
+            if count != (expected := math.comb(deg + g.n - 1, deg)):
+                raise RuntimeError(f"degree {deg}: the plain scan counted {count} "
+                                   f"vectors, stars and bars counts {expected}")
+        elif count != (expected := orbit_count(dims, deg)):
             raise RuntimeError(f"degree {deg}: the orbit stream gave {count} "
                                f"representatives, Burnside counts {expected}")
         refuted.append(deg)
@@ -140,6 +167,73 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
         refuted_degrees=tuple(refuted), orbit_counts=orbit_counts,
         symmetry=dims is not None,
     )
+
+
+def _prefix_inflow(g: graphs.MultiGraph) -> list:
+    """inflow[i]: the most edges that one vertex u >= i sends into the
+    vertices below i.  With r chips on each of u >= i and r at least
+    inflow[i], those vertices can fire together."""
+    into = [0] * g.n
+    inflow = [0]
+    for i in range(1, g.n):
+        for u, m in g.adj[i - 1]:
+            into[u] += m
+        inflow.append(max(into[i:]))
+    return inflow
+
+
+def _plain_scan(g: graphs.MultiGraph, k: int) -> tuple:
+    """The prune a plain scan for rank >= k hands to
+    ``iter_orbit_min_vectors``, and a one-entry list that counts the
+    vectors it refutes.
+
+    Along each prefix, v is the first vertex after 0 with fewer than k
+    chips; vertex 0 is left to ``rank_at_least``, whose recursion starts
+    by reducing there.  A prefix with several completions is tested on
+    its bound B by the block lemma, unless r reaches ``_prefix_inflow``,
+    when the open positions can fire on B.  A prefix with one completion
+    c is refuted when red_v(c)[v] < k.  Burns resume as the module's
+    resume rule says, so each completion is burnt from v once.
+    """
+    inflow = _prefix_inflow(g)
+    n = g.n
+    # entry i is what a prefix of length i inherits from its parent: v
+    # (-1 while there is none), the burn from v to resume (None: burn
+    # afresh) and whether its burns can still reach every vertex
+    src = [-1] * (n + 1)
+    burns = [None] * (n + 1)
+    tests = [True] * (n + 1)
+    refuted = [0]
+
+    def prune(c: list, i: int, r: int) -> bool:
+        v, burn, test = src[i], burns[i], tests[i]
+        if v < 0 and i > 1 and c[i - 1] < k:
+            v = i - 1
+        if i == n - 1 or not r:  # c is the prefix's one completion
+            if v < 0 and i and r < k:
+                v = i
+            if v < 0:
+                return False
+            if test:
+                burn = _burn(g, c, v, burn)
+            if burn[1]:
+                red = c[:]
+                _fire_unburnt(g, red, v, None, burn)
+                if red[v] >= k:
+                    return False
+            refuted[0] += 1
+            return True
+        if v >= 0 and test and r < inflow[i]:
+            c[i:] = [r] * (n - i)
+            burn = _burn(g, c, v, burn)
+            if not burn[1]:
+                refuted[0] += math.comb(r + n - i - 1, r)
+                return True
+            test = burn[1][-1] >= i
+        src[i + 1], burns[i + 1], tests[i + 1] = v, burn, test
+        return False
+
+    return prune, refuted
 
 
 def poorest_slice_chips(g: graphs.MultiGraph, d: Sequence[int]) -> Optional[dict]:

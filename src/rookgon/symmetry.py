@@ -179,18 +179,60 @@ def _compositions(total: int, size: int) -> Iterator[tuple]:
         yield tuple(c)
 
 
+def _pruned_compositions(total: int, size: int,
+                         prune: Callable[[list, int, int], bool]) -> Iterator[tuple]:
+    """The degree vectors of iter_degree_vectors, walked depth first over
+    their prefixes so that ``prune`` can drop every completion of one
+    prefix at once (see iter_orbit_min_vectors).  The walk keeps an
+    explicit stack, so its depth is not bounded by the recursion limit."""
+    c = [0] * size
+    last = size - 1
+    stack = [(0, 0, total)]  # (i, c[i-1], r): c[:i] fixed, r chips left
+    while stack:
+        i, a, r = stack.pop()
+        if i:
+            c[i - 1] = a
+        if i == last or not r:  # one completion: r on the last place, or all zeros
+            c[i:] = [r] * (size - i)
+            if not prune(c, i, r):
+                yield tuple(c)
+        elif prune(c, i, r):
+            continue
+        elif i == last - 1:  # every child is a completion: visit them here
+            for b in range(r + 1):
+                c[i] = b
+                c[last] = r - b
+                if not prune(c, last, r - b):
+                    yield tuple(c)
+        else:
+            stack.extend([(i + 1, b, r - b) for b in range(r, -1, -1)])
+
+
 def iter_orbit_min_vectors(total: int, size: int,
-                           dims: Optional[Sequence[int]]) -> Iterator[tuple]:
+                           dims: Optional[Sequence[int]],
+                           prune: Optional[Callable[[list, int, int], bool]] = None
+                           ) -> Iterator[tuple]:
     """One lexicographically minimal representative per orbit of degree
     vectors under the automorphism group of the rook graph on ``dims``,
     streamed in ascending order.
 
-    With ``dims`` None this is every degree vector.  Dimensions that are
-    not a rook shape, or whose product is not ``size``, raise ValueError.
+    With ``dims`` None this is every degree vector, less those that
+    ``prune`` drops.  Given a prune, the stream walks the prefixes depth
+    first and calls ``prune(c, i, r)`` on each one: c[:i] is fixed and r
+    chips are left for positions i..size-1.  When i is size - 1 or r is 0
+    the prefix has one completion, and it is already written into c.  A
+    true answer drops every vector with that prefix.  The prune may
+    overwrite c[i:], and it needs ``dims`` None.
+
+    Dimensions that are not a rook shape, or whose product is not
+    ``size``, raise ValueError.
     """
     if dims is None:
-        yield from iter_degree_vectors(total, size)
+        stream = iter_degree_vectors(total, size)  # checks total and size
+        yield from stream if prune is None else _pruned_compositions(total, size, prune)
         return
+    if prune is not None:
+        raise ValueError("a prune needs the plain stream (dims None)")
     _check_total(total)
     dims = _rook_dims(dims)
     if math.prod(dims) != size:

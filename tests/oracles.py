@@ -312,6 +312,23 @@ def class_rank_at_least(g):
     return ge
 
 
+def plain_gonality(g, k, cap):
+    """Rank-k gonality by the plainest loop: every effective divisor of
+    each degree from k to cap in lexicographic order, decided by
+    ``class_rank_at_least``.  Returns (value, witness, refuted degrees,
+    vectors per refuted degree); value and witness are None past cap."""
+    ge = class_rank_at_least(g)
+    refuted, counts = [], {}
+    for deg in range(k, cap + 1):
+        vectors = list(effective_divisors(g.n, deg))
+        witness = next((list(c) for c in vectors if ge(c, k)), None)
+        if witness is not None:
+            return deg, witness, tuple(refuted), counts
+        refuted.append(deg)
+        counts[deg] = len(vectors)
+    return None, None, tuple(refuted), counts
+
+
 def is_reduced(g, d, v):
     """Definitional reducedness: effective away from v and no nonempty
     subset avoiding v can fire without some member going negative."""

@@ -150,6 +150,21 @@ def test_gonality_default_cap_is_genus_plus_k(tmp_path):
     assert (data["value"], data["degree_cap"]) == (9, 15)
 
 
+def test_gonality_plain_scan_on_a_long_path(tmp_path):
+    # the plain scan walks prefixes with an explicit stack: 1,500 positions
+    # deep must not raise RecursionError, and the lex-first rank-1 divisor
+    # of a path is one chip on its last vertex
+    n = 1500
+    gfile = tmp_path / "path.json"
+    gfile.write_text(json.dumps({"vertex_count": n, "dims": None,
+                                 "edges": [[i, i + 1, 1] for i in range(n - 1)]}))
+    proc = run_cli("gonality", "--graph", str(gfile), "--no-symmetry", timeout=120)
+    assert b"RecursionError" not in proc.stderr
+    data = out_json(proc)
+    assert data["value"] == 1
+    assert data["witness"] == [0] * (n - 1) + [1]
+
+
 def test_gonality_refuses_to_list_the_6x6x6_relabelings():
     # its 518,400 outer relabelings took 226 MB and 4 s before the first
     # degree-1 vector; the refusal comes before any is built

@@ -130,6 +130,22 @@ def test_dhar_burn_unburnt_is_union_of_firable_sets():
             assert set(dhar_burn(g, chips, 0).unburnt) == union
 
 
+def test_burn_resumed_from_a_richer_divisor_matches_a_fresh_burn():
+    # the plain gonality scan resumes the burn on a divisor from the burn
+    # on one that holds at least as many chips everywhere
+    from rookgon import divisors
+
+    rng = random.Random(4318)
+    for _ in range(200):
+        g = random_multigraph(rng, max_n=7)
+        rich = [rng.randint(0, 4) for _ in range(g.n)]
+        poor = [rng.randint(0, x) for x in rich]
+        v = rng.randrange(g.n)
+        start = divisors._burn(g, rich, v)
+        resumed, fresh = divisors._burn(g, poor, v, start), divisors._burn(g, poor, v)
+        assert (resumed[0], list(resumed[1])) == (fresh[0], list(fresh[1]))
+
+
 def test_dhar_burn_unburnt_set_is_firable_random():
     rng = random.Random(4303)
     for _ in range(60):

@@ -1,6 +1,7 @@
 """Gonality search, certificates, and the slice report."""
 
 import math
+import random
 
 import pytest
 
@@ -212,25 +213,45 @@ def test_gonality_checks_the_stream_against_burnside(monkeypatch):
 
     stream = gonality.iter_orbit_min_vectors
 
-    def lossy(total, size, dims):
-        reps = list(stream(total, size, dims))
+    def lossy(total, size, dims, *prune):
+        reps = list(stream(total, size, dims, *prune))
         return iter(reps[:-1] if total == 3 else reps)
 
     monkeypatch.setattr(gonality, "iter_orbit_min_vectors", lossy)
     for dims in ([3, 3], [2, 2, 2], [2, 2, 2, 2]):
         with pytest.raises(RuntimeError, match="degree 3"):
             gon(dims)
-    # plain scans are not checked
-    assert k_gonality(rook_graph([3, 3])).orbit_counts[3] == math.comb(11, 8) - 1
+    monkeypatch.undo()
+
+    # a plain scan whose prune drops one block of degree 3 without
+    # counting it is caught by the stars-and-bars count
+    scan = gonality._plain_scan
+
+    def lossy_scan(g, k):
+        prune, refuted = scan(g, k)
+        dropped = []
+
+        def drop_one(c, i, r):
+            if not dropped and i == 2 and sum(c[:i]) + r == 3:
+                dropped.append(c[:i])
+                return True
+            return prune(c, i, r)
+        return drop_one, refuted
+
+    monkeypatch.setattr(gonality, "_plain_scan", lossy_scan)
+    with pytest.raises(RuntimeError, match="degree 3: the plain scan counted"):
+        k_gonality(rook_graph([3, 3]))
 
 
 @pytest.mark.parametrize("dims, k, value, tests", [
-    ([3, 4], 1, 8, 859),
-    ([2, 5], 3, 10, 5298),
+    ([3, 4], 1, 8, 799),
+    ([2, 5], 3, 10, 2809),
+    ([2, 2, 3], 2, 9, 5846),
 ])
 def test_no_symmetry_scan_rank_test_counts(monkeypatch, dims, k, value, tests):
-    # the full reduction at the poorest vertex refutes most divisors before
-    # any rank test
+    # block refutations and the reduction of each leaf at its first poor
+    # vertex after 0 drop most divisors before any rank test, which then
+    # starts with its own reduction at vertex 0
     from rookgon import gonality
 
     calls = 0
@@ -245,6 +266,61 @@ def test_no_symmetry_scan_rank_test_counts(monkeypatch, dims, k, value, tests):
     res = k_gonality(rook_graph(dims), k=k)
     assert res.value == value
     assert calls == tests
+
+
+def _random_host(rng, n):
+    """A connected multigraph on n vertices with multiplicities 1 to 3."""
+    mult = [[0] * n for _ in range(n)]
+    for v in range(1, n):
+        u = rng.randrange(v)
+        mult[u][v] = mult[v][u] = rng.randint(1, 3)
+    for _ in range(rng.randint(0, 2)):
+        u, v = rng.sample(range(n), 2)
+        mult[u][v] = mult[v][u] = rng.randint(1, 3)
+    return MultiGraph(mult)
+
+
+def test_plain_scan_matches_the_reference_loop():
+    # value, lex-min witness, refuted degrees and per-degree counts of the
+    # plain scan against the plainest loop over every effective divisor
+    rng = random.Random(3801)
+    for _ in range(100):
+        g = _random_host(rng, rng.randint(2, 7))
+        for k in (1, 2, 3):
+            res = k_gonality(g, k)
+            want = oracles.plain_gonality(g, k, res.degree_cap)
+            got = (res.value, res.witness, res.refuted_degrees, res.orbit_counts)
+            assert got == want, (g.mult, k)
+
+
+def test_plain_scan_drops_only_divisors_of_low_rank(monkeypatch):
+    # every vector the scan does not hand to rank_at_least has rank < k;
+    # the patched test answers no, so each degree up to the cap is scanned
+    # whole
+    from rookgon import gonality
+
+    hosts = [rook_graph([2, 3]), rook_graph([2, 2, 2]),
+             MultiGraph([[0, 2, 1, 0, 0],
+                         [2, 0, 1, 3, 0],
+                         [1, 1, 0, 2, 1],
+                         [0, 3, 2, 0, 2],
+                         [0, 0, 1, 2, 0]])]
+    for g in hosts:
+        ge = oracles.class_rank_at_least(g)
+        for k in (1, 2, 3):
+            handed = []
+            monkeypatch.setattr(gonality, "rank_at_least",
+                                lambda _g, d, _k: handed.append(tuple(d)) or False)
+            res = k_gonality(g, k, degree_cap=k + 4)
+            assert res.value is None
+            handed = set(handed)
+            dropped = 0
+            for deg in range(k, k + 5):
+                for c in oracles.effective_divisors(g.n, deg):
+                    if c not in handed:
+                        dropped += 1
+                        assert not ge(c, k), (g.mult, c, k)
+            assert dropped, (g.mult, k)
 
 
 def test_default_degree_cap_values():

@@ -148,6 +148,29 @@ def test_orbit_min_vectors_no_group():
         list(iter_degree_vectors(2, 3))
 
 
+def test_orbit_min_vectors_prune_drops_whole_prefixes():
+    # a prune that keeps everything gives the plain stream; one that drops
+    # the prefix (1,) removes exactly the vectors starting with 1, and it
+    # sees each prefix once with the chips left for the open positions
+    for total, size in ((0, 1), (3, 1), (4, 3), (5, 4)):
+        assert list(iter_orbit_min_vectors(total, size, None, lambda c, i, r: False)) \
+            == list(iter_degree_vectors(total, size))
+    seen = []
+
+    def drop_ones(c, i, r):
+        seen.append((tuple(c[:i]), r))
+        assert sum(c[:i]) + r == 4
+        return c[:i] == [1]
+
+    got = list(iter_orbit_min_vectors(4, 3, None, drop_ones))
+    assert got == [c for c in iter_degree_vectors(4, 3) if c[0] != 1]
+    assert len(seen) == len(set(seen))
+    with pytest.raises(ValueError, match="needs the plain stream"):
+        list(iter_orbit_min_vectors(2, 6, (2, 3), lambda c, i, r: False))
+    with pytest.raises(ValueError):
+        list(iter_orbit_min_vectors(2, 0, None, lambda c, i, r: False))
+
+
 def test_orbit_min_vectors_counts_2x3():
     counts = [sum(1 for _ in iter_orbit_min_vectors(t, 6, (2, 3)))
               for t in (1, 2, 3, 4)]
