@@ -7,7 +7,7 @@ so a command imports only the modules it runs.
 
 import importlib
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 # the verify suites, here so that the command line can offer them
 # without importing the suite module

@@ -10,7 +10,7 @@ c - k*e_v winnable and the v-reduced form of that is red_v(c) - k*e_v.
 
 With symmetry on a rook graph, one representative per automorphism orbit
 is streamed and each is reduced at its poorest vertex.  The plain scan
-walks the prefixes of the vectors depth first instead:
+prunes the stream's depth-first walk over the prefixes itself:
 
 - Block lemma.  Fix c[:i], leave r chips for positions i.., and let
   v < i hold fewer than k chips.  Every completion is at most the bound

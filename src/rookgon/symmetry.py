@@ -5,10 +5,12 @@ last axis varies fastest in the vertex numbering).  The group used here
 relabels the values along each axis independently and permutes axes of
 equal size: by Sabidussi's theorem (Imrich and Klavzar, Handbook of
 Product Graphs) the whole automorphism group of a product of complete
-graphs.  Every cell permutation comes from ``_cell_perm``.  The orbit
-stream never lists the group and reads it from the rook dimensions
-alone.  Its leaf test sorts the columns for the last axis.  On two
-factors it searches the row orders once per shared prefix
+graphs.  Every cell permutation comes from ``_cell_perm``.  Every
+vector stream is one depth-first walk over prefixes with one prefix
+hook (``_pruned_compositions``).  The orbit stream's hook is an orderly
+search over a few group elements (``_canonical_prune``) that never
+lists the group.  Its leaf test sorts the columns for the last axis.
+On two factors it searches the row orders once per shared prefix
 (``_RowLeafTest``); on three or more it tries the relabelings of the
 outer axes, listed once per shape as fiber orders.  ``SymmetryGroup``
 closes a generator set explicitly and is the reference the tests
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache, partial
 from operator import add, eq, itemgetter, lt
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -88,12 +91,7 @@ def _cell_perm(dims: Sequence[int], order: Sequence[int],
 
 def _moves(d: int) -> list:
     """The identity of range(d), then each adjacent transposition."""
-    moves = [range(d)]
-    for i in range(d - 1):
-        t = list(range(d))
-        t[i], t[i + 1] = i + 1, i
-        moves.append(t)
-    return moves
+    return [range(d)] + [[*range(i), i + 1, i, *range(i + 2, d)] for i in range(d - 1)]
 
 
 def rook_symmetry(dims: Sequence[int]) -> SymmetryGroup:
@@ -152,60 +150,81 @@ def iter_degree_vectors(total: int, size: int) -> Iterator[tuple]:
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise ValueError("vector length must be a positive integer")
     _check_total(total)
-    return _compositions(total, size)
-
-
-def _compositions(total: int, size: int) -> Iterator[tuple]:
-    """The degree vectors of iter_degree_vectors, stepped directly: the
-    successor of c moves one chip from its last nonzero entry k to entry
-    k-1 and puts the rest of entry k's chips on the final entry.  The
-    stream ends when only entry 0 holds chips."""
-    last = size - 1
-    c = [0] * size
-    c[last] = total
-    yield tuple(c)
-    if not total:
-        return
-    while True:
-        k = last
-        while not c[k]:
-            k -= 1
-        if not k:
-            return
-        rest = c[k] - 1
-        c[k] = 0
-        c[k - 1] += 1
-        c[last] += rest
-        yield tuple(c)
+    return _pruned_compositions(total, size, lambda c, i, r: False)
 
 
 def _pruned_compositions(total: int, size: int,
                          prune: Callable[[list, int, int], bool]) -> Iterator[tuple]:
     """The degree vectors of iter_degree_vectors, walked depth first over
     their prefixes so that ``prune`` can drop every completion of one
-    prefix at once (see iter_orbit_min_vectors).  The walk keeps an
-    explicit stack, so its depth is not bounded by the recursion limit."""
+    prefix at once (see iter_orbit_min_vectors).  The walk keeps its
+    place in c and in the chips left after each prefix, not on the call
+    stack, so its depth is not bounded by the recursion limit."""
     c = [0] * size
     last = size - 1
-    stack = [(0, 0, total)]  # (i, c[i-1], r): c[:i] fixed, r chips left
-    while stack:
-        i, a, r = stack.pop()
-        if i:
-            c[i - 1] = a
+    rem = [total] * size  # rem[i]: chips left after the prefix c[:i]
+    i = 0
+    while True:
+        r = rem[i]
         if i == last or not r:  # one completion: r on the last place, or all zeros
             c[i:] = [r] * (size - i)
             if not prune(c, i, r):
                 yield tuple(c)
-        elif prune(c, i, r):
+        elif not prune(c, i, r):  # down to the first child: c[i] = 0
+            c[i] = 0
+            i += 1
+            rem[i] = r
             continue
-        elif i == last - 1:  # every child is a completion: visit them here
-            for b in range(r + 1):
-                c[i] = b
-                c[last] = r - b
-                if not prune(c, last, r - b):
-                    yield tuple(c)
-        else:
-            stack.extend([(i + 1, b, r - b) for b in range(r, -1, -1)])
+        while i and not rem[i]:  # c[i-1] took every chip: back up
+            i -= 1
+        if not i:
+            return
+        c[i - 1] += 1  # the next sibling
+        rem[i] -= 1
+
+
+def _canonical_prune(size: int, perms: Sequence[Sequence[int]],
+                     accept: Optional[Callable[[list], bool]] = None
+                     ) -> Callable[[list, int, int], bool]:
+    """The prune that makes the walk an orderly search (Read, "Every one
+    a winner", Ann. Discrete Math. 1978): it keeps the vectors c whose
+    image (c[q[j]])_j under each q in ``perms`` is not lexicographically
+    smaller, and of those the ones ``accept`` takes.  When ``perms`` is
+    a whole group less the identity, those are the lex-min orbit
+    representatives.
+
+    Each q stays live with the first position j where its image is
+    undecided or ties c.  At a prefix the parent's live permutations
+    advance over the fixed positions: an image that turns out smaller
+    drops the prefix, and one that turns out larger leaves the list.  At
+    a completion they finish over the whole vector before ``accept``
+    runs.  Entry i of ``live`` is what a prefix of length i inherits
+    from its parent, as in ``gonality._plain_scan``.
+    """
+    last = size - 1
+    live = [[(q, 0) for q in perms]] * (size + 1)
+
+    def prune(c: list, i: int, r: int) -> bool:
+        end = size if i == last or not r else i  # size: c is the one completion
+        fresh = []
+        for q, j in live[i]:
+            while j < end and q[j] < end:
+                a = c[q[j]]
+                b = c[j]
+                if a != b:
+                    break
+                j += 1
+            else:
+                fresh.append((q, j))
+                continue
+            if a < b:
+                return True
+        if end == size:
+            return accept is not None and not accept(c)
+        live[i + 1] = fresh
+        return False
+
+    return prune
 
 
 def iter_orbit_min_vectors(total: int, size: int,
@@ -216,13 +235,15 @@ def iter_orbit_min_vectors(total: int, size: int,
     vectors under the automorphism group of the rook graph on ``dims``,
     streamed in ascending order.
 
-    With ``dims`` None this is every degree vector, less those that
-    ``prune`` drops.  Given a prune, the stream walks the prefixes depth
-    first and calls ``prune(c, i, r)`` on each one: c[:i] is fixed and r
-    chips are left for positions i..size-1.  When i is size - 1 or r is 0
-    the prefix has one completion, and it is already written into c.  A
-    true answer drops every vector with that prefix.  The prune may
-    overwrite c[i:], and it needs ``dims`` None.
+    Every stream is one depth-first walk over the prefixes of the degree
+    vectors with one prefix hook, ``prune(c, i, r)``: c[:i] is fixed and
+    r chips are left for positions i..size-1.  When i is size - 1 or r
+    is 0 the prefix has one completion, already written into c.  A true
+    answer drops every vector with that prefix.  With ``dims`` None the
+    hook is the caller's ``prune`` (None keeps everything), and it may
+    overwrite c[i:].  With ``dims`` it is ``_canonical_prune``: an
+    orderly search over the shape's cheap pruning permutations with the
+    exact leaf test on each completion, and a caller's prune is refused.
 
     Dimensions that are not a rook shape, or whose product is not
     ``size``, raise ValueError.
@@ -238,81 +259,16 @@ def iter_orbit_min_vectors(total: int, size: int,
     if math.prod(dims) != size:
         raise ValueError("rook dimensions do not match the vector length")
     shape = _rook_shape(dims)
-    yield from _orderly(total, size, shape.prune, shape.leaf_test(total))
+    yield from _pruned_compositions(
+        total, size, _canonical_prune(size, shape.prune, shape.leaf_test(total)))
 
 
 def _iter_canonical_explicit(total: int, size: int,
                              elements: Iterable[Sequence[int]]) -> Iterator[tuple]:
     """Orderly generation of lex-min orbit representatives under an
     explicitly listed group (every non-identity element prunes)."""
-    ident = tuple(range(size))
-    invs = []
-    for p in set(tuple(p) for p in elements):
-        if p == ident:
-            continue
-        q = [0] * size
-        for i, pi in enumerate(p):
-            q[pi] = i
-        invs.append(tuple(q))
-    invs.sort()
-    yield from _orderly(total, size, invs)
-
-
-def _orderly(total: int, size: int, invs: Sequence[Sequence[int]],
-             accept: Optional[Callable[[list], bool]] = None) -> Iterator[tuple]:
-    """Depth-first orderly generation of degree vectors in ascending
-    lexicographic order.
-
-    Each live permutation q tracks the first position j where the image
-    (c[q[j]])_j is still undecided or equal to the prefix; permutations
-    whose image turns out larger are dropped, ones whose image turns out
-    smaller kill the branch.  When ``invs`` lists a whole group this is
-    exact.  Otherwise ``accept`` decides each complete vector.
-    """
-    c = [-1] * size
-    live_at = [[(q, 0) for q in invs]] + [None] * size
-    rem_at = [total] + [0] * size
-    last = size - 1
-    pos = 0
-    while pos >= 0:
-        rem = rem_at[pos]
-        v = rem if pos == last else c[pos] + 1
-        if v > rem or (pos == last and c[pos] == v):
-            c[pos] = -1  # values exhausted: backtrack
-            pos -= 1
-            continue
-        c[pos] = v
-        end = pos + 1
-        ok = True
-        fresh = []
-        for q, j in live_at[pos]:
-            drop = False
-            while j < end:
-                qj = q[j]
-                if qj >= end:
-                    break  # image coordinate not assigned yet
-                a = c[qj]
-                b = c[j]
-                if a < b:
-                    ok = False  # image is lex-smaller: prefix not canonical
-                    break
-                if a > b:
-                    drop = True  # image is lex-larger for any completion
-                    break
-                j += 1
-            if not ok:
-                break
-            if not drop:
-                fresh.append((q, j))
-        if not ok:
-            continue
-        if pos == last:
-            if accept is None or accept(c):
-                yield tuple(c)
-            continue
-        live_at[end] = fresh
-        rem_at[end] = rem - v
-        pos = end
+    perms = sorted(set(map(tuple, elements)) - {tuple(range(size))})
+    yield from _pruned_compositions(total, size, _canonical_prune(size, perms))
 
 
 # ======================================================================
@@ -415,6 +371,12 @@ def _burnside_terms(dims: tuple) -> tuple:
 # 576 on 4x4x4, 14,400 on 5x5x5 (6.6 MB), 518,400 on 6x6x6 (226 MB)
 _ORDERS_LIMIT = 20_000
 
+# the most candidates a shape may try for its pruning permutations:
+# prod(dims) move combinations under each axis order (two factors try
+# only the identity order), 384 on 2x2x2x2, 750 on 5x5x5, 46,080 on the
+# 6-cube, 645,120 on the 7-cube (whose set exhausted memory)
+_PRUNE_LIMIT = 50_000
+
 
 class _Shape:
     """Index tables for the tensor view of a vector of length prod(dims).
@@ -430,14 +392,17 @@ class _Shape:
         # three or more factors: every relabeling of the outer axes as a
         # fiber order, grouped by the source fiber it puts first (two
         # factors would need n! of them and use _RowLeafTest instead)
-        self.orders = ()
-        if len(outer) > 1:
-            count = math.prod(map(math.factorial, outer))
-            if count > _ORDERS_LIMIT:
+        relabelings = math.prod(map(math.factorial, outer)) if len(outer) > 1 else 0
+        candidates = self.n * math.prod(map(math.factorial, Counter(dims).values()))
+        for count, what, limit in ((relabelings, "outer relabelings", _ORDERS_LIMIT),
+                                   (candidates, "pruning permutations", _PRUNE_LIMIT)):
+            if count > limit:
                 raise ValueError(
-                    f"the symmetric scan on {'x'.join(map(str, dims))} would list "
-                    f"{count:,} outer relabelings, above the limit of "
-                    f"{_ORDERS_LIMIT:,}; scan without symmetry (--no-symmetry)")
+                    f"the symmetric scan on {'x'.join(map(str, dims))} would build "
+                    f"{count:,} {what}, above the limit of {limit:,}; "
+                    "scan without symmetry (--no-symmetry)")
+        self.orders = ()
+        if relabelings:
             ident = range(len(outer))
             groups = [[] for _ in range(self.n // self.m)]
             for relabel in itertools.product(
@@ -449,11 +414,11 @@ class _Shape:
         reorders = [_cell_perm(dims, order, tuple(map(range, dims)))
                     for order in orders[1:]]
         self.axis_perms = tuple(itemgetter(*p) for p in reorders)
-        # cheap pruning permutations for the orderly search (a set closed
-        # under inverses): every bare axis reorder, and at most one
-        # adjacent transposition per axis under every axis order on three
-        # or more factors, under the identity order only on two (on 4x4,
-        # 16 permutations per node instead of 31 for 6% more leaf tests)
+        # cheap pruning permutations for the orderly search: every bare
+        # axis reorder, and at most one adjacent transposition per axis
+        # under every axis order on three or more factors, under the
+        # identity order only on two (on 4x4, 16 permutations per node
+        # instead of 31 for 6% more leaf tests)
         moves = list(map(_moves, dims))
         prune = set(reorders)
         for order in orders if len(dims) > 2 else orders[:1]:
@@ -514,12 +479,9 @@ def _is_min_image(shape: _Shape, x: Sequence[int]) -> bool:
     return True
 
 
-def _multiset(rows) -> dict:
+def _multiset(rows: list) -> dict:
     """Distinct rows with their multiplicities."""
-    left = {}
-    for row in rows:
-        left[row] = left.get(row, 0) + 1
-    return left
+    return {row: rows.count(row) for row in rows}
 
 
 def _row_image_smaller(left: dict, f: int, scaled: list, tkeys: list,
@@ -586,13 +548,9 @@ class _RowLeafTest:
         self.cut = shape.n - shape.m
         self.square = bool(shape.axis_perms)
         self.base = total + 1
-        self.prefix = None
-        self.rows = None
-        self.tkeys = None
-        self.scaled = None
-        self.nodes = None  # None: a prefix-only image is smaller
-        self.lows = None
-        self.ties = None
+        # set per prefix by _load; nodes None: a prefix-only image is smaller
+        self.prefix = self.rows = self.tkeys = self.scaled = None
+        self.nodes = self.lows = self.ties = None
 
     def _load(self, prefix: Sequence[int]) -> None:
         m = self.m
@@ -659,6 +617,7 @@ class _RowLeafTest:
                     tkeys, base, []):
                 return False
         if self.square and any(map(eq, last, self.ties)) and _row_image_smaller(
-                _multiset(zip(*self.rows, last)), 0, [0] * self.m, tkeys, base, []):
+                _multiset(list(zip(*self.rows, last))), 0, [0] * self.m,
+                tkeys, base, []):
             return False
         return True

@@ -176,6 +176,20 @@ def test_gonality_refuses_to_list_the_6x6x6_relabelings():
     assert proc.stdout == b""
 
 
+def test_gonality_refuses_the_7_cube_pruning_set():
+    # 5,040 axis orders times 128 move combinations: building that prune
+    # set ran 40-50 s and ended in a MemoryError traceback; the count
+    # comes from arithmetic before any permutation is built
+    proc = run_cli("gonality", "--rook", "2,2,2,2,2,2,2", "--cap", "1",
+                   check=False, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: ")
+    assert b"645,120 pruning permutations" in proc.stderr
+    assert b"--no-symmetry" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert proc.stdout == b""
+
+
 def test_gonality_threads_output_matches_serial():
     serial = run_cli("gonality", "--rook", "3,4", "--threads", "1")
     many = run_cli("gonality", "--rook", "3,4", "--threads", "8")

@@ -235,16 +235,23 @@ def test_orbit_count_matches_listed_group():
 
 
 def test_orbit_min_vectors_partition_all_vectors():
-    els = rook_symmetry([2, 2]).elements()
-    for total in (1, 2, 3, 4):
-        reps = list(iter_orbit_min_vectors(total, 4, (2, 2)))
-        seen = set()
-        for r in reps:
-            orb = orbit_of(r, els)
-            assert not orb & seen  # orbits are disjoint
-            assert min(orb) == r   # rep is the lex-min member
-            seen |= orb
-        assert len(seen) == math.comb(total + 3, 3)
+    # brute force over the closed group, sharing no code with the walk
+    # that both the engine and _iter_canonical_explicit run through
+    for dims, top in (([2, 2], 4), ([2, 3], 4), ([3, 3], 4), ([2, 2, 2], 4),
+                      ([2, 2, 3], 4), ([4, 4], 3)):
+        n = math.prod(dims)
+        els = rook_symmetry(dims).elements()
+        for total in range(1, top + 1):
+            seen = set()
+            for r in iter_orbit_min_vectors(total, n, dims):
+                orb = orbit_of(r, els)
+                assert not orb & seen, (dims, r)  # orbits are disjoint
+                assert min(orb) == r, (dims, r)   # rep is the lex-min member
+                # the group is vertex-transitive, so the rep's smallest
+                # entry sits at vertex 0
+                assert r[0] == min(r), (dims, r)
+                seen |= orb
+            assert len(seen) == math.comb(total + n - 1, n - 1), (dims, total)
 
 
 def test_orbit_min_vectors_stream_is_sorted():
