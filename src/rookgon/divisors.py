@@ -314,24 +314,25 @@ def _rank_ge(g: MultiGraph, rd: tuple, k: int, memo: dict) -> bool:
     return val
 
 
-def _refuted_at_poorest(g: MultiGraph, c: Sequence[int], k: int) -> bool:
-    """True when the reduction at the poorest vertex proves rank(c) < k
-    for an effective c of length g.n; False says nothing.  The caller
-    builds c, so nothing is checked.
+def _refutes(g: MultiGraph, chips: Sequence[int], v: int, k: int,
+             burn: Optional[tuple] = None) -> bool:
+    """True when red_v(chips), the v-reduced form of an effective chips of
+    length g.n, holds fewer than k chips at v: rank(chips) >= k would make
+    chips - k*e_v winnable, and its v-reduced form is red_v(chips) - k*e_v.
+    False says nothing.  Nothing is checked, and chips is left as it is.
 
-    Let v be the poorest vertex of c (smallest index on ties); nothing is
-    refuted when c[v] >= k.  Otherwise ``_fire_unburnt`` reduces a copy
-    of c at v: its first burn from v reaches every vertex when c is
-    already v-reduced, and each burn that leaves an unburnt set fires
-    it.  rank(c) >= k would make c - k*e_v winnable, and its v-reduced
-    form is red_v(c) - k*e_v, so red_v(c)[v] < k refutes."""
-    low = min(c)
-    if low >= k:
+    ``burn``, when given, is the burn from v on chips, resumed by the
+    caller with ``_burn``.  When the burn reaches every vertex, chips is
+    v-reduced; else ``_fire_unburnt`` reduces a copy from it."""
+    if chips[v] >= k:
         return False
-    v = c.index(low)
-    chips = list(c)
-    _fire_unburnt(g, chips, v, None)
-    return chips[v] < k
+    if burn is None:
+        burn = _burn(g, chips, v)
+    if not burn[1]:
+        return True
+    red = list(chips)
+    _fire_unburnt(g, red, v, None, burn)
+    return red[v] < k
 
 
 def _reduced_child(g: MultiGraph, rd: tuple, u: int) -> tuple:

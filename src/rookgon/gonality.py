@@ -4,13 +4,16 @@ Degrees are scanned in ascending order, and at each degree the effective
 divisors in lexicographic order.  The scan stops at the first one of
 rank >= k, which is therefore the lexicographically smallest witness of
 the smallest degree.  A divisor c passed over without the rank recursion
-is refuted by a reduction: when red_v(c), its v-reduced form, holds
-fewer than k chips at v, rank(c) < k, since rank(c) >= k would make
-c - k*e_v winnable and the v-reduced form of that is red_v(c) - k*e_v.
+is refuted by one step, ``divisors._refutes``: when red_v(c), its
+v-reduced form, holds fewer than k chips at v, rank(c) < k, since
+rank(c) >= k would make c - k*e_v winnable and the v-reduced form of
+that is red_v(c) - k*e_v.
 
 With symmetry on a rook graph, one representative per automorphism orbit
-is streamed and each is reduced at its poorest vertex.  The plain scan
-prunes the stream's depth-first walk over the prefixes itself:
+is streamed and each takes that step at v = 0: it is lex-min in its
+orbit under a vertex-transitive group, so c[0] is its fewest chips.  The
+plain scan takes v to be the first vertex after 0 with fewer than k
+chips and prunes the stream's depth-first walk over the prefixes itself:
 
 - Block lemma.  Fix c[:i], leave r chips for positions i.., and let
   v < i hold fewer than k chips.  Every completion is at most the bound
@@ -22,8 +25,8 @@ prunes the stream's depth-first walk over the prefixes itself:
   child's bound, or on a single completion, starts from the burnt set of
   the nearest bound burnt above it.  When every vertex that burn leaves
   unburnt lies in the prefix, it is final for the whole block, which
-  stops testing; a completion the burn does not refute continues its
-  reduction from it.
+  stops testing; each single completion takes the refutation step from
+  the burn it resumed.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from . import graphs
-from .divisors import _burn, _fire_unburnt, _refuted_at_poorest, rank_at_least
+from .divisors import _burn, _refutes, rank_at_least
 from .symmetry import iter_orbit_min_vectors, orbit_count
 
 
@@ -108,19 +111,16 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
     plainly and the result reports ``symmetry`` False.
 
     Each streamed divisor c is counted.  On a rook host with symmetry, c
-    is then refuted at its poorest vertex v (smallest index on ties) when
-    it can be: if c[v] < k, c is reduced at v (one burn from v, then the
-    unburnt sets fire until the burn reaches every vertex), and a
-    reduced form with fewer than k chips at v refutes.  A plain scan
-    refutes whole blocks of vectors by the module's block lemma and
-    reduces each vector left over at its first vertex after 0 with fewer
-    than k chips, resuming the burns of its prefixes (``_plain_scan``);
-    the stream yields only what that leaves.  Only the survivors reach
-    ``rank_at_least``.
+    then takes the module's refutation step at v = 0.  A plain scan
+    refutes whole blocks of vectors by the module's block lemma, and each
+    vector left over by the same step at its first vertex after 0 with
+    fewer than k chips, from the burn resumed along its prefixes
+    (``_plain_scan``); the stream yields only what that leaves.  Only the
+    divisors no step refutes reach ``rank_at_least``.
 
-    Every refuted degree's count is checked, against the Burnside count
-    (``symmetry.orbit_count``) with symmetry and against the stars and
-    bars count C(deg + n-1, n-1) without; a mismatch raises RuntimeError.
+    Every refuted degree's count is compared with one expected count:
+    Burnside's (``symmetry.orbit_count``) with symmetry, stars and bars
+    C(deg + n-1, n-1) without.  A mismatch raises RuntimeError.
     """
     _check_k(k)
     for name, val in (("degree cap", degree_cap), ("lower bound", lower_bound)):
@@ -140,24 +140,23 @@ def k_gonality(g: graphs.MultiGraph, k: int = 1,
     orbit_counts = {}
     witness = None
     for deg in range(start, cap + 1):
-        prune, refuted_by_prune = _plain_scan(g, k) if dims is None else (None, None)
+        prune, dropped = _plain_scan(g, k) if dims is None else (None, [0])
         count = 0
         for c in iter_orbit_min_vectors(deg, g.n, dims, prune):
             count += 1
-            if (prune is not None or not _refuted_at_poorest(g, c, k)) \
+            if (prune is not None or not _refutes(g, c, 0, k)) \
                     and rank_at_least(g, c, k):
                 witness = list(c)
                 break
         if witness is not None:
             break
-        if dims is None:
-            count += refuted_by_prune[0]
-            if count != (expected := math.comb(deg + g.n - 1, deg)):
-                raise RuntimeError(f"degree {deg}: the plain scan counted {count} "
-                                   f"vectors, stars and bars counts {expected}")
-        elif count != (expected := orbit_count(dims, deg)):
-            raise RuntimeError(f"degree {deg}: the orbit stream gave {count} "
-                               f"representatives, Burnside counts {expected}")
+        count += dropped[0]
+        scan, rule, expected = (
+            ("plain scan", "stars and bars", math.comb(deg + g.n - 1, deg))
+            if dims is None else ("orbit stream", "Burnside", orbit_count(dims, deg)))
+        if count != expected:
+            raise RuntimeError(f"degree {deg}: the {scan} counted {count} "
+                               f"divisors, {rule} counts {expected}")
         refuted.append(deg)
         orbit_counts[deg] = count
     return GonalityResult(
@@ -192,8 +191,9 @@ def _plain_scan(g: graphs.MultiGraph, k: int) -> tuple:
     by reducing there.  A prefix with several completions is tested on
     its bound B by the block lemma, unless r reaches ``_prefix_inflow``,
     when the open positions can fire on B.  A prefix with one completion
-    c is refuted when red_v(c)[v] < k.  Burns resume as the module's
-    resume rule says, so each completion is burnt from v once.
+    c hands it to ``_refutes`` at v with the burn it resumed.  Burns
+    resume as the module's resume rule says, so each completion is burnt
+    from v once.
     """
     inflow = _prefix_inflow(g)
     n = g.n
@@ -212,15 +212,9 @@ def _plain_scan(g: graphs.MultiGraph, k: int) -> tuple:
         if i == n - 1 or not r:  # c is the prefix's one completion
             if v < 0 and i and r < k:
                 v = i
-            if v < 0:
+            if v < 0 or not _refutes(g, c, v, k,
+                                     _burn(g, c, v, burn) if test else burn):
                 return False
-            if test:
-                burn = _burn(g, c, v, burn)
-            if burn[1]:
-                red = c[:]
-                _fire_unburnt(g, red, v, None, burn)
-                if red[v] >= k:
-                    return False
             refuted[0] += 1
             return True
         if v >= 0 and test and r < inflow[i]:

@@ -528,11 +528,13 @@ def test_rank_at_least_random_multigraphs():
         _check_rank_at_least(g, divisors, 4)
 
 
-def test_poorest_vertex_burn_refutes_only_low_rank():
-    # the gonality scan drops a divisor on this refutation before any rank
-    # test, so every refutation must rest on a reduced form at the poorest
-    # vertex with fewer than k chips there, and the class oracle must agree
-    # that rank(c) < k
+def test_refutation_burn_refutes_only_low_rank():
+    # both gonality scans drop a divisor on this refutation before any
+    # rank test: the orbit scan at vertex 0 from a fresh burn, the plain
+    # scan at a later vertex from a burn resumed from a larger bound.  So
+    # at every vertex v, from either burn, every refutation must rest on
+    # a reduced form at v with fewer than k chips there, and the class
+    # oracle must agree that rank(c) < k
     rng = random.Random(4317)
     hosts = [(rook_graph([2, 3]), 4), (rook_graph([3, 3]), 4),
              (rook_graph([2, 2, 2]), 4)]
@@ -544,22 +546,32 @@ def test_poorest_vertex_burn_refutes_only_low_rank():
     for g, top in hosts:
         ge = oracles.class_rank_at_least(g)
         refuted = kept = 0
+        reduced = set()  # (red, v) already checked v-reduced by the oracle
         for deg in range(top + 1):
             for c in oracles.effective_divisors(g.n, deg):
-                v = c.index(min(c))
-                red = None
-                for k in (1, 2, 3):
-                    if divisors._refuted_at_poorest(g, c, k):
-                        refuted += 1
-                        if red is None:
-                            red = v_reduce(g, c, v).reduced
-                            assert oracles.is_reduced(g, red, v), (g.mult, c)
-                            assert oracles.equivalent(g, red, c), (g.mult, c)
-                            past_first_burn += red != list(c)
-                        assert red[v] < k, (g.mult, c, k)
-                        assert not ge(c, k), (g.mult, c, k)
-                    elif not ge(c, k):
-                        kept += 1
+                above = [x + rng.randint(0, 1) for x in c]
+                high = [ge(c, k) for k in range(4)]
+                for v in range(g.n):
+                    resumed = divisors._burn(g, c, v, divisors._burn(g, above, v))
+                    red = None
+                    for k in (1, 2, 3):
+                        fresh = divisors._refutes(g, c, v, k)
+                        assert divisors._refutes(g, c, v, k, resumed) == fresh, \
+                            (g.mult, c, v, k)
+                        if fresh:
+                            refuted += 1
+                            if red is None:
+                                red = v_reduce(g, c, v).reduced
+                                if (key := (tuple(red), v)) not in reduced:
+                                    assert oracles.is_reduced(g, red, v), (g.mult, c)
+                                    reduced.add(key)
+                                if red != list(c):
+                                    assert oracles.equivalent(g, red, c), (g.mult, c)
+                                    past_first_burn += 1
+                            assert red[v] < k, (g.mult, c, v, k)
+                            assert not high[k], (g.mult, c, v, k)
+                        elif not high[k]:
+                            kept += 1
         assert refuted and kept, g.mult
     # some refutations must have needed the reduction past the first burn
     assert past_first_burn

@@ -243,15 +243,20 @@ def test_gonality_checks_the_stream_against_burnside(monkeypatch):
         k_gonality(rook_graph([3, 3]))
 
 
-@pytest.mark.parametrize("dims, k, value, tests", [
-    ([3, 4], 1, 8, 799),
-    ([2, 5], 3, 10, 2809),
-    ([2, 2, 3], 2, 9, 5846),
+@pytest.mark.parametrize("dims, k, symmetry, value, tests", [
+    ([3, 4], 1, False, 8, 799),
+    ([2, 5], 3, False, 10, 2809),
+    ([2, 2, 3], 2, False, 9, 5846),
+    ([4, 4], 1, True, 12, 37),
+    ([3, 3], 2, True, 8, 21),
+    ([2, 2, 3], 2, True, 9, 54),
+    ([3, 3], 3, True, 9, 61),
 ])
-def test_no_symmetry_scan_rank_test_counts(monkeypatch, dims, k, value, tests):
-    # block refutations and the reduction of each leaf at its first poor
-    # vertex after 0 drop most divisors before any rank test, which then
-    # starts with its own reduction at vertex 0
+def test_scan_rank_test_counts(monkeypatch, dims, k, symmetry, value, tests):
+    # a plain scan drops most divisors before any rank test by block
+    # refutations and the reduction of each leaf at its first poor vertex
+    # after 0; an orbit scan by the reduction of each representative at
+    # vertex 0.  The rank test then starts with its own reduction there
     from rookgon import gonality
 
     calls = 0
@@ -263,7 +268,8 @@ def test_no_symmetry_scan_rank_test_counts(monkeypatch, dims, k, value, tests):
         return full_test(g, d, k)
 
     monkeypatch.setattr(gonality, "rank_at_least", counted)
-    res = k_gonality(rook_graph(dims), k=k)
+    res = k_gonality(rook_graph(dims), k=k, symmetry=symmetry)
+    assert res.symmetry == symmetry
     assert res.value == value
     assert calls == tests
 
